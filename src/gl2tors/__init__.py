@@ -21,35 +21,30 @@ from .jmaps import (JMAP_LABELS, JMap, POLE, PlaneCurve, DescentHit,
                     FiberPoint, classify_fiber_point, fiber_curve,
                     jmap_eval, named_jmap, search_hyperelliptic,
                     search_plane, zeta3_descent_search)
-from .modmat import (GMat, ModInt, TorVec, det_trace, element_order,
-                     least_nonresidue, mat_inverse, mat_mul,
-                     vector_exact_order)
-from .polynomial import (BigRat, BiPoly, UniPoly, farey_fractions,
-                         parse_bipoly, parse_poly, poly_gcd,
-                         rational_roots, resultant)
+from .modmat import GMat, TorVec, least_nonresidue, vector_exact_order
+from .polynomial import (BiPoly, UniPoly, farey_fractions, parse_bipoly,
+                         parse_poly, poly_gcd, rational_roots, resultant)
 from .verify import VerificationReport, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Applicability", "BigRat", "BiPoly", "CM_J", "CatalogEntry",
-    "CatalogError", "ComplementWitness", "CurveQ", "DescentHit",
-    "FiberPoint", "FrobSignature", "GMat", "GenGroup", "IdentifyResult",
-    "JMAP_LABELS", "JMap", "ModInt", "NAMED_GROUP_GENERATORS",
-    "OrbitRecord", "POLE", "PlaneCurve", "SubgroupClass", "TorVec",
-    "UniPoly", "VerificationReport", "closure", "contains_minus_identity",
-    "count_points", "curve_Et", "curve_invariants", "det_image",
-    "det_trace", "dickson_classify", "element_order", "farey_fractions",
-    "fiber_curve", "frobenius_signature", "gl2_order",
-    "identify_candidates", "identify_image", "index3_fixing_count",
-    "index6_complement_search", "is_admissible_torsion", "is_applicable",
-    "is_cm_j", "is_conjugate", "is_conjugate_subgroup",
-    "classify_fiber_point", "jmap_eval", "least_nonresidue", "mat_inverse",
-    "mat_mul", "minus_one_complements", "named_group", "named_jmap",
+    "Applicability", "BiPoly", "CM_J", "CatalogEntry", "CatalogError",
+    "ComplementWitness", "CurveQ", "DescentHit", "FiberPoint",
+    "FrobSignature", "GMat", "GenGroup", "IdentifyResult", "JMAP_LABELS",
+    "JMap", "NAMED_GROUP_GENERATORS", "OrbitRecord", "POLE", "PlaneCurve",
+    "SubgroupClass", "TorVec", "UniPoly", "VerificationReport", "closure",
+    "contains_minus_identity", "count_points", "curve_Et", "curve_invariants",
+    "det_image", "dickson_classify", "farey_fractions", "fiber_curve",
+    "frobenius_signature", "gl2_order", "identify_candidates",
+    "identify_image", "index3_fixing_count", "index6_complement_search",
+    "is_admissible_torsion", "is_applicable", "is_cm_j", "is_conjugate",
+    "is_conjugate_subgroup", "classify_fiber_point", "jmap_eval",
+    "least_nonresidue", "minus_one_complements", "named_group", "named_jmap",
     "orbit_stabilizer", "parse_bipoly", "parse_catalog", "parse_curve",
     "parse_poly", "poly_gcd", "rational_3isogeny_kernel", "rational_roots",
     "reduce_level", "resultant", "run_all", "search_hyperelliptic",
-    "search_plane", "serialize_catalog", "stable_lines",
-    "standard_subgroup", "torsion_over_Q", "two_torsion_image",
-    "vector_exact_order", "zeta3_descent_search",
+    "search_plane", "serialize_catalog", "stable_lines", "standard_subgroup",
+    "torsion_over_Q", "two_torsion_image", "vector_exact_order",
+    "zeta3_descent_search",
 ]

@@ -1,5 +1,9 @@
 """Orbits of the row action on (Z/n)^2 and small-index subgroup searches.
 
+Work is on packed codes and (x, y) int pairs; TorVec appears only in the
+results (OrbitRecord, ComplementWitness) and the orbit_stabilizer
+argument.
+
 Index-2 and index-3 subgroups are enumerated through homomorphisms onto
 C2 and S3: images of the generators are chosen freely, then propagated
 over the whole Cayley graph and kept only when every edge is consistent.
@@ -11,8 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groups import GenGroup, exact_order_vectors, gl2_order
-from .modmat import GMat, TorVec, code_mul, mat_inverse
+from .groups import GenGroup, exact_order_vectors, fixes_full_order_vector
+from .modmat import TorVec, code_act, code_inverse, code_mul, code_pack
 
 
 @dataclass(frozen=True)
@@ -30,25 +34,29 @@ class OrbitRecord:
 
 def orbit_stabilizer(G: GenGroup, v: TorVec) -> OrbitRecord:
     """Orbit v*G and the stabilizer subgroup {g : v*g = v}."""
-    if v.modulus != G.modulus:
-        raise ValueError(f"modulus mismatch: {v.modulus} vs {G.modulus}")
+    n = G.modulus
+    if v.modulus != n:
+        raise ValueError(f"modulus mismatch: {v.modulus} vs {n}")
+    p = (v.x, v.y)
     orbit = set()
     stab = []
     for c in sorted(G.element_codes):
-        w = v.apply_code(c)
+        w = code_act(p, c, n)
         orbit.add(w)
-        if w == v:
+        if w == p:
             stab.append(c)
-    S = GenGroup.from_codes(stab, G.modulus,
+    S = GenGroup.from_codes(stab, n,
                             f"stab({v.x},{v.y})" if not G.label
                             else f"stab({v.x},{v.y}) in {G.label}")
-    assert len(orbit) * S.order == G.order
-    return OrbitRecord(v, frozenset(orbit), S)
+    if len(orbit) * S.order != G.order:
+        raise AssertionError(
+            f"orbit-stabilizer fails: {len(orbit)} * {S.order} != {G.order}")
+    return OrbitRecord(v, frozenset(TorVec(x, y, n) for x, y in orbit), S)
 
 
-def orbit_of_vector(codes, v: TorVec) -> frozenset[TorVec]:
-    """Orbit of v under an explicit element-code set."""
-    return frozenset(v.apply_code(c) for c in codes)
+def orbit_of_vector(codes, v: tuple[int, int], n: int) -> frozenset:
+    """Orbit of the pair v under an explicit element-code set."""
+    return frozenset(code_act(v, c, n) for c in codes)
 
 
 _S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -67,9 +75,9 @@ def _hom_kernels(G: GenGroup, images, mul, ident, keep):
     and maps it to the subgroup's element set.
     """
     n = G.modulus
-    gens = [g.code() for g in G.generators]
+    gens = G.gen_codes
     codes = sorted(G.element_codes)
-    id_code = GMat.identity(n).code()
+    id_code = code_pack(1, 0, 0, 1, n)
     found = []
     for assign in images:
         phi = {id_code: ident}
@@ -100,7 +108,7 @@ def _hom_kernels(G: GenGroup, images, mul, ident, keep):
 
 def index2_subgroups(G: GenGroup) -> list[frozenset[int]]:
     """All index-2 subgroups, as element-code sets, deduplicated."""
-    images = [a for a in itertools.product((0, 1), repeat=len(G.generators))
+    images = [a for a in itertools.product((0, 1), repeat=len(G.gen_codes))
               if any(a)]
     subs = _hom_kernels(
         G, images, mul=lambda x, y: x ^ y, ident=0,
@@ -115,7 +123,7 @@ def index2_subgroups(G: GenGroup) -> list[frozenset[int]]:
 def index3_subgroups(G: GenGroup) -> list[frozenset[int]]:
     """All index-3 subgroups: point stabilizers of transitive actions on
     three cosets, i.e. homomorphisms to S3 with transitive image."""
-    k = len(G.generators)
+    k = len(G.gen_codes)
     images = list(itertools.product(_S3, repeat=k))
 
     def keep(phi):
@@ -135,7 +143,7 @@ def index3_subgroups(G: GenGroup) -> list[frozenset[int]]:
 def _conjugacy_classes(G: GenGroup, subs) -> list[list[frozenset[int]]]:
     """Partition subgroup element-sets into G-conjugacy classes."""
     n = G.modulus
-    gen_pairs = [(g.code(), mat_inverse(g).code()) for g in G.generators]
+    gen_pairs = [(g, code_inverse(g, n)) for g in G.gen_codes]
     remaining = list(subs)
     classes = []
     while remaining:
@@ -157,20 +165,13 @@ def _conjugacy_classes(G: GenGroup, subs) -> list[list[frozenset[int]]]:
     return classes
 
 
-def _fixes_full_order_vector(codes, n: int) -> bool:
-    for v in exact_order_vectors(n):
-        if all(v.apply_code(c) == v for c in codes):
-            return True
-    return False
-
-
 def index3_fixing_count(G: GenGroup) -> int:
     """Number of conjugacy classes of index-3 subgroups of G fixing some
     vector of exact order 9 pointwise. Level must be 9."""
     if G.modulus != 9:
         raise ValueError(f"expected level 9, got {G.modulus}")
     subs = [s for s in index3_subgroups(G)
-            if _fixes_full_order_vector(s, 9)]
+            if fixes_full_order_vector(s, 9)]
     if not subs:
         return 0
     return len(_conjugacy_classes(G, subs))
@@ -179,7 +180,7 @@ def index3_fixing_count(G: GenGroup) -> int:
 def minus_one_complements(H: GenGroup) -> list[GenGroup]:
     """Index-2 subgroups of H not containing -I, in a deterministic order."""
     n = H.modulus
-    minus = GMat(-1, 0, 0, -1, n).code()
+    minus = code_pack(-1, 0, 0, -1, n)
     if minus not in H.element_codes:
         raise ValueError("-I is not in the subgroup")
     out = []
@@ -213,11 +214,11 @@ def index6_complement_search(H: GenGroup) -> list[ComplementWitness]:
     if n != 9:
         raise ValueError(f"expected level 9, got {n}")
     candidates = [H] + minus_one_complements(H)
-    vectors = sorted(exact_order_vectors(n), key=lambda v: (v.x, v.y))
+    vectors = exact_order_vectors(n)
     out = []
     for C in candidates:
         codes = C.element_codes
-        for v in vectors:
-            if len(orbit_of_vector(codes, v)) == 6:
-                out.append(ComplementWitness(C, v, 6))
+        for x, y in vectors:
+            if len(orbit_of_vector(codes, (x, y), n)) == 6:
+                out.append(ComplementWitness(C, TorVec(x, y, n), 6))
     return out

@@ -36,33 +36,38 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
+    """A nontrivial factor of composite odd n.
+
+    Brent's cycle search on x -> x^2 + c: the stride r doubles each
+    round, gcds are taken over blocks of m products, and a block whose
+    gcd is n is replayed one step at a time from its saved start ys.
+    When even that gives n, the next constant c is tried.
+    """
     if n % 2 == 0:
         return 2
+    m = 128
     c = 1
     while True:
-        x = y = 2
-        d = 1
-        q = 1
-        m = 128
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            xs = x
-            for _ in range(m):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            d = gcd(q, n)
             x = y
-            if d == 1:
-                continue
-            if d == n:
-                # Backtrack one step at a time from the saved point.
-                y = xs
-                d = 1
-                while d == 1:
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    d = gcd(abs(x - y), n)
-                break
-        if 1 < d < n:
+                    q = q * abs(x - y) % n
+                d = gcd(q, n)
+                k += m
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = gcd(abs(x - ys), n)
+        if d != n:
             return d
         c += 1
 

@@ -36,6 +36,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= low, else a one-line usage error."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer, got {text!r}") from None
+        if v < low:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= {low}, got {v}")
+        return v
+    return parse
+
+
+# Grid searches need a height of at least 1; Frobenius sampling needs a
+# prime bound of at least 20 (see elliptic.frobenius_signature).
+_height = _int_at_least(1, "height")
+_prime_bound = _int_at_least(20, "prime bound")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="gl2tors",
                 description="Verification battery for mod-9 image "
@@ -43,9 +64,9 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     va = sub.add_parser("verify-all", parents=[], help="run every check")
-    va.add_argument("--height", type=int, default=30,
+    va.add_argument("--height", type=_height, default=30,
                     help="grid height for fiber searches (default 30)")
-    va.add_argument("--prime-bound", type=int, default=10000,
+    va.add_argument("--prime-bound", type=_prime_bound, default=10000,
                     help="prime bound for image identification "
                          "(default 10000)")
     va.add_argument("--catalog", help="optional catalog file of extra "
@@ -70,7 +91,7 @@ def _build_parser() -> _Parser:
                          help="filter candidate mod-ell images of a curve")
     idp.add_argument("curve", help="[a1,a2,a3,a4,a6]")
     idp.add_argument("--level", type=int, choices=(2, 3), default=3)
-    idp.add_argument("--prime-bound", type=int, default=10000)
+    idp.add_argument("--prime-bound", type=_prime_bound, default=10000)
     idp.add_argument("--json", action="store_true")
 
     jm = sub.add_parser("jmap", help="evaluate a named j-map")
@@ -82,14 +103,14 @@ def _build_parser() -> _Parser:
                         help="rational points on a fiber of two j-maps")
     fs.add_argument("label_a")
     fs.add_argument("label_b")
-    fs.add_argument("--height", type=int, default=30)
+    fs.add_argument("--height", type=_height, default=30)
     fs.add_argument("--json", action="store_true")
 
     cs = sub.add_parser("curve-search",
                         help="bounded search on y^2 + h(x)*y = f(x)")
     cs.add_argument("model",
                     help="'y^2 = f(x)' or 'y^2 + (h)*y = f' in variable x")
-    cs.add_argument("--height", type=int, default=30)
+    cs.add_argument("--height", type=_height, default=30)
     cs.add_argument("--json", action="store_true")
 
     to = sub.add_parser("torsion", help="rational torsion of a curve")

@@ -15,8 +15,8 @@ from math import gcd, isqrt
 import numpy as np
 
 from .arith import is_probable_prime, square_divisor_roots
-from .groups import GenGroup, closure
-from .modmat import GMat
+from .groups import GenGroup, closure_codes
+from .modmat import code_det, code_pack, code_trace
 from .polynomial import UniPoly, rational_roots
 
 
@@ -151,19 +151,6 @@ def count_points(E: CurveQ, p: int) -> tuple[int, int]:
     return n, -s
 
 
-def count_points_naive(E: CurveQ, p: int) -> tuple[int, int]:
-    """Direct double loop over the long model; test oracle for small p."""
-    ai = _bad_primes_guard(E, p)
-    a1, a2, a3, a4, a6 = (v % p for v in ai)
-    n = 1
-    for x in range(p):
-        rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y) % p == rhs:
-                n += 1
-    return n, p + 1 - n
-
-
 def _prime_range(bound: int) -> list[int]:
     if bound < 2:
         return []
@@ -215,9 +202,8 @@ def group_class_set(H: GenGroup) -> frozenset:
     """(trace, det) classes of <H, -I>, the coarsest Frobenius-visible
     invariant of H up to the quadratic twist ambiguity."""
     n = H.modulus
-    gens = list(H.generators) + [GMat(-1, 0, 0, -1, n)]
-    G = closure(gens, n)
-    return frozenset((M.trace(), M.det()) for M in G.elements())
+    codes = closure_codes(H.gen_codes + (code_pack(-1, 0, 0, -1, n),), n)
+    return frozenset((code_trace(c, n), code_det(c, n)) for c in codes)
 
 
 @dataclass(frozen=True)
@@ -374,11 +360,13 @@ def torsion_over_Q(E: CurveQ):
     n = len(torsion) + 1
     full_two = sum(1 for (x, y) in torsion if y == 0) == 3
     if full_two:
-        assert n % 4 == 0
+        if n % 4 != 0:
+            raise AssertionError(f"full 2-torsion in a group of order {n}")
         structure = (2, n // 2)
     else:
         structure = (n,)
     allowed = {(1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,),
                (12,), (2, 2), (2, 4), (2, 6), (2, 8)}
-    assert structure in allowed, f"impossible torsion {structure}"
+    if structure not in allowed:
+        raise AssertionError(f"impossible torsion {structure}")
     return structure

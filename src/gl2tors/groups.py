@@ -1,8 +1,10 @@
 """Subgroups of GL2(Z/nZ): closure, standard constructions, classification.
 
-Groups are stored as generator lists plus a lazily computed element set
-(packed integer codes, see modmat.code_mul). All iteration is in sorted
-code order so results are deterministic.
+A group is a list of generator codes plus a lazily computed element set,
+both packed integer codes (see modmat); vectors are (x, y) int pairs.
+GMat appears only where matrices enter or leave: generator input, the
+`generators` view and membership tests. All iteration is in sorted code
+or (x, y) order so results are deterministic.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ import functools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .modmat import (GMat, ModInt, code_det, code_mul, code_trace,
-                     element_order, least_nonresidue, mat_inverse)
+from .arith import factorint, is_probable_prime
+from .modmat import (GMat, code_act, code_det, code_entries, code_inverse,
+                     code_mul, code_pack, code_trace, least_nonresidue)
 
 
 def gl2_order(n: int) -> int:
@@ -20,30 +23,23 @@ def gl2_order(n: int) -> int:
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     out = n ** 4
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out = out // p * (p - 1)
-            out = out // (p * p) * (p * p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        p = m
-        out = out // p * (p - 1)
-        out = out // (p * p) * (p * p - 1)
+    for p in factorint(n):
+        out = out // p * (p - 1) // (p * p) * (p * p - 1)
     return out
+
+
+def _check_invertible(code: int, n: int) -> None:
+    d = code_det(code, n)
+    if gcd(d, n) != 1:
+        raise ValueError(f"generator not invertible mod {n}: det = {d}")
 
 
 def closure_codes(gen_codes, n: int) -> frozenset[int]:
     """Set of all products of the given packed generators (BFS closure)."""
-    ident = GMat.identity(n).code()
+    ident = code_pack(1, 0, 0, 1, n)
     gens = sorted(set(gen_codes))
     for g in gens:
-        if gcd(code_det(g, n), n) != 1:
-            raise ValueError(
-                f"generator not invertible mod {n}: det = {code_det(g, n)}")
+        _check_invertible(g, n)
     seen = {ident}
     frontier = [ident]
     while frontier:
@@ -60,47 +56,45 @@ def closure_codes(gen_codes, n: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class GenGroup:
-    """A subgroup of GL2(Z/nZ) given by generators, elements on demand."""
+    """A subgroup of GL2(Z/nZ) given by generator codes, elements on
+    demand."""
 
     modulus: int
-    generators: tuple[GMat, ...]
+    gen_codes: tuple[int, ...]
     label: str = ""
     _codes: frozenset[int] | None = field(default=None, repr=False,
                                           compare=False)
 
     @classmethod
     def from_generators(cls, gens, n: int, label: str = "") -> "GenGroup":
-        mats = tuple(g if isinstance(g, GMat) else GMat.from_tuple(g, n)
-                     for g in gens)
-        for g in mats:
-            if g.modulus != n:
+        """Generators given as GMat values or (a, b, c, d) rows mod n."""
+        codes = []
+        for g in gens:
+            M = g if isinstance(g, GMat) else GMat(*g, n)
+            if M.modulus != n:
                 raise ValueError(
-                    f"generator modulus {g.modulus} does not match {n}")
-            if not g.is_invertible():
-                raise ValueError(
-                    f"generator not invertible mod {n}: det = {g.det()}")
-        return cls(n, mats, label)
+                    f"generator modulus {M.modulus} does not match {n}")
+            codes.append(M.code())
+            _check_invertible(codes[-1], n)
+        return cls(n, tuple(codes), label)
 
     @classmethod
     def from_codes(cls, codes, n: int, label: str = "") -> "GenGroup":
         """Wrap an already closed element set, picking greedy generators."""
         codes = frozenset(codes)
-        gens = greedy_generators(codes, n)
-        mats = tuple(GMat.from_code(g, n) for g in gens)
-        return cls(n, mats, label, codes)
+        return cls(n, tuple(greedy_generators(codes, n)), label, codes)
+
+    @property
+    def generators(self) -> tuple[GMat, ...]:
+        """The generators as GMat values, for output."""
+        return tuple(GMat.from_code(c, self.modulus) for c in self.gen_codes)
 
     @property
     def element_codes(self) -> frozenset[int]:
         if self._codes is None:
-            codes = closure_codes((g.code() for g in self.generators),
-                                  self.modulus)
+            codes = closure_codes(self.gen_codes, self.modulus)
             object.__setattr__(self, "_codes", codes)
         return self._codes
-
-    def elements(self):
-        n = self.modulus
-        for c in sorted(self.element_codes):
-            yield GMat.from_code(c, n)
 
     @property
     def order(self) -> int:
@@ -121,14 +115,13 @@ class GenGroup:
     def __repr__(self) -> str:
         name = self.label or "subgroup"
         return (f"<{name} mod {self.modulus}, "
-                f"{len(self.generators)} generators>")
+                f"{len(self.gen_codes)} generators>")
 
 
 def greedy_generators(codes: frozenset[int], n: int) -> list[int]:
     """Small generating set: sweep elements, add any not yet generated."""
-    ident = GMat.identity(n).code()
     gens: list[int] = []
-    have = {ident}
+    have = {code_pack(1, 0, 0, 1, n)}
     for c in sorted(codes):
         if c not in have:
             gens.append(c)
@@ -145,40 +138,18 @@ def closure(gens, n: int, label: str = "") -> GenGroup:
     return G
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out = out // p * (p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out = out // m * (m - 1)
-    return out
+def _units(n: int) -> list[int]:
+    return [u for u in range(1, n) if gcd(u, n) == 1]
 
 
-def _prime_power(n: int) -> tuple[int, int]:
-    """(p, k) with n = p^k, or raises."""
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"{n} is not a prime power")
-            return p, k
-        p += 1
-    return n, 1
+def _is_odd_prime_power(n: int) -> bool:
+    f = factorint(n)
+    return len(f) == 1 and 2 not in f
 
 
 def _primitive_root(n: int) -> int:
     """Smallest primitive root mod an odd prime power, checked by order."""
-    p, _ = _prime_power(n)
+    p = min(factorint(n))
     target = n // p * (p - 1)
     for g in range(2, n):
         if gcd(g, n) != 1:
@@ -222,22 +193,25 @@ def standard_subgroup(kind: str, n: int, phi: int | None = None) -> GenGroup:
         raise ValueError(f"unknown kind {kind!r}; expected one of "
                          f"{', '.join(STANDARD_KINDS)}")
     if kind == "full":
-        g = 1 if n == 2 else _primitive_root_or_unit(n)
+        if n != 2 and not _is_odd_prime_power(n):
+            raise ValueError(
+                f"full GL2 construction needs a prime power, got {n}")
+        g = 1 if n == 2 else _primitive_root(n)
+        label = f"GL2(F{n})" if is_probable_prime(n) else f"GL2(Z/{n})"
         G = GenGroup.from_generators(
-            [(1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1)], n, _full_label(n))
+            [(1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1)], n, label)
         if G.order != gl2_order(n):
             raise AssertionError("full GL2 generators failed to generate")
         return G
     if kind == "sl2":
         G = GenGroup.from_generators([(1, 1, 0, 1), (1, 0, 1, 1)], n,
                                      f"SL2(Z/{n})")
-        if G.order != gl2_order(n) // _euler_phi(n):
+        if G.order != gl2_order(n) // len(_units(n)):
             raise AssertionError("SL2 generators failed to generate")
         return G
-    p, _ = _prime_power(n)
-    if p == 2:
+    if not _is_odd_prime_power(n):
         raise ValueError(f"cartan kinds need an odd prime power, got {n}")
-    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    units = _units(n)
     if kind in ("nonsplit-cartan", "nonsplit-cartan-normalizer"):
         if phi is None:
             raise ValueError(f"kind {kind!r} requires a non-residue phi")
@@ -247,55 +221,26 @@ def standard_subgroup(kind: str, n: int, phi: int | None = None) -> GenGroup:
         for a in range(n):
             for b in range(n):
                 if gcd((a * a - b * b * phi) % n, n) == 1:
-                    codes.add(GMat(a, b * phi, b, a, n).code())
+                    codes.add(code_pack(a, b * phi, b, a, n))
         if kind == "nonsplit-cartan-normalizer":
-            j = GMat.reflect(n)
-            codes |= {code_mul(j.code(), c, n) for c in set(codes)}
+            j = code_pack(1, 0, 0, -1, n)
+            codes |= {code_mul(j, c, n) for c in set(codes)}
         return GenGroup.from_codes(codes, n, f"{kind}({n})")
     if kind == "borel":
-        codes = {GMat(a, b, 0, d, n).code()
+        codes = {code_pack(a, b, 0, d, n)
                  for a in units for d in units for b in range(n)}
         g = _primitive_root(n)
-        mats = (GMat.diagonal(g, 1, n), GMat.diagonal(1, g, n),
-                GMat(1, 1, 0, 1, n))
-        return GenGroup(n, mats, f"borel({n})", frozenset(codes))
+        gens = (code_pack(g, 0, 0, 1, n), code_pack(1, 0, 0, g, n),
+                code_pack(1, 1, 0, 1, n))
+        return GenGroup(n, gens, f"borel({n})", frozenset(codes))
     g = _primitive_root(n)
-    codes = {GMat.diagonal(a, d, n).code() for a in units for d in units}
-    mats = [GMat.diagonal(g, 1, n), GMat.diagonal(1, g, n)]
+    codes = {code_pack(a, 0, 0, d, n) for a in units for d in units}
+    gens = (code_pack(g, 0, 0, 1, n), code_pack(1, 0, 0, g, n))
     if kind == "split-cartan-normalizer":
-        t = GMat.swap(n)
-        codes |= {code_mul(t.code(), c, n) for c in set(codes)}
-        mats.append(t)
-    return GenGroup(n, tuple(mats), f"{kind}({n})", frozenset(codes))
-
-
-def _full_label(n: int) -> str:
-    p, k = 0, 0
-    try:
-        p, k = _prime_power(n)
-    except ValueError:
-        pass
-    if k == 1:
-        return f"GL2(F{n})"
-    return f"GL2(Z/{n})"
-
-
-def _is_odd_prime_power(n: int) -> bool:
-    try:
-        p, _ = _prime_power(n)
-    except ValueError:
-        return False
-    return p != 2
-
-
-def _primitive_root_or_unit(n: int) -> int:
-    if _is_odd_prime_power(n):
-        return _primitive_root(n)
-    if n == 2:
-        return 1
-    # Composite or even moduli: any unit generating (Z/n)* may not exist;
-    # fall back to adjoining one diagonal per unit class.
-    raise ValueError(f"full GL2 construction needs a prime power, got {n}")
+        t = code_pack(0, 1, 1, 0, n)
+        codes |= {code_mul(t, c, n) for c in set(codes)}
+        gens += (t,)
+    return GenGroup(n, gens, f"{kind}({n})", frozenset(codes))
 
 
 def pow_is_square(v: int, n: int) -> bool:
@@ -305,7 +250,7 @@ def pow_is_square(v: int, n: int) -> bool:
 
 def contains_minus_identity(G: GenGroup) -> bool:
     n = G.modulus
-    return GMat(-1, 0, 0, -1, n).code() in G.element_codes
+    return code_pack(-1, 0, 0, -1, n) in G.element_codes
 
 
 def det_image(G: GenGroup) -> frozenset[int]:
@@ -315,29 +260,19 @@ def det_image(G: GenGroup) -> frozenset[int]:
 
 
 def det_surjective(G: GenGroup) -> bool:
-    n = G.modulus
-    units = sum(1 for u in range(1, n) if gcd(u, n) == 1)
-    return len(det_image(G)) == units
+    return len(det_image(G)) == len(_units(G.modulus))
 
 
-def exact_order_vectors(n: int) -> list:
-    """All vectors in (Z/n)^2 of exact additive order n, sorted."""
-    from .modmat import TorVec, vector_exact_order
-    out = []
-    for x in range(n):
-        for y in range(n):
-            v = TorVec(x, y, n)
-            if vector_exact_order(v) == n:
-                out.append(v)
-    return out
+def exact_order_vectors(n: int) -> list[tuple[int, int]]:
+    """All (x, y) in (Z/n)^2 of exact additive order n, sorted."""
+    return [(x, y) for x in range(n) for y in range(n) if gcd(x, y, n) == 1]
 
 
-def fixed_vectors(M: GMat) -> list:
-    """Vectors v with v*M = v, by direct scan."""
-    from .modmat import TorVec
-    n = M.modulus
-    return [TorVec(x, y, n) for x in range(n) for y in range(n)
-            if TorVec(x, y, n).apply(M) == TorVec(x, y, n)]
+def fixes_full_order_vector(codes, n: int) -> bool:
+    """Whether every packed matrix in codes fixes one common vector of
+    exact order n."""
+    return any(all(code_act(v, c, n) == v for c in codes)
+               for v in exact_order_vectors(n))
 
 
 @dataclass(frozen=True)
@@ -358,24 +293,13 @@ def is_applicable(G: GenGroup) -> Applicability:
         return Applicability(False, "-I not in subgroup")
     if not det_surjective(G):
         return Applicability(False, "det not surjective")
-    from .modmat import vector_exact_order
     minus_one = (n - 1) % n
     for c in sorted(G.element_codes):
-        if code_trace(c, n) != 0 or code_det(c, n) != minus_one:
-            continue
-        M = GMat.from_code(c, n)
-        for v in fixed_vectors(M):
-            if vector_exact_order(v) == n:
-                return Applicability(True, "applicable")
+        if code_trace(c, n) == 0 and code_det(c, n) == minus_one \
+                and fixes_full_order_vector((c,), n):
+            return Applicability(True, "applicable")
     return Applicability(False,
                          "no trace-0 det--1 element fixes a full-order vector")
-
-
-def _conjugate_gen_codes(G: GenGroup, x: GMat) -> list[int]:
-    xi = mat_inverse(x)
-    n = G.modulus
-    return [code_mul(code_mul(xi.code(), g.code(), n), x.code(), n)
-            for g in G.generators]
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,9 +318,10 @@ def is_conjugate_subgroup(G: GenGroup, H: GenGroup) -> bool:
     if not det_image(G) <= det_image(H):
         return False
     hc = H.element_codes
-    for xc in _full_codes(n):
-        x = GMat.from_code(xc, n)
-        if all(c in hc for c in _conjugate_gen_codes(G, x)):
+    for x in _full_codes(n):
+        xi = code_inverse(x, n)
+        if all(code_mul(code_mul(xi, g, n), x, n) in hc
+               for g in G.gen_codes):
             return True
     return False
 
@@ -423,27 +348,22 @@ def reduce_level(G: GenGroup, m: int) -> GenGroup:
         raise ValueError(f"{m} does not divide level {G.modulus}")
     if m < 2:
         raise ValueError(f"target level must be >= 2, got {m}")
-    gens = [g.reduce(m) for g in G.generators]
+    gens = [code_entries(c, G.modulus) for c in G.gen_codes]
     label = f"{G.label} mod {m}" if G.label else ""
     return closure(gens, m, label)
 
 
 def stable_lines(G: GenGroup) -> int:
     """Number of free rank-1 submodules of (Z/n)^2 fixed setwise by G."""
-    from .modmat import TorVec
     n = G.modulus
     lines = {}
-    for v in exact_order_vectors(n):
-        key = frozenset((k * v.x % n, k * v.y % n) for k in range(n))
-        lines.setdefault(key, v)
-    count = 0
-    gens = [g for g in G.generators]
-    for key, v in sorted(lines.items(), key=lambda kv: (kv[1].x, kv[1].y)):
-        if all((v.apply(g).x, v.apply(g).y) in key for g in gens):
-            # v generates the line, so v*g in the line for each generator
-            # means the line maps into itself; invertibility gives equality.
-            count += 1
-    return count
+    for x, y in exact_order_vectors(n):
+        key = frozenset((k * x % n, k * y % n) for k in range(n))
+        lines.setdefault(key, (x, y))
+    # v generates its line, so v*g in the line for each generator means
+    # the line maps into itself; invertibility gives equality.
+    return sum(1 for key, v in lines.items()
+               if all(code_act(v, g, n) in key for g in G.gen_codes))
 
 
 @dataclass(frozen=True)
@@ -461,8 +381,7 @@ DICKSON_TAGS = ("borel-contained", "contains-SL2", "split-cartan-normalizer",
 
 def _projective_order(G: GenGroup) -> int:
     n = G.modulus
-    units = [u for u in range(1, n) if gcd(u, n) == 1]
-    scalars = {GMat.diagonal(u, u, n).code() for u in units}
+    scalars = {code_pack(u, 0, 0, u, n) for u in _units(n)}
     reps = set()
     for c in G.element_codes:
         reps.add(min(code_mul(s, c, n) for s in scalars))
@@ -476,14 +395,14 @@ def dickson_classify(G: GenGroup) -> SubgroupClass:
     reported as such even when it also sits in a Cartan normalizer.
     """
     p = G.modulus
-    if not _is_odd_prime_power(p) or _prime_power(p)[1] != 1:
+    if p == 2 or not is_probable_prime(p):
         raise ValueError(f"classification needs an odd prime level, got {p}")
     if stable_lines(G) > 0:
         return SubgroupClass("borel-contained", _projective_order(G))
     sl2 = standard_subgroup("sl2", p).element_codes
     if sl2 <= G.element_codes:
         return SubgroupClass("contains-SL2", _projective_order(G))
-    phi = least_nonresidue(p).value
+    phi = least_nonresidue(p)
     for kind in ("split-cartan-normalizer", "nonsplit-cartan-normalizer"):
         N = standard_subgroup(kind, p,
                               phi if kind.startswith("nonsplit") else None)

@@ -1,8 +1,15 @@
-"""Exact arithmetic in Z/nZ and in 2x2 matrices over it.
+"""Packed 2x2 matrices over Z/nZ and their row action on (Z/n)^2.
 
-Matrices act on row vectors from the right: v -> v*M. All values are
-immutable and fully reduced, so equality is structural and everything
-is hashable.
+Packed codes are the representation every group, action and curve
+computation works with: the matrix (a, b; c, d) mod n, entries reduced
+to [0, n), is the Python int ((a*n + b)*n + c)*n + d. This module is the
+only one that knows that layout. Vectors are (x, y) int pairs, and
+matrices act on them as row vectors from the right:
+(x, y)*M = (x*a + y*c, x*b + y*d).
+
+GMat and TorVec are input and output types only: GMat parses and prints
+a matrix and converts to and from its code; TorVec is an (x, y, modulus)
+value for vectors handed to or returned from the library.
 """
 
 from __future__ import annotations
@@ -10,145 +17,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .arith import is_probable_prime
+
 
 def _check_modulus(n: int) -> None:
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
 
 
-@dataclass(frozen=True)
-class ModInt:
-    """An element of Z/nZ, stored as the reduced representative in [0, n)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> "ModInt":
-        if isinstance(other, ModInt):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return ModInt(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return ModInt(self.value - o.value, self.modulus)
-
-    def __neg__(self):
-        return ModInt(-self.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return ModInt(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def is_unit(self) -> bool:
-        return gcd(self.value, self.modulus) == 1
-
-    def inverse(self) -> "ModInt":
-        if not self.is_unit():
-            raise ValueError(
-                f"{self.value} is not a unit mod {self.modulus}")
-        return ModInt(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.modulus})"
+def code_pack(a: int, b: int, c: int, d: int, n: int) -> int:
+    """The code of (a, b; c, d) mod n; entries are reduced first."""
+    return (((a % n) * n + b % n) * n + c % n) * n + d % n
 
 
-@dataclass(frozen=True)
-class GMat:
-    """A 2x2 matrix over Z/nZ, entries row-major (a, b; c, d)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.modulus)
-        n = self.modulus
-        object.__setattr__(self, "a", self.a % n)
-        object.__setattr__(self, "b", self.b % n)
-        object.__setattr__(self, "c", self.c % n)
-        object.__setattr__(self, "d", self.d % n)
-
-    @classmethod
-    def identity(cls, n: int) -> "GMat":
-        return cls(1, 0, 0, 1, n)
-
-    @classmethod
-    def from_tuple(cls, t, n: int) -> "GMat":
-        a, b, c, d = t
-        return cls(a, b, c, d, n)
-
-    @classmethod
-    def diagonal(cls, a: int, b: int, n: int) -> "GMat":
-        return cls(a, 0, 0, b, n)
-
-    @classmethod
-    def swap(cls, n: int) -> "GMat":
-        """The antidiagonal matrix (0, 1; 1, 0)."""
-        return cls(0, 1, 1, 0, n)
-
-    @classmethod
-    def reflect(cls, n: int) -> "GMat":
-        """The matrix (1, 0; 0, -1)."""
-        return cls(1, 0, 0, -1, n)
-
-    @classmethod
-    def cartan_nonsplit(cls, a: int, b: int, phi: int, n: int) -> "GMat":
-        """The matrix (a, b*phi; b, a)."""
-        return cls(a, b * phi, b, a, n)
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def code(self) -> int:
-        """Pack the four entries into a single integer, for fast set work."""
-        n = self.modulus
-        return ((self.a * n + self.b) * n + self.c) * n + self.d
-
-    @classmethod
-    def from_code(cls, code: int, n: int) -> "GMat":
-        d = code % n
-        code //= n
-        c = code % n
-        code //= n
-        b = code % n
-        return cls(code // n, b, c, d, n)
-
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.modulus
-
-    def trace(self) -> int:
-        return (self.a + self.d) % self.modulus
-
-    def is_invertible(self) -> bool:
-        return gcd(self.det(), self.modulus) == 1
-
-    def reduce(self, m: int) -> "GMat":
-        if self.modulus % m != 0:
-            raise ValueError(f"{m} does not divide modulus {self.modulus}")
-        return GMat(self.a, self.b, self.c, self.d, m)
-
-    def __repr__(self) -> str:
-        return (f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
-                f" (mod {self.modulus})")
+def code_entries(x: int, n: int) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of a packed matrix."""
+    n2 = n * n
+    return x // (n2 * n), (x // n2) % n, (x // n) % n, x % n
 
 
 def code_mul(x: int, y: int, n: int) -> int:
@@ -171,69 +56,71 @@ def code_trace(x: int, n: int) -> int:
     return (x // (n * n * n) + x % n) % n
 
 
-def mat_mul(A: GMat, B: GMat) -> GMat:
-    """Standard matrix product, entries reduced mod the shared modulus."""
-    if A.modulus != B.modulus:
-        raise ValueError(f"modulus mismatch: {A.modulus} vs {B.modulus}")
-    n = A.modulus
-    return GMat(A.a * B.a + A.b * B.c, A.a * B.b + A.b * B.d,
-                A.c * B.a + A.d * B.c, A.c * B.b + A.d * B.d, n)
+def code_inverse(x: int, n: int) -> int:
+    """Inverse of a packed matrix; raises if det is not a unit, reporting
+    the det."""
+    a, b, c, d = code_entries(x, n)
+    det = (a * d - b * c) % n
+    if gcd(det, n) != 1:
+        raise ValueError(f"matrix not invertible mod {n}: det = {det}")
+    di = pow(det, -1, n)
+    return code_pack(di * d, -di * b, -di * c, di * a, n)
 
 
-def det_trace(A: GMat) -> tuple[ModInt, ModInt]:
-    """(det, trace) of A as reduced ModInt values."""
-    return ModInt(A.det(), A.modulus), ModInt(A.trace(), A.modulus)
+def code_act(v: tuple[int, int], x: int, n: int) -> tuple[int, int]:
+    """Row action v*M of the packed matrix x on the pair v = (v0, v1)."""
+    a, b, c, d = code_entries(x, n)
+    v0, v1 = v
+    return (v0 * a + v1 * c) % n, (v0 * b + v1 * d) % n
 
 
-def mat_inverse(A: GMat) -> GMat:
-    """Inverse of A; raises if det is not a unit, reporting the det."""
-    n = A.modulus
-    d = A.det()
-    if gcd(d, n) != 1:
-        raise ValueError(f"matrix not invertible mod {n}: det = {d}")
-    di = pow(d, -1, n)
-    return GMat(di * A.d, -di * A.b, -di * A.c, di * A.a, n)
+@dataclass(frozen=True)
+class GMat:
+    """A 2x2 matrix over Z/nZ, entries row-major (a, b; c, d)."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    modulus: int
+
+    def __post_init__(self) -> None:
+        _check_modulus(self.modulus)
+        n = self.modulus
+        object.__setattr__(self, "a", self.a % n)
+        object.__setattr__(self, "b", self.b % n)
+        object.__setattr__(self, "c", self.c % n)
+        object.__setattr__(self, "d", self.d % n)
+
+    def entries(self):
+        return (self.a, self.b, self.c, self.d)
+
+    def code(self) -> int:
+        return code_pack(self.a, self.b, self.c, self.d, self.modulus)
+
+    @classmethod
+    def from_code(cls, code: int, n: int) -> "GMat":
+        return cls(*code_entries(code, n), n)
+
+    def det(self) -> int:
+        return (self.a * self.d - self.b * self.c) % self.modulus
+
+    def __repr__(self) -> str:
+        return (f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+                f" (mod {self.modulus})")
 
 
-def element_order(A: GMat) -> int:
-    """Least k >= 1 with A^k = I, by iterated multiplication."""
-    if not A.is_invertible():
-        raise ValueError(
-            f"matrix not invertible mod {A.modulus}: det = {A.det()}")
-    ident = GMat.identity(A.modulus)
-    P = A
-    k = 1
-    while P != ident:
-        P = mat_mul(P, A)
-        k += 1
-    return k
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
-def least_nonresidue(p: int) -> ModInt:
+def least_nonresidue(p: int) -> int:
     """Smallest positive quadratic non-residue mod an odd prime p."""
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_probable_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
     squares = {(x * x) % p for x in range(p)}
-    for v in range(2, p):
-        if v not in squares:
-            return ModInt(v, p)
-    raise AssertionError("unreachable: every odd prime has a non-residue")
+    return next(v for v in range(2, p) if v not in squares)
 
 
 @dataclass(frozen=True)
 class TorVec:
-    """A vector in (Z/nZ)^2, acted on from the right by GMat."""
+    """A vector in (Z/nZ)^2, for vectors entering or leaving the library."""
 
     x: int
     y: int
@@ -243,21 +130,6 @@ class TorVec:
         _check_modulus(self.modulus)
         object.__setattr__(self, "x", self.x % self.modulus)
         object.__setattr__(self, "y", self.y % self.modulus)
-
-    def apply(self, M: GMat) -> "TorVec":
-        """Row action v*M."""
-        if M.modulus != self.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {M.modulus}")
-        return TorVec(self.x * M.a + self.y * M.c,
-                      self.x * M.b + self.y * M.d, self.modulus)
-
-    def apply_code(self, code: int) -> "TorVec":
-        n = self.modulus
-        n2 = n * n
-        n3 = n2 * n
-        a, b, c, d = code // n3, (code // n2) % n, (code // n) % n, code % n
-        return TorVec(self.x * a + self.y * c, self.x * b + self.y * d, n)
 
     def __repr__(self) -> str:
         return f"({self.x},{self.y}) (mod {self.modulus})"

@@ -12,9 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factorint, is_probable_prime
-
-BigRat = Fraction
+from .arith import divisors, is_probable_prime
 
 
 def _frac(v) -> Fraction:
@@ -523,13 +521,6 @@ def _factorable(n: int) -> bool:
     return n != 0 and abs(n).bit_length() <= _FACTOR_BIT_LIMIT
 
 
-def _divisors_abs(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorint(n).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def rational_roots(P: UniPoly) -> list[Fraction]:
     """All rational roots of P, sorted, without multiplicity.
 
@@ -554,8 +545,8 @@ def rational_roots(P: UniPoly) -> list[Fraction]:
         return sorted(roots)
     a0, lead = coeffs[0], coeffs[-1]
     if _factorable(a0) and _factorable(lead):
-        for q in _divisors_abs(lead):
-            for p in _divisors_abs(a0):
+        for q in divisors(lead):
+            for p in divisors(a0):
                 if gcd(p, q) != 1:
                     continue
                 for sp in (p, -p):

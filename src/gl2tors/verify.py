@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import catalog as _catalog
 from .action import (index3_fixing_count, index6_complement_search,
@@ -19,14 +20,15 @@ from .action import (index3_fixing_count, index6_complement_search,
 from .arith import is_probable_prime
 from .elliptic import (CurveQ, count_points, curve_Et, curve_invariants,
                        identify_image, is_cm_j, parse_curve, torsion_over_Q)
-from .groups import (GenGroup, closure, contains_minus_identity,
+from .groups import (GenGroup, contains_minus_identity,
                      dickson_classify, gl2_order, is_applicable,
                      reduce_level, stable_lines, standard_order,
                      standard_subgroup)
 from .jmaps import (POLE, classify_fiber_point, fiber_curve, jmap_eval,
                     named_jmap, search_hyperelliptic, search_plane,
                     zeta3_descent_search)
-from .modmat import GMat, TorVec, code_det, code_mul, mat_inverse
+from .modmat import (TorVec, code_det, code_inverse, code_mul, code_pack,
+                     least_nonresidue)
 from .polynomial import (BiPoly, UniPoly, farey_fractions, parse_poly,
                          rational_roots, resultant)
 
@@ -63,15 +65,15 @@ def check_group_orders() -> VerificationReport:
 
 def check_standard_orders() -> VerificationReport:
     def fn():
-        from .groups import STANDARD_KINDS, least_nonresidue
+        from .groups import STANDARD_KINDS
         bad = []
         for p in (3, 5, 7):
-            phi = least_nonresidue(p).value
+            phi = least_nonresidue(p)
             for kind in STANDARD_KINDS:
                 needs_phi = kind.startswith("nonsplit")
                 G = standard_subgroup(kind, p, phi if needs_phi else None)
                 expected = standard_order(kind, p)
-                reclosed = closure([g.entries() for g in G.generators], p)
+                reclosed = GenGroup(p, G.gen_codes)
                 if G.order != expected or reclosed.order != expected:
                     bad.append((kind, p, G.order, reclosed.order, expected))
         if bad:
@@ -244,12 +246,19 @@ def check_resultant_evidence() -> VerificationReport:
     return _run("resultant-evidence", fn)
 
 
-def _random_invertible(rng: random.Random, n: int) -> GMat:
+def _random_invertible(rng: random.Random, n: int) -> int:
+    """Code of a random invertible matrix mod n."""
     while True:
-        M = GMat(rng.randrange(n), rng.randrange(n), rng.randrange(n),
-                 rng.randrange(n), n)
-        if M.is_invertible():
-            return M
+        x = code_pack(rng.randrange(n), rng.randrange(n), rng.randrange(n),
+                      rng.randrange(n), n)
+        if gcd(code_det(x, n), n) == 1:
+            return x
+
+
+def _require(ok: bool, what: str) -> None:
+    """Fail a property suite; an explicit raise, so it holds under -O."""
+    if not ok:
+        raise AssertionError(what)
 
 
 def prop_orbit_stabilizer(instances: int = 100, seed: int = 20260815) -> int:
@@ -257,12 +266,13 @@ def prop_orbit_stabilizer(instances: int = 100, seed: int = 20260815) -> int:
     rng = random.Random(seed)
     for _ in range(instances):
         n = rng.choice((2, 3, 9))
-        gens = [_random_invertible(rng, n)
-                for _ in range(rng.randint(1, 2))]
-        G = closure(gens, n)
+        gens = tuple(_random_invertible(rng, n)
+                     for _ in range(rng.randint(1, 2)))
+        G = GenGroup(n, gens)
         v = TorVec(rng.randrange(n), rng.randrange(n), n)
         rec = orbit_stabilizer(G, v)
-        assert rec.orbit_size * rec.stabilizer.order == G.order
+        _require(rec.orbit_size * rec.stabilizer.order == G.order,
+                 f"|orbit| * |stabilizer| != |G| for {v} under {gens}")
     return instances
 
 
@@ -279,7 +289,7 @@ def prop_hasse(instances: int = 100, seed: int = 20260815) -> int:
             _, a_p = count_points(E, p)
         except ValueError:
             continue
-        assert a_p * a_p <= 4 * p
+        _require(a_p * a_p <= 4 * p, f"a_{p} = {a_p} breaks the Hasse bound")
         done += 1
     return done
 
@@ -299,8 +309,9 @@ def prop_det_multiplicative(instances: int = 200,
         n = rng.choice((9, 27))
         A = _random_invertible(rng, n)
         B = _random_invertible(rng, n)
-        prod = code_mul(A.code(), B.code(), n)
-        assert code_det(prod, n) == A.det() * B.det() % n
+        _require(code_det(code_mul(A, B, n), n)
+                 == code_det(A, n) * code_det(B, n) % n,
+                 f"det is not multiplicative on {A}, {B} mod {n}")
     return instances
 
 
@@ -310,25 +321,27 @@ def prop_conjugation_invariance(instances: int = 100,
     fixing counts (level 9) are unchanged under conjugation."""
     rng = random.Random(seed)
     for i in range(instances):
-        if i % 2 == 0:
-            G = closure([_random_invertible(rng, 3)], 3)
-            x = _random_invertible(rng, 3)
-            conj = _conjugated(G, x)
-            assert stable_lines(G) == stable_lines(conj)
-            assert dickson_classify(G).tag == dickson_classify(conj).tag
+        n = 3 if i % 2 == 0 else 9
+        G = GenGroup(n, (_random_invertible(rng, n),))
+        x = _random_invertible(rng, n)
+        conj = _conjugated(G, x)
+        if n == 3:
+            _require(stable_lines(G) == stable_lines(conj),
+                     f"stable lines change under conjugation by {x}")
+            _require(dickson_classify(G).tag == dickson_classify(conj).tag,
+                     f"class tag changes under conjugation by {x}")
         else:
-            G = closure([_random_invertible(rng, 9)], 9)
-            x = _random_invertible(rng, 9)
-            conj = _conjugated(G, x)
-            assert index3_fixing_count(G) == index3_fixing_count(conj)
+            _require(index3_fixing_count(G) == index3_fixing_count(conj),
+                     f"index-3 count changes under conjugation by {x}")
     return instances
 
 
-def _conjugated(G: GenGroup, x: GMat) -> GenGroup:
-    from .modmat import mat_mul
-    xi = mat_inverse(x)
-    gens = [mat_mul(mat_mul(xi, g), x) for g in G.generators]
-    return closure(gens, G.modulus)
+def _conjugated(G: GenGroup, x: int) -> GenGroup:
+    """x^-1 G x, for the packed matrix x."""
+    n = G.modulus
+    xi = code_inverse(x, n)
+    return GenGroup(n, tuple(code_mul(code_mul(xi, g, n), x, n)
+                             for g in G.gen_codes))
 
 
 def prop_search_monotonicity(instances: int = 100,
@@ -340,9 +353,11 @@ def prop_search_monotonicity(instances: int = 100,
     for _ in range(instances):
         h1 = rng.randint(1, 20)
         h2 = rng.randint(h1, 40)
-        assert set(farey_fractions(h1)) <= set(farey_fractions(h2))
-        assert (set(search_hyperelliptic(h, f, h1))
-                <= set(search_hyperelliptic(h, f, h2)))
+        _require(set(farey_fractions(h1)) <= set(farey_fractions(h2)),
+                 f"farey_fractions({h1}) not inside height {h2}")
+        _require(set(search_hyperelliptic(h, f, h1))
+                 <= set(search_hyperelliptic(h, f, h2)),
+                 f"height-{h1} points not inside height {h2}")
     return instances
 
 
@@ -356,7 +371,8 @@ def prop_mazur_membership(instances: int = 100,
         if E is None:
             continue
         structure = torsion_over_Q(E)
-        assert _catalog.is_admissible_torsion(structure, 1)
+        _require(_catalog.is_admissible_torsion(structure, 1),
+                 f"torsion {structure} of {E} is not in the degree-1 table")
         done += 1
     return done
 

@@ -181,6 +181,22 @@ def test_curve_search_bad_model():
     assert_usage_exit(["curve-search", "x^2"])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["fiber-search", "3Cs.1.1", "9B0-9a", "--height", "0"],
+     "height must be >= 1, got 0"),
+    (["curve-search", "y^2 = x^3", "--height", "-3"],
+     "height must be >= 1, got -3"),
+    (["identify", "[0,0,1,-1,0]", "--prime-bound", "5"],
+     "prime bound must be >= 20, got 5"),
+    (["verify-all", "--height", "0"], "height must be >= 1, got 0"),
+], ids=["fiber-search", "curve-search", "identify", "verify-all"])
+def test_bad_numbers_are_usage_errors(argv, message, capsys):
+    assert_usage_exit(argv)
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(message)
+    assert "Traceback" not in err
+
+
 def _stub_reports(ok: bool):
     return [VerificationReport("alpha", "pass" if ok else "fail", "x=1", 0.0),
             VerificationReport("beta", "evidence-only", "y=2", 0.0)]

@@ -6,12 +6,12 @@ from gl2tors.catalog import named_group
 from gl2tors.groups import (STANDARD_KINDS, GenGroup, closure,
                             contains_minus_identity, det_image,
                             det_surjective, dickson_classify,
-                            exact_order_vectors, fixed_vectors, gl2_order,
+                            exact_order_vectors, gl2_order,
                             greedy_generators, is_applicable, is_conjugate,
                             is_conjugate_subgroup, pow_is_square,
                             reduce_level, stable_lines, standard_order,
                             standard_subgroup)
-from gl2tors.modmat import GMat, TorVec, least_nonresidue
+from gl2tors.modmat import GMat, code_act, code_pack, least_nonresidue
 
 
 def test_gl2_order():
@@ -37,7 +37,7 @@ def test_full_group_closure():
 
 def test_standard_orders_match_formulas():
     for p in (3, 5, 7):
-        phi = least_nonresidue(p).value
+        phi = least_nonresidue(p)
         for kind in STANDARD_KINDS:
             needs_phi = kind.startswith("nonsplit")
             G = standard_subgroup(kind, p, phi if needs_phi else None)
@@ -163,5 +163,9 @@ def test_reduce_level():
 def test_exact_order_and_fixed_vectors():
     assert len(exact_order_vectors(9)) == 72
     assert len(exact_order_vectors(3)) == 8
-    fixed = fixed_vectors(GMat(1, 1, 0, 1, 3))
-    assert fixed == [TorVec(0, 0, 3), TorVec(0, 1, 3), TorVec(0, 2, 3)]
+    assert exact_order_vectors(3) == [(0, 1), (0, 2), (1, 0), (1, 1),
+                                      (1, 2), (2, 0), (2, 1), (2, 2)]
+    M = code_pack(1, 1, 0, 1, 3)
+    fixed = [(x, y) for x in range(3) for y in range(3)
+             if code_act((x, y), M, 3) == (x, y)]
+    assert fixed == [(0, 0), (0, 1), (0, 2)]

@@ -1,5 +1,10 @@
 """Individual verification checks and the report plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from gl2tors.catalog import NAMED_GROUP_GENERATORS, CatalogEntry
 from gl2tors.verify import (_run, check_catalog_entry, check_et_family,
                             check_group_orders, check_stable_lines)
@@ -48,3 +53,22 @@ def test_check_catalog_entry_level3():
     reports = check_catalog_entry(CatalogEntry("3B.1.1", level, gens))
     assert [r.check_id for r in reports] == ["catalog.3B.1.1.group"]
     assert "applicable=False" in reports[0].details
+
+
+def test_property_suites_fail_under_optimize():
+    # Under python -O assert statements vanish; the suites must still
+    # catch an a_p outside the Hasse bound.
+    code = (
+        "import sys\n"
+        "import gl2tors.verify as v\n"
+        "assert sys.flags.optimize\n"
+        "v.count_points = lambda E, p: (1, 3 * p)\n"
+        "r = v.check_property_suites()\n"
+        "print(r.status, r.details)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("fail "), out.stdout
+    assert "Hasse bound" in out.stdout
