@@ -380,12 +380,10 @@ DICKSON_TAGS = ("borel-contained", "contains-SL2", "split-cartan-normalizer",
 
 
 def _projective_order(G: GenGroup) -> int:
+    """Order of the image of G in PGL2: |G| / |G ∩ scalars|."""
     n = G.modulus
     scalars = {code_pack(u, 0, 0, u, n) for u in _units(n)}
-    reps = set()
-    for c in G.element_codes:
-        reps.add(min(code_mul(s, c, n) for s in scalars))
-    return len(reps)
+    return G.order // len(scalars & G.element_codes)
 
 
 def dickson_classify(G: GenGroup) -> SubgroupClass:

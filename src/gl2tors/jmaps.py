@@ -4,15 +4,21 @@ Heights are measured on p/q in lowest terms as max(|p|, q); a height-H
 search sweeps the full grid of such rationals. Searches are exhaustive
 within the grid and are reported as evidence, never as completeness
 proofs.
+
+Searches evaluate in integers: a polynomial of degree d at x = p/q is
+taken as q^d * P(p/q) by homogenised Horner on its integer model, a
+square test is an `isqrt` on an integer, and a Fraction is built only
+for a hit (or, in `jmap_eval`, once for the value).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .polynomial import BiPoly, UniPoly, farey_fractions, poly_gcd
+from .polynomial import (BiPoly, UniPoly, _eval_int_at, _frac,
+                         farey_fractions, poly_gcd)
 
 
 class _Pole:
@@ -32,6 +38,15 @@ class _Pole:
 POLE = _Pole()
 
 
+def _scaled_int(P: UniPoly) -> tuple[Fraction, list[int]]:
+    """(c, C) with P = c * C, C a primitive integer coefficient list, low
+    to high; the zero polynomial gives (0, [0])."""
+    if P.is_zero():
+        return Fraction(0), [0]
+    C = P.integer_coeffs()
+    return P.leading() / C[-1], C
+
+
 @dataclass(frozen=True)
 class JMap:
     """A rational function num/den in one variable, in lowest terms."""
@@ -39,6 +54,9 @@ class JMap:
     label: str
     num: UniPoly
     den: UniPoly
+    # Integer model (a, N, b, D): num/den = (a*N)/(b*D) with N and D
+    # primitive integer coefficient lists padded to one common length.
+    _model: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.den.is_zero():
@@ -47,6 +65,13 @@ class JMap:
         if g.degree > 0:
             raise ValueError(
                 f"num and den share the factor {g!r}; reduce first")
+        cn, N = _scaled_int(self.num)
+        cd, D = _scaled_int(self.den)
+        ratio = cn / cd
+        width = max(len(N), len(D))
+        object.__setattr__(self, "_model", (
+            ratio.numerator, N + [0] * (width - len(N)),
+            ratio.denominator, D + [0] * (width - len(D))))
 
     def __call__(self, x):
         return jmap_eval(self, x)
@@ -54,14 +79,13 @@ class JMap:
 
 def jmap_eval(m: JMap, x) -> Fraction | _Pole:
     """Value of the map at x; POLE when the denominator vanishes there."""
-    d = m.den(x)
+    x = _frac(x)
+    p, q = x.numerator, x.denominator
+    a, N, b, D = m._model
+    d = _eval_int_at(D, p, q)
     if d == 0:
         return POLE
-    return m.num(x) / d
-
-
-def _u(*low_to_high) -> UniPoly:
-    return UniPoly.from_coeffs(low_to_high)
+    return Fraction(a * _eval_int_at(N, p, q), b * d)
 
 
 X = UniPoly.x()
@@ -185,30 +209,45 @@ def classify_fiber_point(curve: PlaneCurve, s, t) -> FiberPoint:
     return FiberPoint(Fraction(s), Fraction(t), "finite", vs)
 
 
-def _sqrt_exact(v: Fraction) -> Fraction | None:
-    if v < 0:
-        return None
-    pn, qd = v.numerator, v.denominator
-    rp, rq = isqrt(pn), isqrt(qd)
-    if rp * rp == pn and rq * rq == qd:
-        return Fraction(rp, rq)
-    return None
-
-
 def search_hyperelliptic(h: UniPoly, f: UniPoly,
                          height: int) -> list[tuple]:
     """Rational points (x, y) with y^2 + h(x)*y = f(x), x on the height
-    grid, found by exact square testing of the completed square."""
+    grid, found by exact square testing of the completed square.
+
+    With disc = h^2 + 4f = (a/b) * P, P primitive of degree d and e the
+    even number d or d + 1, disc(p/q) is a rational square exactly when
+    a*b * q^e * P(p/q) is an integer square."""
+    grid = farey_fractions(height)
+    ch, H = _scaled_int(h)
+    dh = len(H) - 1
+
+    def h_at(p, q):
+        return Fraction(ch.numerator * _eval_int_at(H, p, q),
+                        ch.denominator * q ** dh)
+
+    disc = h * h + 4 * f
+    if disc.is_zero():
+        return [(x, -h_at(x.numerator, x.denominator) / 2) for x in grid]
+    scale, P = _scaled_int(disc)
+    L, b = scale.numerator * scale.denominator, scale.denominator
+    if len(P) % 2 == 0:
+        P.append(0)  # odd degree d: evaluate at degree e = d + 1
+    half = (len(P) - 1) // 2
     out = []
-    for x in farey_fractions(height):
-        hv, fv = h(x), f(x)
-        disc = hv * hv + 4 * fv
-        r = _sqrt_exact(disc)
-        if r is None:
+    for x in grid:
+        p, q = x.numerator, x.denominator
+        v = L * _eval_int_at(P, p, q)
+        if v < 0:
             continue
-        ys = {(-hv + r) / 2, (-hv - r) / 2}
-        out.extend((x, y) for y in sorted(ys))
-    return sorted(out)
+        r = isqrt(v)
+        if r * r != v:
+            continue
+        hv = h_at(p, q)
+        root = Fraction(r, b * q ** half)
+        out.append((x, (-hv - root) / 2))
+        if r:
+            out.append((x, (-hv + root) / 2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,22 +259,27 @@ class DescentHit:
     flag: str  # "", "cm", or "excluded-singular"
 
 
-_CUBIC = X ** 3 - 27
-
-
 def zeta3_descent_search(height: int) -> list[DescentHit]:
     """Parameters t where y^2 = t^3 - 27 forces y into Q(zeta_3) with
     2ab = 0: either y = a rational (t^3 - 27 square) or y = b*sqrt(-3)
     ((27 - t^3)/3 square). Singular t = 3 is flagged, as are the CM
-    parameters t = 0 and t = -6."""
+    parameters t = 0 and t = -6.
+
+    At t = p/q the conditions are that (p^3 - 27q^3)*q, respectively
+    -3*(p^3 - 27q^3)*q, is an integer square."""
     hits = []
     for t in farey_fractions(height):
-        v = _CUBIC(t)
-        if _sqrt_exact(v) is not None:
-            hits.append(_flag_hit(t, "b=0"))
-        if _sqrt_exact(-v / 3) is not None:
+        p, q = t.numerator, t.denominator
+        v = (p ** 3 - 27 * q ** 3) * q
+        if _is_square(-3 * v):
             hits.append(_flag_hit(t, "a=0"))
-    return sorted(hits, key=lambda h: (h.t, h.case))
+        if _is_square(v):
+            hits.append(_flag_hit(t, "b=0"))
+    return hits
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def _flag_hit(t: Fraction, case: str) -> DescentHit:

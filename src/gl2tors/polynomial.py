@@ -493,25 +493,55 @@ def parse_bipoly(text: str, vars: tuple[str, str] = ("s", "t")) -> BiPoly:
 
 
 def poly_gcd(A: UniPoly, B: UniPoly) -> UniPoly:
-    """Monic gcd over Q by the Euclidean algorithm."""
-    while not B.is_zero():
-        A, B = B, A.divmod(B)[1]
-    if A.is_zero():
-        return A
-    return A * (1 / A.leading())
+    """Monic gcd over Q, by a primitive pseudo-remainder sequence on the
+    integer models of A and B."""
+    a = [] if A.is_zero() else A.integer_coeffs()
+    b = [] if B.is_zero() else B.integer_coeffs()
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    if not a:
+        return UniPoly()
+    return UniPoly({e: Fraction(c, a[-1]) for e, c in enumerate(a)})
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lead(b)^k * (a mod b) for some k >= 0, on low-to-high integer
+    coefficient lists with b nonzero; trailing zeros are stripped."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while r and len(r) - 1 >= db:
+        lr, shift = r[-1], len(r) - 1 - db
+        r = [c * lb for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= lr * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _primitive(c: list[int]) -> list[int]:
+    g = gcd(*c)
+    return [v // g for v in c] if g > 1 else c
 
 
 def farey_fractions(height: int) -> list[Fraction]:
     """All rationals p/q in lowest terms with |p| <= height and
-    1 <= q <= height, sorted ascending."""
+    1 <= q <= height, sorted ascending.
+
+    The Farey sequence of order height on [0, 1] comes from the
+    next-term recurrence; the values above 1 are the reciprocals of its
+    interior points, and the negative values mirror the positive ones."""
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
-    out = []
-    for q in range(1, height + 1):
-        for p in range(-height, height + 1):
-            if gcd(p, q) == 1:
-                out.append(Fraction(p, q))
-    return sorted(set(out))
+    unit = [(0, 1)]
+    a, b, c, d = 0, 1, 1, height
+    while c <= d:
+        unit.append((c, d))
+        k = (height + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    positive = unit + [(q, p) for p, q in reversed(unit[1:-1])]
+    return ([Fraction(-p, q) for p, q in reversed(positive[1:])]
+            + [Fraction(p, q) for p, q in positive])
 
 
 _FACTOR_BIT_LIMIT = 76

@@ -17,20 +17,18 @@ from math import gcd
 from . import catalog as _catalog
 from .action import (index3_fixing_count, index6_complement_search,
                      minus_one_complements, orbit_stabilizer)
-from .arith import is_probable_prime
 from .elliptic import (CurveQ, count_points, curve_Et, curve_invariants,
                        identify_image, is_cm_j, parse_curve, torsion_over_Q)
-from .groups import (GenGroup, contains_minus_identity,
-                     dickson_classify, gl2_order, is_applicable,
-                     reduce_level, stable_lines, standard_order,
+from .groups import (GenGroup, contains_minus_identity, dickson_classify,
+                     is_applicable, stable_lines, standard_order,
                      standard_subgroup)
-from .jmaps import (POLE, classify_fiber_point, fiber_curve, jmap_eval,
+from .jmaps import (classify_fiber_point, fiber_curve, jmap_eval,
                     named_jmap, search_hyperelliptic, search_plane,
                     zeta3_descent_search)
 from .modmat import (TorVec, code_det, code_inverse, code_mul, code_pack,
                      least_nonresidue)
-from .polynomial import (BiPoly, UniPoly, farey_fractions, parse_poly,
-                         rational_roots, resultant)
+from .polynomial import (farey_fractions, parse_poly, rational_roots,
+                         resultant)
 
 
 @dataclass

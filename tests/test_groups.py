@@ -3,7 +3,8 @@
 import pytest
 
 from gl2tors.catalog import named_group
-from gl2tors.groups import (STANDARD_KINDS, GenGroup, closure,
+from gl2tors.groups import (STANDARD_KINDS, GenGroup, _projective_order,
+                            closure,
                             contains_minus_identity, det_image,
                             det_surjective, dickson_classify,
                             exact_order_vectors, gl2_order,
@@ -11,7 +12,8 @@ from gl2tors.groups import (STANDARD_KINDS, GenGroup, closure,
                             is_conjugate_subgroup, pow_is_square,
                             reduce_level, stable_lines, standard_order,
                             standard_subgroup)
-from gl2tors.modmat import GMat, code_act, code_pack, least_nonresidue
+from gl2tors.modmat import (GMat, code_act, code_mul, code_pack,
+                            least_nonresidue)
 
 
 def test_gl2_order():
@@ -169,3 +171,19 @@ def test_exact_order_and_fixed_vectors():
     fixed = [(x, y) for x in range(3) for y in range(3)
              if code_act((x, y), M, 3) == (x, y)]
     assert fixed == [(0, 0), (0, 1), (0, 2)]
+
+
+def _projective_order_by_scalar_classes(G):
+    """Oracle: count the classes of G under multiplication by scalars."""
+    n = G.modulus
+    scalars = [code_pack(u, 0, 0, u, n) for u in range(1, n)]
+    return len({min(code_mul(s, c, n) for s in scalars)
+                for c in G.element_codes})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("kind", ["full", "borel", "split-cartan-normalizer",
+                                  "sl2"])
+def test_projective_order_matches_scalar_classes(kind, p):
+    G = standard_subgroup(kind, p)
+    assert _projective_order(G) == _projective_order_by_scalar_classes(G)

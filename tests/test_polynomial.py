@@ -107,6 +107,13 @@ def test_poly_gcd():
     assert g == X - 1
     assert poly_gcd(X ** 2 - 1, UniPoly()) == X ** 2 - 1
     assert poly_gcd(2 * X + 2, 4 * X + 4) == X + 1
+    g = (X - Fraction(1, 2)) * (X ** 2 + Fraction(2, 3) * X + 5)
+    A = g * (Fraction(3, 7) * X ** 2 - 2)
+    B = Fraction(-5, 4) * g * (X + Fraction(1, 3)) ** 2
+    assert poly_gcd(A, B) == g
+    assert poly_gcd(B, A) == g
+    assert poly_gcd(UniPoly(), B) == g * (X + Fraction(1, 3)) ** 2
+    assert poly_gcd(UniPoly(), UniPoly()) == UniPoly()
 
 
 def test_rational_roots_small():
