@@ -5,6 +5,8 @@ the form `CHECK <id> <status> <payload>`, where status is pass, fail, or
 evidence-only (mandatory for bounded-height searches) and payload is
 space-separated key=value text. Exit codes: 0 all checks passed, 1 some
 check failed, 2 environment error (e.g. unreadable catalog), 64 usage.
+The `pass` that identify, group and torsion emit means "computed": those
+commands report a result and check nothing against it.
 """
 
 from __future__ import annotations
@@ -267,6 +269,7 @@ def _cmd_identify(args, parser) -> int:
         print(json.dumps({
             "curve": args.curve, "level": args.level,
             "bound": args.prime_bound,
+            "primes": res.primes, "skipped": res.skipped,
             "observed": sorted(map(list, res.observed)),
             "survivors": list(res.survivors),
             "eliminated": [[l, p, list(c)] for l, p, c in res.eliminated],
@@ -285,7 +288,8 @@ def _cmd_identify(args, parser) -> int:
             print(f"note: {label} allows unobserved classes {list(unc)}")
     _emit("identify", "pass",
           f"curve={args.curve.replace(' ', '')} level={args.level} "
-          f"survivors={','.join(res.survivors)}")
+          f"survivors={','.join(res.survivors)} primes={res.primes} "
+          f"skipped={res.skipped}")
     return 0
 
 

@@ -2,13 +2,17 @@
 and rational torsion.
 
 Curves are long Weierstrass models [a1, a2, a3, a4, a6] with rational
-coefficients. Point counts use quadratic character sums on an integral
-model; torsion uses the integral short model and divisor bounds on y.
+coefficients. Each curve computes its integral model once, when it is
+built: the scale u (lcm of the denominators), the integers u^i * a_i,
+their b2, b4, b6 and the integer discriminant u^12 * disc. Point counts
+read these and sum a quadratic character over the 2-division cubic mod p
+in int and numpy arithmetic; torsion uses the integral short model and
+divisor bounds on y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -29,6 +33,11 @@ class CurveQ:
     a3: Fraction
     a4: Fraction
     a6: Fraction
+    # Integral model (u, (A1, A2, A3, A4, A6), (b2, b4, b6), disc): u is
+    # the lcm of the denominators, A_i = u^i * a_i, and b2, b4, b6 and disc
+    # are the integer invariants of the A_i (disc = u^12 times the
+    # rational discriminant).
+    _model: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
@@ -37,8 +46,22 @@ class CurveQ:
                 object.__setattr__(self, name, Fraction(v))
             elif not isinstance(v, Fraction):
                 raise TypeError(f"{name} must be rational")
-        if curve_invariants(self).disc == 0:
+        u = 1
+        for c in self.coefficients():
+            u = u * c.denominator // gcd(u, c.denominator)
+        A1, A2, A3, A4, A6 = (c.numerator * (u ** i // c.denominator)
+                              for c, i in zip(self.coefficients(),
+                                              (1, 2, 3, 4, 6)))
+        b2 = A1 * A1 + 4 * A2
+        b4 = 2 * A4 + A1 * A3
+        b6 = A3 * A3 + 4 * A6
+        b8 = (A1 * A1 * A6 + 4 * A2 * A6 - A1 * A3 * A4 + A2 * A3 * A3
+              - A4 * A4)
+        disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if disc == 0:
             raise ValueError("singular model: discriminant is zero")
+        object.__setattr__(self, "_model", (u, (A1, A2, A3, A4, A6),
+                                            (b2, b4, b6), disc))
 
     @classmethod
     def from_list(cls, a) -> "CurveQ":
@@ -61,7 +84,13 @@ def parse_curve(text: str) -> CurveQ:
     parts = s[1:-1].split(",")
     if len(parts) != 5:
         raise ValueError(f"expected 5 coefficients, got {len(parts)}")
-    return CurveQ(*(Fraction(p.strip()) for p in parts))
+    coeffs = []
+    for p in parts:
+        try:
+            coeffs.append(Fraction(p.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {p.strip()!r}") from None
+    return CurveQ(*coeffs)
 
 
 @dataclass(frozen=True)
@@ -102,33 +131,20 @@ def curve_Et(t) -> CurveQ:
                   2 * (t ** 6 - 36 * t ** 3 + 216))
 
 
-def _integral_model(E: CurveQ) -> tuple[tuple[int, int, int, int, int], int]:
-    """(u^i * a_i) integral model and the scaling u (lcm of denominators)."""
-    u = 1
-    for c in E.coefficients():
-        u = u * c.denominator // gcd(u, c.denominator)
-    a1, a2, a3, a4, a6 = E.coefficients()
-    return (int(a1 * u), int(a2 * u ** 2), int(a3 * u ** 3),
-            int(a4 * u ** 4), int(a6 * u ** 6)), u
-
-
-def _bad_primes_guard(E: CurveQ, p: int) -> tuple[int, int, int, int, int]:
+def _bad_primes_guard(E: CurveQ, p: int) -> None:
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    ai, u = _integral_model(E)
+    u, _, _, disc = E._model
     if u % p == 0:
         raise ValueError(f"p = {p} divides the scaling denominator")
-    Ei = CurveQ(*ai)
-    disc = curve_invariants(Ei).disc
-    if disc.numerator % p == 0:
+    if disc % p == 0:
         raise ValueError(f"bad reduction at p = {p}")
-    return ai
 
 
 def count_points(E: CurveQ, p: int) -> tuple[int, int]:
     """(#E(F_p) including the point at infinity, a_p = p + 1 - #E)."""
-    ai = _bad_primes_guard(E, p)
-    a1, a2, a3, a4, a6 = ai
+    _bad_primes_guard(E, p)
+    _, (a1, a2, a3, a4, a6), (b2, b4, b6), _ = E._model
     if p == 2:
         n = 1
         for x in range(2):
@@ -138,17 +154,17 @@ def count_points(E: CurveQ, p: int) -> tuple[int, int]:
                 if lhs == rhs:
                     n += 1
         return n, p + 1 - n
-    Ei = CurveQ(*ai)
-    inv = curve_invariants(Ei)
-    b2, b4, b6 = int(inv.b2) % p, int(inv.b4) % p, int(inv.b6) % p
+    # #E = p + 1 + sum over x of chi(4x^3 + b2 x^2 + 2 b4 x + b6); Horner
+    # reduces after each product, so every value stays below p^2.
     x = np.arange(p, dtype=np.int64)
-    g = (4 * x % p * x % p * x + b2 * x % p * x + 2 * b4 * x + b6) % p
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[(x * x) % p] = 1
+    g = (4 * x + b2 % p) % p
+    g = (g * x + 2 * b4 % p) % p
+    g = (g * x + b6 % p) % p
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[x * x % p] = 1
     chi[0] = 0
     s = int(chi[g].sum())
-    n = p + 1 + s
-    return n, -s
+    return p + 1 + s, -s
 
 
 def _prime_range(bound: int) -> list[int]:
@@ -171,10 +187,16 @@ class FrobSignature:
     bound: int
     counts: dict
     first_prime: dict
+    skipped: int  # primes <= bound dividing ell, u or the discriminant
 
     @property
     def classes(self) -> frozenset:
         return frozenset(self.counts)
+
+    @property
+    def primes(self) -> int:
+        """The number of good primes sampled."""
+        return sum(self.counts.values())
 
 
 def frobenius_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
@@ -183,19 +205,20 @@ def frobenius_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
         raise ValueError(f"level must be 2, 3 or 9, got {ell}")
     if bound < 20:
         raise ValueError(f"prime bound must be >= 20, got {bound}")
-    ai, u = _integral_model(E)
-    disc_num = curve_invariants(CurveQ(*ai)).disc.numerator
+    u, _, _, disc = E._model
     counts: dict[tuple[int, int], int] = {}
     first: dict[tuple[int, int], int] = {}
+    skipped = 0
     for p in _prime_range(bound):
-        if ell % p == 0 or u % p == 0 or disc_num % p == 0:
+        if ell % p == 0 or u % p == 0 or disc % p == 0:
+            skipped += 1
             continue
         _, a_p = count_points(E, p)
         cls = (a_p % ell, p % ell)
         counts[cls] = counts.get(cls, 0) + 1
         first.setdefault(cls, p)
     return FrobSignature(ell, bound, dict(sorted(counts.items())),
-                         dict(sorted(first.items())))
+                         dict(sorted(first.items())), skipped)
 
 
 def group_class_set(H: GenGroup) -> frozenset:
@@ -213,7 +236,8 @@ class IdentifyResult:
     A candidate is eliminated when some observed class falls outside its
     class set (rigorous, up to twist); survivors are merely consistent
     with the data. uncovered maps each survivor to the classes it allows
-    that were never observed."""
+    that were never observed. primes and skipped count the good primes
+    sampled and the bad ones passed over (see FrobSignature)."""
 
     ell: int
     bound: int
@@ -221,6 +245,8 @@ class IdentifyResult:
     survivors: tuple[str, ...]
     eliminated: tuple[tuple[str, int, tuple], ...]
     uncovered: dict
+    primes: int
+    skipped: int
 
 
 def identify_image(E: CurveQ, ell: int, candidates,
@@ -247,7 +273,8 @@ def identify_image(E: CurveQ, ell: int, candidates,
             survivors.append(H.label)
             uncovered[H.label] = tuple(sorted(allowed - sig.classes))
     return IdentifyResult(ell, bound, sig.classes, tuple(survivors),
-                          tuple(eliminated), uncovered)
+                          tuple(eliminated), uncovered, sig.primes,
+                          sig.skipped)
 
 
 def two_torsion_cubic(E: CurveQ) -> UniPoly:

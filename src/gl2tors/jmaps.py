@@ -171,7 +171,8 @@ def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
     Fiber curves are searched by j-value matching: evaluate both maps on
     the grid, intersect by value, and pair up pole parameters; this is
     exactly the zero set of F on the grid. Other curves are swept
-    directly."""
+    directly in Fractions: F's coefficients in t are evaluated once per
+    s, then F(s, t) by Horner in t."""
     grid = farey_fractions(height)
     if curve.jmap_s is not None and curve.jmap_t is not None:
         by_j: dict[Fraction, list[Fraction]] = {}
@@ -192,8 +193,12 @@ def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
                 out.extend((s, t) for s in by_j[v])
         out.extend((s, t) for s in s_poles for t in t_poles)
         return sorted(out)
-    return sorted((s, t) for s in grid for t in grid
-                  if curve.F(s, t) == 0)
+    in_t = curve.F.coeffs_in(1)
+    out = []
+    for s in grid:
+        row = UniPoly.from_coeffs([c(s) for c in in_t])
+        out.extend((s, t) for t in grid if row(t) == 0)
+    return sorted(out)
 
 
 def classify_fiber_point(curve: PlaneCurve, s, t) -> FiberPoint:

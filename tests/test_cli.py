@@ -127,7 +127,7 @@ def test_identify(capsys):
     assert "consistent-with: GL2(F3)" in out
     assert "eliminated: 3B.1.1 (class (1, 2) at p=2)" in out
     assert ("CHECK identify pass curve=[0,0,1,-1,0] level=3 "
-            "survivors=GL2(F3)") in out
+            "survivors=GL2(F3) primes=60 skipped=2") in out
 
 
 def test_identify_level2(capsys):
@@ -144,6 +144,8 @@ def test_identify_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["survivors"] == ["GL2(F3)"]
     assert data["eliminated"][0] == ["3B.1.1", 2, [1, 2]]
+    # 62 primes up to 300: p = 3 divides the level, p = 37 the discriminant.
+    assert (data["primes"], data["skipped"]) == (60, 2)
     assert_usage_exit(["identify", "[9,9]"])
 
 
@@ -189,7 +191,10 @@ def test_curve_search_bad_model():
     (["identify", "[0,0,1,-1,0]", "--prime-bound", "5"],
      "prime bound must be >= 20, got 5"),
     (["verify-all", "--height", "0"], "height must be >= 1, got 0"),
-], ids=["fiber-search", "curve-search", "identify", "verify-all"])
+    (["torsion", "[1/0,0,0,1,1]"], "zero denominator in '1/0'"),
+    (["identify", "[1/0,0,0,1,1]"], "zero denominator in '1/0'"),
+], ids=["fiber-search", "curve-search", "identify", "verify-all",
+        "torsion-zero-denominator", "identify-zero-denominator"])
 def test_bad_numbers_are_usage_errors(argv, message, capsys):
     assert_usage_exit(argv)
     err = capsys.readouterr().err

@@ -28,6 +28,8 @@ def test_parse_curve():
         parse_curve("[1,2,3]")
     with pytest.raises(ValueError):
         parse_curve("[1,2,3,4,x]")
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_curve("[1/0,0,0,1,1]")
     with pytest.raises(ValueError, match="got 3 values"):
         CurveQ.from_list([1, 2, 3])
 
@@ -113,7 +115,8 @@ def test_frobenius_signature():
                                (1, 2): 2, (2, 1): 7, (2, 2): 23}
     assert sig.classes == frozenset(sig.first_prime)
     # 25 primes up to 100, minus p = 3 (the level) and p = 37 (bad).
-    assert sum(sig.counts.values()) == 23
+    assert sum(sig.counts.values()) == sig.primes == 23
+    assert sig.skipped == 2
     sig4 = frobenius_signature(E14A4, 3, 100)
     assert sig4.first_prime == {(0, 2): 5, (2, 1): 13}
     with pytest.raises(ValueError, match="level"):

@@ -1,18 +1,25 @@
-"""The integer search kernels against Fraction references.
+"""The integer kernels against Fraction references.
 
-Each reference evaluates with Fraction arithmetic at every grid point,
-the way the searches did before they moved to integers."""
+Each search reference evaluates with Fraction arithmetic at every grid
+point, the way the searches did before they moved to integers; the
+point-count references start from the rational invariants and count
+points on the long model directly."""
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gl2tors.jmaps import (JMAP_LABELS, POLE, jmap_eval, named_jmap,
-                           search_hyperelliptic, zeta3_descent_search)
-from gl2tors.polynomial import UniPoly, farey_fractions
+from gl2tors import elliptic
+from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
+                              frobenius_signature)
+from gl2tors.jmaps import (JMAP_LABELS, POLE, PlaneCurve, jmap_eval,
+                           named_jmap, search_hyperelliptic, search_plane,
+                           zeta3_descent_search)
+from gl2tors.polynomial import BiPoly, UniPoly, farey_fractions
+from test_elliptic import E37, count_points_naive
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -128,3 +135,119 @@ def test_jmap_eval_poles_of_every_map():
 def test_jmap_eval_rejects_float():
     with pytest.raises(TypeError):
         jmap_eval(named_jmap("2B"), 0.5)
+
+
+def plane_reference(F, H):
+    grid = grid_reference(H)
+    return sorted((s, t) for s in grid for t in grid if F(s, t) == 0)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(small, small, small), min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=4))
+def test_search_plane_direct_sweep_matches_reference(lines, H):
+    # A product of lines a*s + b*t + c, so the curve meets the grid.
+    s, t = BiPoly.variable(0), BiPoly.variable(1)
+    F = BiPoly.constant(1)
+    for a, b, c in lines:
+        F = F * (s * a + t * b + c)
+    assert search_plane(PlaneCurve(F), H) == plane_reference(F, H)
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def guard_reference(E, p):
+    """count_points' checks, in its order, from the rational invariants."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    u = lcm(*(c.denominator for c in E.coefficients()))
+    if u % p == 0:
+        raise ValueError(f"p = {p} divides the scaling denominator")
+    if (curve_invariants(E).disc * u ** 12) % p == 0:
+        raise ValueError(f"bad reduction at p = {p}")
+
+
+def count_points_reference(E, p):
+    guard_reference(E, p)
+    return count_points_naive(E, p)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+curve_coeff = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+def make_curve(coeffs):
+    try:
+        return CurveQ(*coeffs)
+    except ValueError:
+        assume(False)
+
+
+@SETTINGS
+@given(st.lists(curve_coeff, min_size=5, max_size=5),
+       st.one_of(st.sampled_from([p for p in range(2, 201) if _is_prime(p)]),
+                 st.integers(min_value=1, max_value=200)))
+def test_count_points_matches_naive_on_random_curves(coeffs, p):
+    E = make_curve(coeffs)
+    assert outcome(count_points, E, p) == outcome(count_points_reference,
+                                                  E, p)
+
+
+def frobenius_reference(E, ell, bound):
+    counts, first, skipped = {}, {}, 0
+    for p in range(2, bound + 1):
+        if not _is_prime(p):
+            continue
+        if ell % p == 0 or outcome(guard_reference, E, p) is not None:
+            skipped += 1
+            continue
+        cls = (count_points_naive(E, p)[1] % ell, p % ell)
+        counts[cls] = counts.get(cls, 0) + 1
+        first.setdefault(cls, p)
+    return counts, first, skipped
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(curve_coeff, min_size=5, max_size=5),
+       st.sampled_from((2, 3, 9)), st.integers(min_value=20, max_value=60))
+def test_frobenius_signature_matches_reference(coeffs, ell, bound):
+    E = make_curve(coeffs)
+    sig = frobenius_signature(E, ell, bound)
+    counts, first, skipped = frobenius_reference(E, ell, bound)
+    assert (sig.counts, sig.first_prime, sig.skipped) == (counts, first,
+                                                          skipped)
+    assert list(sig.counts) == sorted(counts)
+    assert list(sig.first_prime) == sorted(first)
+    assert sig.primes + sig.skipped == sum(map(_is_prime,
+                                               range(bound + 1)))
+
+
+def test_curve_model_is_not_compared():
+    E = CurveQ(1, 2, 3, 4, 5)
+    F = CurveQ(*map(Fraction, (1, 2, 3, 4, 5)))
+    assert E == F and hash(E) == hash(F)
+    assert repr(E) == repr(F) == "[1,2,3,4,5]"
+    assert E != CurveQ(1, 2, 3, 4, 6)
+
+
+def test_frobenius_signature_computes_invariants_once(monkeypatch):
+    calls = []
+
+    def counting(E):
+        calls.append(E)
+        return curve_invariants(E)
+    monkeypatch.setattr(elliptic, "curve_invariants", counting)
+    sig = frobenius_signature(E37, 3, 2000)
+    assert sig.primes == 301 and sig.skipped == 2
+    assert len(calls) <= 1
