@@ -1,16 +1,19 @@
 """Exact polynomial arithmetic over Q in one and two variables.
 
 UniPoly and BiPoly are immutable sparse coefficient maps with Fraction
-coefficients. Rational root extraction uses the rational root theorem
-when the outer coefficients factor comfortably, and falls back to root
-finding modulo a large prime with rational reconstruction for polynomials
-with oversized coefficients (every returned root is verified exactly).
+coefficients. Rational root extraction scans the rational root theorem
+candidates when the outer coefficients factor comfortably; otherwise it
+lifts the roots of the square-free part modulo a small prime by Newton's
+iteration until rational reconstruction recovers all of them (every
+returned root is verified exactly). Resultants are Sylvester
+determinants of the integer models, evaluated at integer nodes and
+interpolated over the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import divisors, is_probable_prime
 
@@ -152,14 +155,11 @@ class UniPoly:
         denominators and content. Sign of the leading term is preserved."""
         if self.is_zero():
             raise ValueError("zero polynomial")
-        d = self.degree
-        den = 1
-        for v in self._c.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(self._c.get(e, Fraction(0)) * den) for e in range(d + 1)]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        den = lcm(*(v.denominator for v in self._c.values()))
+        ints = [0] * (self.degree + 1)
+        for e, v in self._c.items():
+            ints[e] = v.numerator * (den // v.denominator)
+        g = gcd(*ints)
         return [v // g for v in ints]
 
     def divmod(self, other: "UniPoly"):
@@ -495,13 +495,19 @@ def parse_bipoly(text: str, vars: tuple[str, str] = ("s", "t")) -> BiPoly:
 def poly_gcd(A: UniPoly, B: UniPoly) -> UniPoly:
     """Monic gcd over Q, by a primitive pseudo-remainder sequence on the
     integer models of A and B."""
-    a = [] if A.is_zero() else A.integer_coeffs()
-    b = [] if B.is_zero() else B.integer_coeffs()
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
+    a = _int_gcd([] if A.is_zero() else A.integer_coeffs(),
+                 [] if B.is_zero() else B.integer_coeffs())
     if not a:
         return UniPoly()
     return UniPoly({e: Fraction(c, a[-1]) for e, c in enumerate(a)})
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd in Z[x] of two low-to-high integer coefficient lists (empty
+    for zero), up to sign and content."""
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -554,11 +560,12 @@ def _factorable(n: int) -> bool:
 def rational_roots(P: UniPoly) -> list[Fraction]:
     """All rational roots of P, sorted, without multiplicity.
 
-    The primitive integer model is scanned with the rational root theorem
-    when its outer coefficients are small enough to factor. Otherwise
-    roots are found modulo a large prime and lifted by rational
-    reconstruction, which certifies every root of height below about
-    10^9; each candidate is verified exactly before being returned.
+    Powers of x are deflated first. The primitive integer model is then
+    scanned with the rational root theorem when its outer coefficients
+    are small enough to factor; otherwise the roots are lifted from a
+    small prime by Newton's iteration and recovered by rational
+    reconstruction (see _hensel_roots). Both paths find every rational
+    root, and the second verifies each candidate exactly.
     """
     if P.is_zero():
         raise ValueError("zero polynomial has every rational root")
@@ -575,16 +582,22 @@ def rational_roots(P: UniPoly) -> list[Fraction]:
         return sorted(roots)
     a0, lead = coeffs[0], coeffs[-1]
     if _factorable(a0) and _factorable(lead):
+        # A root p/q in lowest terms makes q*x - p a factor over Z, so
+        # q - p divides P(1) and q + p divides P(-1).
+        at1 = sum(coeffs)
+        atm1 = sum(coeffs[::2]) - sum(coeffs[1::2])
+        numerators = divisors(a0)
         for q in divisors(lead):
-            for p in divisors(a0):
+            for p in numerators:
                 if gcd(p, q) != 1:
                     continue
                 for sp in (p, -p):
-                    if _eval_int_at(coeffs, sp, q) == 0:
+                    if ((q == sp or at1 % (q - sp) == 0)
+                            and (q == -sp or atm1 % (q + sp) == 0)
+                            and _eval_int_at(coeffs, sp, q) == 0):
                         roots.add(Fraction(sp, q))
         return sorted(roots)
-    for r in _roots_by_reconstruction(coeffs):
-        roots.add(r)
+    roots.update(_hensel_roots(coeffs))
     return sorted(roots)
 
 
@@ -624,26 +637,24 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
     return _pstrip(out, p)
 
 
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv = pow(m[-1], -1, p)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        off = len(a) - 1 - dm
-        for i, y in enumerate(m):
-            a[off + i] = (a[off + i] - c * y) % p
-        a.pop()
-    return _pstrip(a, p)
+def _pdivmod(a: list[int], b: list[int], p: int):
+    """Quotient and remainder of a by b over F_p (b[-1] invertible)."""
+    r = list(a)
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] * inv % p
+        if c:
+            for i, y in enumerate(b):
+                r[k + i] = (r[k + i] - c * y) % p
+    return _pstrip(q, p), _pstrip(r[:db], p)
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _pstrip(a, p), _pstrip(b, p)
     while b:
-        a, b = b, _pmod(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
@@ -651,12 +662,12 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _ppow_xplusa(a: int, e: int, m: list[int], p: int) -> list[int]:
-    base = _pmod([a % p, 1], m, p)
+    base = _pdivmod([a % p, 1], m, p)[1]
     out = [1]
     while e:
         if e & 1:
-            out = _pmod(_pmul(out, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
+            out = _pdivmod(_pmul(out, base, p), m, p)[1]
+        base = _pdivmod(_pmul(base, base, p), m, p)[1]
         e >>= 1
     return out
 
@@ -683,28 +694,11 @@ def _split_linears(g: list[int], p: int, out: list[int]) -> None:
         h = _psub(h, [1], p)
         d1 = _pgcd(h, g, p)
         if 0 < len(d1) - 1 < d:
-            d2 = _pexact_div(g, d1, p)
+            d2 = _pdivmod(g, d1, p)[0]
             _split_linears(d1, p, out)
             _split_linears(d2, p, out)
             return
         shift += 1
-
-
-def _pexact_div(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        q[len(a) - len(b)] = c
-        off = len(a) - len(b)
-        for i, y in enumerate(b):
-            a[off + i] = (a[off + i] - c * y) % p
-        a.pop()
-    return _pstrip(q, p)
 
 
 def _roots_mod(coeffs: list[int], p: int) -> list[int]:
@@ -734,30 +728,94 @@ def _rational_reconstruct(r: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _roots_by_reconstruction(coeffs: list[int]) -> list[Fraction]:
-    out = set()
-    p = 2 ** 61
-    tried = 0
-    while tried < 2:
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b on low-to-high integer coefficient lists, for a b that
+    divides a in Z[x]."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] // lb
+        for i, v in enumerate(b):
+            r[k + i] -= c * v
+    if any(r):
+        raise ArithmeticError("polynomial division is not exact")
+    return q
+
+
+def _squarefree_part(c: list[int]) -> list[int]:
+    """c / gcd(c, c'), an integer polynomial with the same roots as c,
+    each simple."""
+    g = _int_gcd(c, _primitive([e * v for e, v in enumerate(c)][1:]))
+    return c if len(g) == 1 else _exact_quotient(c, g)
+
+
+_HENSEL_PRIME_FLOOR = 2 ** 20
+
+
+def _hensel_roots(coeffs: list[int]) -> list[Fraction]:
+    """Every rational root of an integer polynomial with nonzero constant
+    term.
+
+    The square-free part S is reduced modulo the first prime p above
+    2^20 that keeps its degree and leaves it square-free. Each root of
+    S mod p is then a simple root, so Newton's iteration lifts it
+    uniquely to p^(2^k); lifting stops once the modulus m exceeds
+    2*max(|S(0)|, |lead S|)^2. A rational root a/b of S has a | S(0)
+    and b | lead S, so rational reconstruction modulo m returns it; the
+    other lifts give candidates that fail the exact evaluation.
+    """
+    S = _squarefree_part(coeffs)
+    dS = [e * v for e, v in enumerate(S)][1:]
+    p = _HENSEL_PRIME_FLOOR
+    while True:
         p = _next_prime(p)
-        if coeffs[-1] % p == 0:
-            continue
-        tried += 1
-        for r in _roots_mod(coeffs, p):
-            cand = _rational_reconstruct(r, p)
-            if cand is None:
-                continue
-            if _eval_int_at(coeffs, cand.numerator, cand.denominator) == 0:
-                out.add(cand)
-    return sorted(out)
+        if S[-1] % p and len(_pgcd(S, dS, p)) == 1:
+            break
+    height = max(abs(S[0]), abs(S[-1]))
+    target = 2 * height * height
+    out = []
+    for r in _roots_mod(S, p):
+        m = p
+        while m <= target:
+            m *= m
+            r = (r - _eval_int_at(S, r, 1)
+                 * pow(_eval_int_at(dS, r, 1), -1, m)) % m
+        cand = _rational_reconstruct(r, m)
+        if (cand is not None
+                and _eval_int_at(S, cand.numerator, cand.denominator) == 0):
+            out.append(cand)
+    return out
 
 
-def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
-    """Fraction-free Gaussian determinant with pivoting."""
-    n = len(rows)
-    m = [row[:] for row in rows]
+def _integer_model(B: BiPoly, axis: int) -> tuple[Fraction, list[list[int]]]:
+    """(content, rows) with B = content * sum rows[e][o] * v^e * w^o,
+    where v is the eliminated variable, w the kept one and the integer
+    rows are coprime; rows all have length deg_w(B) + 1."""
+    P = B.primitive()
+    key, v = next(iter(P._c.items()))
+    width = B.degree(1 - axis) + 1
+    return B._c[key] / v, [[int(c.coeff(o)) for o in range(width)]
+                           for c in P.coeffs_in(axis)]
+
+
+def _sylvester(fc: list[int], gc: list[int]) -> list[list[int]]:
+    """Sylvester matrix rows of two low-to-high coefficient lists, at
+    their formal degrees len - 1 (zero leading entries are kept)."""
+    df, dg = len(fc) - 1, len(gc) - 1
+    frow = fc[::-1]
+    grow = gc[::-1]
+    return ([[0] * i + frow + [0] * (dg - 1 - i) for i in range(dg)]
+            + [[0] * i + grow + [0] * (df - 1 - i) for i in range(df)])
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Gaussian
+    elimination with row pivoting; m is overwritten. Every division is
+    exact (Bareiss)."""
+    n = len(m)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -766,97 +824,72 @@ def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
+        rk = m[k]
+        pivot = rk[k]
         for i in range(k + 1, n):
+            ri = m[i]
+            a = ri[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
+                ri[j] = (ri[j] * pivot - a * rk[j]) // prev
+        prev = pivot
     return sign * m[n - 1][n - 1]
 
 
-def _sylvester(fc: list, gc: list, zero, df: int, dg: int):
-    """Sylvester matrix rows; fc, gc are low-to-high coefficient lists."""
-    size = df + dg
-    frow = list(reversed(fc))
-    grow = list(reversed(gc))
-    rows = []
-    for i in range(dg):
-        rows.append([zero] * i + frow + [zero] * (size - i - len(frow)))
-    for i in range(df):
-        rows.append([zero] * i + grow + [zero] * (size - i - len(grow)))
-    return rows
+def _interpolate(nodes: list[int], vals: list[int]) -> list[int]:
+    """Low-to-high coefficients of the integer polynomial of degree below
+    len(nodes) that takes vals at the distinct integer nodes.
+
+    Divided differences of an integer polynomial at integer nodes are
+    integers, so each Newton step divides exactly; a remainder raises
+    ArithmeticError, as the values then come from no such polynomial."""
+    n = len(nodes)
+    dd = list(vals)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            q, rem = divmod(dd[i] - dd[i - 1], nodes[i] - nodes[i - j])
+            if rem:
+                raise ArithmeticError("values are not those of an integer "
+                                      "polynomial")
+            dd[i] = q
+    out = [dd[-1]]
+    for i in range(n - 2, -1, -1):
+        x = nodes[i]
+        out = ([dd[i] - x * out[0]]
+               + [out[e - 1] - x * out[e] for e in range(1, len(out))]
+               + [out[-1]])
+    return out
 
 
 def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
     """Resultant of F and G with respect to the eliminated axis
     (0 for s, 1 for t), as a polynomial in the other variable.
 
-    Small Sylvester matrices are expanded by fraction-free elimination
-    over Q[kept]; larger ones are evaluated at integer nodes and
-    reassembled by Newton interpolation.
+    F and G are scaled to coprime integer models, F = c_F * F' and
+    G = c_G * G'. Res(F', G') has degree at most
+    deg(G) * deg_w(F) + deg(F) * deg_w(G) in the kept variable w; it is
+    evaluated at that many integer nodes 0, 1, -1, 2, ... plus one (the
+    coefficient lists by Horner, the Sylvester determinant by integer
+    Bareiss elimination) and interpolated over the integers, which
+    reproduces every node value. Res(F, G) = c_F^deg(G) * c_G^deg(F) *
+    Res(F', G').
     """
     df, dg = F.degree(axis), G.degree(axis)
     if df < 1 or dg < 1:
         raise ValueError("both inputs must have positive degree in the "
                          "eliminated variable")
-    fco = F.coeffs_in(axis)
-    gco = G.coeffs_in(axis)
-    kept_df = max(c.degree for c in fco)
-    kept_dg = max(c.degree for c in gco)
-    bound = dg * max(kept_df, 0) + df * max(kept_dg, 0)
-    size = df + dg
-    if size <= 6 and bound <= 24:
-        rows = _sylvester(fco, gco, UniPoly(), df, dg)
-        return _bareiss_det_poly(rows)
+    cf, frows = _integer_model(F, axis)
+    cg, grows = _integer_model(G, axis)
+    bound = dg * (len(frows[0]) - 1) + df * (len(grows[0]) - 1)
     nodes = []
     vals = []
-    k = 0
+    x = 0
     while len(nodes) < bound + 1:
-        x = Fraction(k)
-        fnum = [c(x) for c in fco]
-        gnum = [c(x) for c in gco]
-        rows = _sylvester(fnum, gnum, Fraction(0), df, dg)
+        fc = [_eval_int_at(row, x, 1) for row in frows]
+        gc = [_eval_int_at(row, x, 1) for row in grows]
         nodes.append(x)
-        vals.append(_bareiss_det(rows))
-        k = -k if k > 0 else -k + 1
-    return _newton_interpolate(nodes, vals)
-
-
-def _bareiss_det_poly(rows: list[list[UniPoly]]) -> UniPoly:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = UniPoly.constant(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k]
-                           - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = UniPoly()
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return out if sign > 0 else -out
-
-
-def _newton_interpolate(nodes: list[Fraction],
-                        vals: list[Fraction]) -> UniPoly:
-    n = len(nodes)
-    dd = list(vals)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
-    poly = UniPoly.constant(dd[0])
-    basis = UniPoly.constant(1)
-    for i in range(1, n):
-        basis = basis * (UniPoly.x() - nodes[i - 1])
-        poly = poly + dd[i] * basis
-    return poly
+        vals.append(_bareiss_det(_sylvester(fc, gc)))
+        x = -x if x > 0 else -x + 1
+    scale = cf ** dg * cg ** df
+    return UniPoly({e: scale * c
+                    for e, c in enumerate(_interpolate(nodes, vals))})

@@ -3,7 +3,10 @@
 Each search reference evaluates with Fraction arithmetic at every grid
 point, the way the searches did before they moved to integers; the
 point-count references start from the rational invariants and count
-points on the long model directly."""
+points on the long model directly. The root finder must return exactly
+the roots planted in a product of linear factors, and the resultant
+must agree with a Sylvester determinant taken by Fraction Gaussian
+elimination, at non-integer nodes and at integer nodes it uses itself."""
 
 from fractions import Fraction
 from math import isqrt, lcm
@@ -18,7 +21,9 @@ from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
 from gl2tors.jmaps import (JMAP_LABELS, POLE, PlaneCurve, jmap_eval,
                            named_jmap, search_hyperelliptic, search_plane,
                            zeta3_descent_search)
-from gl2tors.polynomial import BiPoly, UniPoly, farey_fractions
+from gl2tors import polynomial
+from gl2tors.polynomial import (BiPoly, UniPoly, farey_fractions,
+                                rational_roots, resultant)
 from test_elliptic import E37, count_points_naive
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -251,3 +256,103 @@ def test_frobenius_signature_computes_invariants_once(monkeypatch):
     sig = frobenius_signature(E37, 3, 2000)
     assert sig.primes == 301 and sig.skipped == 2
     assert len(calls) <= 1
+
+
+X = UniPoly.x()
+# No real root, and 306-bit outer coefficients: products with it take
+# the Hensel-lifting path of rational_roots.
+BIG_K = 2 ** 305 + 7
+BIG_COFACTOR = BIG_K * X ** 2 + (BIG_K + 1) * X + BIG_K
+
+
+def planted(num, den):
+    return st.lists(st.tuples(num, den, st.integers(min_value=1,
+                                                    max_value=3)),
+                    min_size=1, max_size=4)
+
+
+def plant(roots, cofactor):
+    P = cofactor
+    for a, b, mult in roots:
+        P = P * (b * X - a) ** mult
+    return P, sorted({Fraction(a, b) for a, b, _ in roots})
+
+
+@SETTINGS
+@given(planted(st.integers(min_value=-2 ** 120, max_value=2 ** 120),
+               st.integers(min_value=1, max_value=2 ** 120)))
+def test_rational_roots_finds_planted_roots_of_large_height(roots):
+    P, want = plant(roots, BIG_COFACTOR)
+    assert rational_roots(P) == want
+
+
+@SETTINGS
+@given(planted(st.integers(min_value=-12, max_value=12),
+               st.integers(min_value=1, max_value=12)))
+def test_rational_roots_both_paths_find_small_planted_roots(roots):
+    P, want = plant(roots, X ** 2 + X + 1)
+    coeffs = P.integer_coeffs()
+    assert max(abs(coeffs[0]), abs(coeffs[-1])).bit_length() <= 76
+    assert rational_roots(P) == want
+    # The scan path answered; the lifting path must agree with it.
+    while coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    lifted = sorted(polynomial._hensel_roots(coeffs))
+    assert lifted == [r for r in want if r != 0]
+
+
+def sylvester_reference(F, G, axis, x):
+    """Res(F, G) at kept variable = x: the Sylvester determinant of the
+    specialised coefficient lists at their formal degrees, by Fraction
+    Gaussian elimination."""
+    f = [c(x) for c in F.coeffs_in(axis)][::-1]
+    g = [c(x) for c in G.coeffs_in(axis)][::-1]
+    df, dg = len(f) - 1, len(g) - 1
+    zero = [Fraction(0)]
+    rows = ([zero * i + f + zero * (dg - 1 - i) for i in range(dg)]
+            + [zero * i + g + zero * (df - 1 - i) for i in range(df)])
+    n = len(rows)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            r = rows[i][k] / rows[k][k]
+            rows[i] = [a - r * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+bipoly = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=2),
+              st.integers(min_value=0, max_value=2)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    max_size=5).map(BiPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bipoly, bipoly, bipoly, st.sampled_from((0, 1)),
+       st.integers(min_value=-2, max_value=2), st.booleans())
+def test_resultant_matches_fraction_sylvester(A, B, C, axis, k0, common):
+    v, w = BiPoly.variable(axis), BiPoly.variable(1 - axis)
+    # The leading coefficient of F in v vanishes at the node w = k0.
+    F = A + (w - k0) * v ** (max(A.degree(axis), 0) + 1)
+    G = B + Fraction(3, 2) * v ** (max(B.degree(axis), 0) + 1)
+    if common:
+        shared = C + v
+        F, G = F * shared, G * shared
+    R = resultant(F, G, axis)
+    if common:
+        assert R.is_zero()
+    df, dg = F.degree(axis), G.degree(axis)
+    bound = dg * F.degree(1 - axis) + df * G.degree(1 - axis)
+    assert R.degree <= bound
+    for k in range(bound + 1):
+        x = Fraction(3 * k - 7, 3)
+        assert R(x) == sylvester_reference(F, G, axis, x)
+    for k in range(-2, 3):
+        assert R(k) == sylvester_reference(F, G, axis, Fraction(k))

@@ -133,11 +133,20 @@ def test_rational_roots_small():
 
 def test_rational_roots_large_coefficients():
     # Outer coefficients far beyond the factoring cutoff force the
-    # modular reconstruction path.
+    # Hensel-lifting path.
     K = 2 ** 305 + 7
     P = (X - 1) * (3 * X + 2) * (K * X ** 2 + (K + 1) * X + K)
     assert P.leading().numerator.bit_length() > 300
     assert rational_roots(P) == [Fraction(-2, 3), 1]
+
+
+def test_rational_roots_recovers_a_root_of_large_height():
+    # A root of height about 1.1e12 next to a 305-bit cofactor: its
+    # reconstruction needs a modulus far above any word-size prime.
+    K = 2 ** 305 + 7
+    a, b = 2 ** 40 + 15, 3 ** 20
+    P = (b * X - a) * (K * X ** 2 + (K + 1) * X + K)
+    assert rational_roots(P) == [Fraction(a, b)]
 
 
 def test_resultant_linear():
@@ -153,8 +162,8 @@ def test_resultant_common_factor_vanishes():
 
 
 def test_resultant_interpolated():
-    # Sylvester size 7 exceeds the direct-expansion cutoff, so this path
-    # is evaluated at nodes and interpolated.
+    # Sylvester size 7 and degree bound 3 * 4 + 4 * 3 = 24 in t: the
+    # determinant is evaluated at 25 integer nodes and interpolated.
     F = parse_bipoly("(s - t)^4")
     G = parse_bipoly("(s + t)^3")
     R = resultant(F, G, 0)
