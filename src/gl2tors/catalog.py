@@ -92,7 +92,7 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             raise CatalogError(f"line {lineno}: level must be >= 2")
         try:
             gens = json.loads(gens_s)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise CatalogError(f"line {lineno}: bad generator list: {e}")
         if (not isinstance(gens, list) or not gens
                 or not all(isinstance(g, list) and len(g) == 4

@@ -57,7 +57,12 @@ def closure_codes(gen_codes, n: int) -> frozenset[int]:
 @dataclass(frozen=True)
 class GenGroup:
     """A subgroup of GL2(Z/nZ) given by generator codes, elements on
-    demand."""
+    demand.
+
+    Equality and hashing compare the modulus, the generator codes and the
+    label, not the element set: two generator lists of one subgroup give
+    unequal values. Compare `element_codes` to test for the same subgroup.
+    """
 
     modulus: int
     gen_codes: tuple[int, ...]

@@ -162,28 +162,6 @@ class UniPoly:
         g = gcd(*ints)
         return [v // g for v in ints]
 
-    def divmod(self, other: "UniPoly"):
-        """Quotient and remainder over Q."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        q = UniPoly()
-        r = self
-        dlead = other.leading()
-        dd = other.degree
-        while not r.is_zero() and r.degree >= dd:
-            e = r.degree - dd
-            c = r.leading() / dlead
-            term = UniPoly({e: c})
-            q = q + term
-            r = r - term * other
-        return q, r
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
     def to_bipoly(self, axis: int) -> "BiPoly":
         """Embed as a BiPoly depending only on variable 0 (s) or 1 (t)."""
         if axis == 0:
@@ -360,9 +338,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("num", int(text[i:j]), i))
             i = j
@@ -407,7 +385,10 @@ class _Parser:
         return tok
 
     def parse(self):
-        out = self.expr()
+        try:
+            out = self.expr()
+        except RecursionError:
+            raise PolyParseError("expression nested too deeply") from None
         if self.peek() is not None:
             tok = self.peek()
             raise PolyParseError(

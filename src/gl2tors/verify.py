@@ -80,15 +80,21 @@ def check_standard_orders() -> VerificationReport:
     return _run("standard-orders", fn)
 
 
+def index3_counts(G: GenGroup) -> list[int]:
+    """Index-3 fixing class counts of G, then of each index-2 complement
+    of -I in G when G contains -I."""
+    counts = [index3_fixing_count(G)]
+    if contains_minus_identity(G):
+        counts += [index3_fixing_count(C) for C in minus_one_complements(G)]
+    return counts
+
+
 def check_index3_bound() -> VerificationReport:
     def fn():
         rows = []
         ok = True
         for lab in _catalog.EMBEDDED_LEVEL9:
-            H = _catalog.named_group(lab)
-            counts = [index3_fixing_count(H)]
-            counts += [index3_fixing_count(C)
-                       for C in minus_one_complements(H)]
+            counts = index3_counts(_catalog.named_group(lab))
             rows.append(f"{lab}:{','.join(map(str, counts))}")
             ok = ok and all(c <= 2 for c in counts)
         return ("pass" if ok else "fail"), " ".join(rows)
@@ -410,10 +416,7 @@ def check_catalog_entry(entry) -> list[VerificationReport]:
     if entry.level == 9:
         def level9():
             G = entry.group()
-            counts = [index3_fixing_count(G)]
-            counts += [index3_fixing_count(C)
-                       for C in minus_one_complements(G)] \
-                if contains_minus_identity(G) else []
+            counts = index3_counts(G)
             wits = (index6_complement_search(G)
                     if contains_minus_identity(G) else [])
             det = (f"index3-counts={counts} index6-witnesses={len(wits)} "
@@ -424,9 +427,11 @@ def check_catalog_entry(entry) -> list[VerificationReport]:
 
 
 def run_all(height: int = 30, prime_bound: int = 10000,
-            catalog_text: str | None = None) -> list[VerificationReport]:
+            catalog: list | None = None) -> list[VerificationReport]:
     """Run every check; bounded searches take the given height and the
-    identification step the given prime bound."""
+    identification step the given prime bound. Each CatalogEntry in
+    `catalog` (as catalog.parse_catalog returns them) adds its evidence
+    checks."""
     reports = [
         check_group_orders(),
         check_standard_orders(),
@@ -442,7 +447,6 @@ def run_all(height: int = 30, prime_bound: int = 10000,
         check_property_suites(),
         check_resultant_evidence(),
     ]
-    if catalog_text is not None:
-        for entry in _catalog.parse_catalog(catalog_text):
-            reports.extend(check_catalog_entry(entry))
+    for entry in catalog or ():
+        reports.extend(check_catalog_entry(entry))
     return reports

@@ -1,6 +1,7 @@
 """CLI subcommands: CHECK line grammar, exit codes, and JSON output."""
 
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,12 @@ def assert_usage_exit(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 64
+
+
+def assert_catalog_exit(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_no_command_is_usage_error():
@@ -115,10 +122,17 @@ def test_search_index_guards(tmp_path, capsys):
 
 
 def test_search_index_missing_catalog():
-    with pytest.raises(SystemExit) as exc:
-        main(["search-index", "x", "--mode", "3",
-              "--catalog", "/nonexistent/cat.txt"])
-    assert exc.value.code == 2
+    assert_catalog_exit(["search-index", "x", "--mode", "3",
+                         "--catalog", "/nonexistent/cat.txt"])
+
+
+def test_search_index_rejects_inline_generators(capsys):
+    assert_usage_exit(["search-index", "[[1,1,0,1]]", "--mode", "3"])
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        "search-index takes a built-in or catalog label")
+    assert "--level" not in err
+    assert "Traceback" not in err
 
 
 def test_identify(capsys):
@@ -210,9 +224,8 @@ def _stub_reports(ok: bool):
 def test_verify_all_stubbed(monkeypatch, capsys, tmp_path):
     seen = {}
 
-    def fake_run_all(height, prime_bound, catalog_text):
-        seen.update(height=height, prime_bound=prime_bound,
-                    catalog_text=catalog_text)
+    def fake_run_all(height, prime_bound, catalog):
+        seen.update(height=height, prime_bound=prime_bound, catalog=catalog)
         return _stub_reports(True)
 
     monkeypatch.setattr(cli, "run_all", fake_run_all)
@@ -224,7 +237,8 @@ def test_verify_all_stubbed(monkeypatch, capsys, tmp_path):
     assert "CHECK beta evidence-only" in out
     assert "2/2 checks ok" in out
     assert seen["height"] == 7
-    assert seen["catalog_text"].startswith("extra 9")
+    # The CLI hands run_all the parsed entries, so the file is parsed once.
+    assert seen["catalog"] == catalog.parse_catalog("extra 9 [[1,1,0,1]]\n")
 
     monkeypatch.setattr(cli, "run_all",
                         lambda **kw: _stub_reports(False))
@@ -240,11 +254,11 @@ def test_verify_all_json_stubbed(monkeypatch, capsys):
 
 
 def test_verify_all_catalog_errors(tmp_path, capsys):
-    assert main(["verify-all", "--catalog", "/nonexistent/cat.txt"]) == 2
+    assert_catalog_exit(["verify-all", "--catalog", "/nonexistent/cat.txt"])
     assert "cannot read catalog" in capsys.readouterr().err
     bad = tmp_path / "bad.txt"
     bad.write_text("zzz\n")
-    assert main(["verify-all", "--catalog", str(bad)]) == 2
+    assert_catalog_exit(["verify-all", "--catalog", str(bad)])
     assert "bad catalog" in capsys.readouterr().err
 
 
@@ -254,3 +268,37 @@ def test_verify_all_detects_mutated_table(monkeypatch, capsys):
                         (3, ((1, 1, 0, 1),)))
     assert main(["verify-all"]) == 1
     assert "CHECK group-orders fail" in capsys.readouterr().out
+
+
+CHECK_LINE = re.compile(r"CHECK \S+ (pass|fail|evidence-only) \S.*")
+
+# One argv per command; verify-all runs on stubbed reports, one failing.
+EVERY_COMMAND = {
+    "verify-all": ["verify-all", "--height", "5"],
+    "group": ["group", "3B.1.1"],
+    "search-index": ["search-index", "9H0-9b", "--mode", "3"],
+    "identify": ["identify", "[0,0,1,-1,0]", "--prime-bound", "100"],
+    "jmap": ["jmap", "Et", "-6"],
+    "fiber-search": ["fiber-search", "3Cs.1.1", "9B0-9a", "--height", "4"],
+    "curve-search": ["curve-search", "y^2 = x^3", "--height", "2"],
+    "torsion": ["torsion", "[1,0,1,-1,0]"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_every_command_prints_checks_or_one_json_document(
+        command, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all", lambda **kw: _stub_reports(False))
+    argv = EVERY_COMMAND[command]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    first = next(i for i, line in enumerate(lines)
+                 if line.startswith("CHECK "))
+    checks = lines[first:]
+    if command == "verify-all":
+        assert re.fullmatch(r"\d+/\d+ checks ok", checks.pop())
+    assert checks and all(CHECK_LINE.fullmatch(c) for c in checks)
+    assert code == (1 if any(c.split()[2] == "fail" for c in checks) else 0)
+
+    assert main(argv + ["--json"]) == code
+    assert isinstance(json.loads(capsys.readouterr().out), dict)

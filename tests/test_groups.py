@@ -88,6 +88,18 @@ def test_greedy_generators_roundtrip():
     assert len(greedy_generators(B.element_codes, 5)) <= 4
 
 
+def test_equality_compares_generators_not_elements():
+    a = code_pack(1, 1, 0, 1, 9)
+    b = code_pack(2, 0, 0, 5, 9)
+    G = GenGroup(9, (a, b), "B")
+    H = GenGroup(9, (b, a), "B")
+    assert G.element_codes == H.element_codes
+    assert G != H
+    assert G == GenGroup(9, (a, b), "B")
+    assert hash(G) == hash(GenGroup(9, (a, b), "B"))
+    assert G != GenGroup(9, (a, b), "other")
+
+
 def test_pow_is_square():
     assert pow_is_square(4, 5)
     assert not pow_is_square(2, 5)

@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gl2tors.catalog import NAMED_GROUP_GENERATORS, CatalogEntry
-from gl2tors.verify import (_run, check_catalog_entry, check_et_family,
-                            check_group_orders, check_stable_lines)
+from gl2tors import verify
+from gl2tors.catalog import (NAMED_GROUP_GENERATORS, CatalogEntry,
+                             parse_catalog)
+from gl2tors.verify import (VerificationReport, _run, check_catalog_entry,
+                            check_et_family, check_group_orders,
+                            check_stable_lines)
 
 
 def test_run_catches_exceptions():
@@ -53,6 +56,19 @@ def test_check_catalog_entry_level3():
     reports = check_catalog_entry(CatalogEntry("3B.1.1", level, gens))
     assert [r.check_id for r in reports] == ["catalog.3B.1.1.group"]
     assert "applicable=False" in reports[0].details
+
+
+def test_run_all_checks_each_catalog_entry(monkeypatch):
+    # The built-in checks are stubbed; only the catalog part runs.
+    for name in dir(verify):
+        if name.startswith("check_") and name != "check_catalog_entry":
+            monkeypatch.setattr(verify, name, lambda *a, _n=name, **k:
+                                VerificationReport(_n, "pass", "", 0.0))
+    entries = parse_catalog("a 3 [[1,1,0,1]]\nb 9 [[1,1,0,1]]\n")
+    ids = [r.check_id for r in verify.run_all(catalog=entries)]
+    assert ids[-3:] == ["catalog.a.group", "catalog.b.group",
+                        "catalog.b.level9"]
+    assert len(ids) == len(verify.run_all()) + 3
 
 
 def test_property_suites_fail_under_optimize():
