@@ -6,13 +6,17 @@ argument.
 
 Index-2 and index-3 subgroups are enumerated through homomorphisms onto
 C2 and S3: images of the generators are chosen freely, then propagated
-over the whole Cayley graph and kept only when every edge is consistent.
-By the coset action this finds every subgroup of those indices.
+along the tree edges of the group's cached Cayley table (GenGroup.table,
+built once with |G|*k matrix products) and kept only when every check
+edge agrees. The search works on element indices and the small target
+group's multiplication table, so it does no matrix arithmetic. By the
+coset action this finds every subgroup of those indices.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .groups import GenGroup, exact_order_vectors, fixes_full_order_vector
@@ -60,84 +64,67 @@ def orbit_of_vector(codes, v: tuple[int, int], n: int) -> frozenset:
 
 
 _S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+# Target groups as 0-based multiplication tables, identity 0. In S3,
+# (p*q)(i) = q(p(i)), matching left-to-right matrix products.
+_C2_MUL = ((0, 1), (1, 0))
+_S3_MUL = tuple(tuple(_S3.index((q[p[0]], q[p[1]], q[p[2]])) for q in _S3)
+                for p in _S3)
+# Whether S3 element v fixes the point 0, and where it sends it.
+_S3_FIXES_0 = tuple(p[0] == 0 for p in _S3)
+_S3_POINT_0 = tuple(p[0] for p in _S3)
 
 
-def _perm_mul(p, q):
-    # (p*q)(i) = q(p(i)), matching left-to-right matrix products.
-    return (q[p[0]], q[p[1]], q[p[2]])
+def _homomorphisms(G: GenGroup, mul, images):
+    """The homomorphisms from G to the group with multiplication table mul
+    that send the generators to one of the assignments in images.
 
-
-def _hom_kernels(G: GenGroup, images, mul, ident, keep):
-    """Subgroups arising as preimages under homomorphisms to a small group.
-
-    images: candidate image tuples for the generator list; mul/ident give
-    the target group; keep(phi_values) decides which assignment to retain
-    and maps it to the subgroup's element set.
+    Each is yielded as the list phi of images of G.table.codes. An
+    assignment is propagated along the tree edges of the cached Cayley
+    table and compared on its check edges, stopping at the first
+    mismatch.
     """
-    n = G.modulus
-    gens = G.gen_codes
-    codes = sorted(G.element_codes)
-    id_code = code_pack(1, 0, 0, 1, n)
-    found = []
+    edges = G.table.edges
+    size = len(G.table.codes)
+    k = len(G.gen_codes)
+    by = tuple(zip(*mul))  # by[a][x] = x * a
     for assign in images:
-        phi = {id_code: ident}
-        frontier = [id_code]
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for x in frontier:
-                for g, ig in zip(gens, assign):
-                    y = code_mul(x, g, n)
-                    val = mul(phi[x], ig)
-                    if y in phi:
-                        if phi[y] != val:
-                            ok = False
-                            break
-                    else:
-                        phi[y] = val
-                        nxt.append(y)
-                if not ok:
-                    break
-            frontier = nxt
-        if ok and len(phi) == len(codes):
-            sub = keep(phi)
-            if sub is not None:
-                found.append(sub)
-    return found
+        cols = [by[a] for a in assign]
+        phi = [0] * size
+        i = j = 0  # edges[i*k + j] leaves codes[i] by generator j
+        for e in edges:
+            v = cols[j][phi[i]]
+            if e < 0:
+                phi[~e] = v
+            elif phi[e] != v:
+                break
+            j += 1
+            if j == k:
+                i += 1
+                j = 0
+        else:
+            yield phi
 
 
 def index2_subgroups(G: GenGroup) -> list[frozenset[int]]:
     """All index-2 subgroups, as element-code sets, deduplicated."""
     images = [a for a in itertools.product((0, 1), repeat=len(G.gen_codes))
               if any(a)]
-    subs = _hom_kernels(
-        G, images, mul=lambda x, y: x ^ y, ident=0,
-        keep=lambda phi: frozenset(c for c, v in phi.items() if v == 0))
-    out = []
-    for s in subs:
-        if s not in out:
-            out.append(s)
-    return sorted(out, key=sorted)
+    codes = G.table.codes
+    subs = {frozenset(itertools.compress(codes, map(operator.not_, phi)))
+            for phi in _homomorphisms(G, _C2_MUL, images)}
+    return sorted(subs, key=sorted)
 
 
 def index3_subgroups(G: GenGroup) -> list[frozenset[int]]:
     """All index-3 subgroups: point stabilizers of transitive actions on
     three cosets, i.e. homomorphisms to S3 with transitive image."""
-    k = len(G.gen_codes)
-    images = list(itertools.product(_S3, repeat=k))
-
-    def keep(phi):
-        hit = {p[0] for p in phi.values()}
-        if hit != {0, 1, 2}:
-            return None
-        return frozenset(c for c, p in phi.items() if p[0] == 0)
-
-    subs = _hom_kernels(G, images, mul=_perm_mul, ident=(0, 1, 2), keep=keep)
-    out = []
-    for s in subs:
-        if s not in out:
-            out.append(s)
-    return sorted(out, key=sorted)
+    images = itertools.product(range(len(_S3)), repeat=len(G.gen_codes))
+    codes = G.table.codes
+    subs = {frozenset(itertools.compress(codes,
+                                         map(_S3_FIXES_0.__getitem__, phi)))
+            for phi in _homomorphisms(G, _S3_MUL, images)
+            if {_S3_POINT_0[v] for v in set(phi)} == {0, 1, 2}}
+    return sorted(subs, key=sorted)
 
 
 def _conjugacy_classes(G: GenGroup, subs) -> list[list[frozenset[int]]]:
@@ -207,6 +194,27 @@ class ComplementWitness:
                 == self.subgroup.order)
 
 
+def _orbit_sizes(C: GenGroup, vectors) -> dict:
+    """Size of the orbit of each pair under C, one BFS per orbit over the
+    generators; vectors must be a union of orbits."""
+    n = C.modulus
+    size = {}
+    for v in vectors:
+        if v in size:
+            continue
+        orbit = [v]
+        seen = {v}
+        for w in orbit:  # grows while it is walked
+            for g in C.gen_codes:
+                u = code_act(w, g, n)
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
+        for w in orbit:
+            size[w] = len(orbit)
+    return size
+
+
 def index6_complement_search(H: GenGroup) -> list[ComplementWitness]:
     """Witnesses (C, v) with C = H or an index-2 complement of -I in H and
     v of exact order 9 whose orbit under C has size exactly 6."""
@@ -214,11 +222,12 @@ def index6_complement_search(H: GenGroup) -> list[ComplementWitness]:
     if n != 9:
         raise ValueError(f"expected level 9, got {n}")
     candidates = [H] + minus_one_complements(H)
+    # Exact order is kept by invertible matrices, so these vectors are a
+    # union of orbits.
     vectors = exact_order_vectors(n)
     out = []
     for C in candidates:
-        codes = C.element_codes
-        for x, y in vectors:
-            if len(orbit_of_vector(codes, (x, y), n)) == 6:
-                out.append(ComplementWitness(C, TorVec(x, y, n), 6))
+        size = _orbit_sizes(C, vectors)
+        out.extend(ComplementWitness(C, TorVec(x, y, n), 6)
+                   for x, y in vectors if size[x, y] == 6)
     return out

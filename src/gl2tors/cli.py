@@ -16,11 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog as _catalog
 from .action import index6_complement_search
-from .elliptic import identify_image, parse_curve, torsion_over_Q
+from .elliptic import (identify_image, parse_curve, parse_rational,
+                       torsion_over_Q)
 from .groups import (closure, contains_minus_identity, det_image,
                      dickson_classify, is_applicable, stable_lines)
 from .jmaps import (JMAP_LABELS, POLE, classify_fiber_point, fiber_curve,
@@ -271,8 +271,8 @@ def _cmd_jmap(args, parser):
     except ValueError as e:
         parser.error(str(e))
     try:
-        x = Fraction(args.x)
-    except (ValueError, ZeroDivisionError):
+        x = parse_rational(args.x)
+    except ValueError:
         parser.error(f"bad rational {args.x!r}")
     v = jmap_eval(m, x)
     out = "pole" if v is POLE else str(v)

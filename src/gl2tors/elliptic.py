@@ -12,6 +12,7 @@ divisor bounds on y.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -76,6 +77,23 @@ class CurveQ:
         return "[" + ",".join(str(c) for c in self.coefficients()) + "]"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an integer or p/q written in ASCII digits, with an optional
+    sign and surrounding whitespace. Exponent and decimal notation are
+    rejected: Fraction('1e100000000') would compute 10**100000000 before
+    any check could run."""
+    s = text.strip()
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"expected an integer or p/q, got {s!r}")
+    num, _, den = s.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), int(den or 1))
+
+
 def parse_curve(text: str) -> CurveQ:
     """Parse '[a1,a2,a3,a4,a6]' with integer or p/q entries."""
     s = text.strip()
@@ -84,13 +102,7 @@ def parse_curve(text: str) -> CurveQ:
     parts = s[1:-1].split(",")
     if len(parts) != 5:
         raise ValueError(f"expected 5 coefficients, got {len(parts)}")
-    coeffs = []
-    for p in parts:
-        try:
-            coeffs.append(Fraction(p.strip()))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {p.strip()!r}") from None
-    return CurveQ(*coeffs)
+    return CurveQ(*map(parse_rational, parts))
 
 
 @dataclass(frozen=True)

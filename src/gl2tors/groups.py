@@ -1,7 +1,9 @@
 """Subgroups of GL2(Z/nZ): closure, standard constructions, classification.
 
 A group is a list of generator codes plus a lazily computed element set,
-both packed integer codes (see modmat); vectors are (x, y) int pairs.
+both packed integer codes (see modmat), and, on demand, a cached right
+Cayley table that the subgroup searches in `action` run over; vectors
+are (x, y) int pairs.
 GMat appears only where matrices enter or leave: generator input, the
 `generators` view and membership tests. All iteration is in sorted code
 or (x, y) order so results are deterministic.
@@ -10,8 +12,10 @@ or (x, y) order so results are deterministic.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .arith import factorint, is_probable_prime
 from .modmat import (GMat, code_act, code_det, code_entries, code_inverse,
@@ -54,13 +58,56 @@ def closure_codes(gen_codes, n: int) -> frozenset[int]:
     return frozenset(seen)
 
 
+class CayleyTable(NamedTuple):
+    """The right Cayley graph of a group on its generators, by element
+    index.
+
+    codes holds the elements in BFS order from the identity, which is
+    index 0. With k generators, edges[i*k + j] is the index of
+    codes[i] * gen_j, written ~index when that edge is the first to reach
+    its target (a tree edge); every other edge is a check edge. Walking
+    edges in order therefore meets each element's tree edge before any
+    edge leaving it or any check edge into it.
+    """
+
+    codes: array
+    edges: array
+
+
+def _cayley_table(G: GenGroup) -> CayleyTable:
+    """Build G's Cayley table with |G|*k products; raises ValueError when
+    the generators do not reach exactly G's element set."""
+    n = G.modulus
+    ident = code_pack(1, 0, 0, 1, n)
+    codes = [ident]
+    index = {ident: 0}
+    edges = array("i")
+    for x in codes:  # grows while it is walked: BFS order
+        for g in G.gen_codes:
+            y = code_mul(x, g, n)
+            i = index.get(y)
+            if i is None:
+                i = index[y] = len(codes)
+                codes.append(y)
+                edges.append(~i)
+            else:
+                edges.append(i)
+    if index.keys() != G.element_codes:
+        raise ValueError(
+            f"generators reach {len(codes)} elements, not the given "
+            f"element set of {G.order}")
+    return CayleyTable(array("q", codes), edges)
+
+
 @dataclass(frozen=True)
 class GenGroup:
     """A subgroup of GL2(Z/nZ) given by generator codes, elements on
     demand.
 
-    Equality and hashing compare the modulus, the generator codes and the
-    label, not the element set: two generator lists of one subgroup give
+    `element_codes` and `table` (the right Cayley table, see CayleyTable)
+    are computed on first use and cached on the value. Equality and
+    hashing ignore both caches: they compare the modulus, the generator
+    codes and the label, so two generator lists of one subgroup give
     unequal values. Compare `element_codes` to test for the same subgroup.
     """
 
@@ -69,6 +116,8 @@ class GenGroup:
     label: str = ""
     _codes: frozenset[int] | None = field(default=None, repr=False,
                                           compare=False)
+    _table: CayleyTable | None = field(default=None, repr=False,
+                                       compare=False)
 
     @classmethod
     def from_generators(cls, gens, n: int, label: str = "") -> "GenGroup":
@@ -100,6 +149,13 @@ class GenGroup:
             codes = closure_codes(self.gen_codes, self.modulus)
             object.__setattr__(self, "_codes", codes)
         return self._codes
+
+    @property
+    def table(self) -> CayleyTable:
+        """The cached right Cayley table: |G| codes and |G|*k edges."""
+        if self._table is None:
+            object.__setattr__(self, "_table", _cayley_table(self))
+        return self._table
 
     @property
     def order(self) -> int:
@@ -259,9 +315,20 @@ def contains_minus_identity(G: GenGroup) -> bool:
 
 
 def det_image(G: GenGroup) -> frozenset[int]:
-    """Set of determinants attained, as reduced residues."""
+    """Set of determinants attained, as reduced residues.
+
+    det is a homomorphism, so this is the subgroup of (Z/n)^x generated
+    by the generators' determinants; no element is visited.
+    """
     n = G.modulus
-    return frozenset(code_det(c, n) for c in G.element_codes)
+    dets = {code_det(g, n) for g in G.gen_codes}
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        frontier = [y for y in {x * d % n for x in frontier for d in dets}
+                    if y not in seen]
+        seen.update(frontier)
+    return frozenset(seen)
 
 
 def det_surjective(G: GenGroup) -> bool:

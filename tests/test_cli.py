@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -207,13 +208,29 @@ def test_curve_search_bad_model():
     (["verify-all", "--height", "0"], "height must be >= 1, got 0"),
     (["torsion", "[1/0,0,0,1,1]"], "zero denominator in '1/0'"),
     (["identify", "[1/0,0,0,1,1]"], "zero denominator in '1/0'"),
+    (["torsion", "[1e100000000,0,0,0,1]"],
+     "expected an integer or p/q, got '1e100000000'"),
+    (["jmap", "Et", "1e100000000"], "bad rational '1e100000000'"),
 ], ids=["fiber-search", "curve-search", "identify", "verify-all",
-        "torsion-zero-denominator", "identify-zero-denominator"])
+        "torsion-zero-denominator", "identify-zero-denominator",
+        "torsion-exponent", "jmap-exponent"])
 def test_bad_numbers_are_usage_errors(argv, message, capsys):
+    start = time.perf_counter()
     assert_usage_exit(argv)
+    # Fraction('1e100000000') alone would take minutes.
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(message)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", "1e3", "1E3", "1_000", "\u0663", "0x10", "inf", "nan", "1/-2",
+    "+-1", "", "/2", "2/"])
+def test_rationals_outside_the_documented_forms(text, capsys):
+    assert_usage_exit(["jmap", "Et", text])
+    assert_usage_exit(["torsion", f"[{text},0,0,0,1]"])
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _stub_reports(ok: bool):

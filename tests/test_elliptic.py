@@ -30,6 +30,10 @@ def test_parse_curve():
         parse_curve("[1,2,3,4,x]")
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         parse_curve("[1/0,0,0,1,1]")
+    assert parse_curve("[ -3/6 ,+2,0,0,1]").a1 == Fraction(-1, 2)
+    for bad in ("1e5", "1.0", "1_0", "\u0661"):
+        with pytest.raises(ValueError, match="expected an integer or p/q"):
+            parse_curve(f"[{bad},0,0,0,1]")
     with pytest.raises(ValueError, match="got 3 values"):
         CurveQ.from_list([1, 2, 3])
 

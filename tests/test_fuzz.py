@@ -7,7 +7,9 @@ their own error types, and a parsed catalog must survive
 serialize_catalog. Exponents in generated polynomial text stay at one
 digit, and generated curves have integer coefficients: the parser
 expands powers, and torsion on a curve with large denominators can take
-seconds, so either would cost time, not coverage."""
+seconds, so either would cost time, not coverage. Numbers in exponent
+notation, with exponents up to 10^9, are generated for curves and j-map
+arguments: they must be usage errors, not a hang."""
 
 import contextlib
 import io
@@ -41,9 +43,17 @@ MODELS = st.one_of(
     st.tuples(POLYS, POLYS).map(lambda hf: f"y^2 + ({hf[0]})*y = {hf[1]}"),
     st.sampled_from(["y^3 = x", "x^2", "y^2 = x^²", "y^2 + x = 1",
                      "=", "y^2 = ((x)"]))
+# Numbers in exponent notation, which the CLI must refuse without
+# expanding them: Fraction("1e100000000") alone takes minutes.
+EXPONENTS = st.tuples(st.integers(-9, 9), st.sampled_from("eE"),
+                      st.integers(0, 10 ** 9)).map(
+    lambda t: f"{t[0]}{t[1]}{t[2]}")
 CURVES = st.one_of(
     st.lists(INTS.map(str), min_size=5,
              max_size=5).map(lambda v: "[" + ",".join(v) + "]"),
+    st.tuples(st.lists(INTS.map(str), min_size=4, max_size=4),
+              st.integers(0, 4), EXPONENTS).map(
+        lambda t: "[" + ",".join(t[0][:t[1]] + [t[2]] + t[0][t[1]:]) + "]"),
     st.sampled_from(["[1,2]", "[1/0,0,0,1,1]", "[a,b,c,d,e]", "",
                      "[0,0,0,0,0]", "[1/2,0,0,-1,0]"]))
 GROUPS = st.sampled_from(sorted(NAMED_GROUP_GENERATORS) + [
@@ -54,7 +64,7 @@ HEIGHTS = st.integers(-1, 3).map(str)
 
 ARGV = st.one_of(
     st.tuples(st.just("jmap"), LABELS,
-              st.one_of(FRACTIONS.map(str),
+              st.one_of(FRACTIONS.map(str), EXPONENTS,
                         st.sampled_from(["1/0", "zz", "3/", "-"]))),
     st.tuples(st.just("torsion"), CURVES),
     st.tuples(st.just("identify"), CURVES, st.just("--level"),
