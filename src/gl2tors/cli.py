@@ -102,7 +102,8 @@ def _build_parser() -> _Parser:
 
     jm = command("jmap", _cmd_jmap, help="evaluate a named j-map")
     jm.add_argument("label", help=f"one of {', '.join(JMAP_LABELS)}")
-    jm.add_argument("x", help="rational argument p/q")
+    jm.add_argument("x", help="rational argument p/q; a negative fraction "
+                              "goes after --, as in: jmap Et -- -3/2")
 
     fs = command("fiber-search", _cmd_fiber_search,
                  help="rational points on a fiber of two j-maps")

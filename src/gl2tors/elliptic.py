@@ -4,10 +4,11 @@ and rational torsion.
 Curves are long Weierstrass models [a1, a2, a3, a4, a6] with rational
 coefficients. Each curve computes its integral model once, when it is
 built: the scale u (lcm of the denominators), the integers u^i * a_i,
-their b2, b4, b6 and the integer discriminant u^12 * disc. Point counts
-read these and sum a quadratic character over the 2-division cubic mod p
-in int and numpy arithmetic; torsion uses the integral short model and
-divisor bounds on y.
+their b2, b4, b6, b8 and the integer discriminant u^12 * disc.
+curve_invariants divides these by powers of u; point counts sum a
+quadratic character over the 2-division cubic mod p in int and numpy
+arithmetic; torsion uses the integral short model and divisor bounds
+on y.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import lcm
 
 import numpy as np
 
-from .arith import is_probable_prime, square_divisor_roots
+from .arith import is_probable_prime, is_square, square_divisor_roots
 from .groups import GenGroup, closure_codes
 from .modmat import code_det, code_pack, code_trace
 from .polynomial import UniPoly, rational_roots
@@ -34,10 +35,10 @@ class CurveQ:
     a3: Fraction
     a4: Fraction
     a6: Fraction
-    # Integral model (u, (A1, A2, A3, A4, A6), (b2, b4, b6), disc): u is
-    # the lcm of the denominators, A_i = u^i * a_i, and b2, b4, b6 and disc
-    # are the integer invariants of the A_i (disc = u^12 times the
-    # rational discriminant).
+    # Integral model (u, (A1, A2, A3, A4, A6), (b2, b4, b6, b8), disc): u
+    # is the lcm of the denominators, A_i = u^i * a_i, and b2, b4, b6, b8
+    # and disc are the integer invariants of the A_i (u^i times the
+    # rational b_i, and disc = u^12 times the rational discriminant).
     _model: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -47,9 +48,7 @@ class CurveQ:
                 object.__setattr__(self, name, Fraction(v))
             elif not isinstance(v, Fraction):
                 raise TypeError(f"{name} must be rational")
-        u = 1
-        for c in self.coefficients():
-            u = u * c.denominator // gcd(u, c.denominator)
+        u = lcm(*(c.denominator for c in self.coefficients()))
         A1, A2, A3, A4, A6 = (c.numerator * (u ** i // c.denominator)
                               for c, i in zip(self.coefficients(),
                                               (1, 2, 3, 4, 6)))
@@ -62,7 +61,7 @@ class CurveQ:
         if disc == 0:
             raise ValueError("singular model: discriminant is zero")
         object.__setattr__(self, "_model", (u, (A1, A2, A3, A4, A6),
-                                            (b2, b4, b6), disc))
+                                            (b2, b4, b6, b8), disc))
 
     @classmethod
     def from_list(cls, a) -> "CurveQ":
@@ -114,23 +113,20 @@ class Invariants:
     c4: Fraction
     c6: Fraction
     disc: Fraction
-    j: Fraction | None  # None when c4^3 and disc share the zero (impossible
-    # on nonsingular models, so in practice always a Fraction)
+    j: Fraction
 
 
 def curve_invariants(E: CurveQ) -> Invariants:
-    """Standard b, c invariants, discriminant, and j."""
-    a1, a2, a3, a4, a6 = E.coefficients()
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3
-          - a4 * a4)
+    """Standard b, c invariants, discriminant, and j, read off the
+    integral model: b_i = B_i / u^i, c_i = C_i / u^i and disc = D / u^12,
+    where B_i, C_i and D are the invariants of A_i = u^i * a_i."""
+    u, _, (b2, b4, b6, b8), disc = E._model
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
-    disc = (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
-    j = c4 ** 3 / disc if disc != 0 else None
-    return Invariants(b2, b4, b6, b8, c4, c6, disc, j)
+    return Invariants(Fraction(b2, u ** 2), Fraction(b4, u ** 4),
+                      Fraction(b6, u ** 6), Fraction(b8, u ** 8),
+                      Fraction(c4, u ** 4), Fraction(c6, u ** 6),
+                      Fraction(disc, u ** 12), Fraction(c4 ** 3, disc))
 
 
 def curve_Et(t) -> CurveQ:
@@ -156,7 +152,7 @@ def _bad_primes_guard(E: CurveQ, p: int) -> None:
 def count_points(E: CurveQ, p: int) -> tuple[int, int]:
     """(#E(F_p) including the point at infinity, a_p = p + 1 - #E)."""
     _bad_primes_guard(E, p)
-    _, (a1, a2, a3, a4, a6), (b2, b4, b6), _ = E._model
+    _, (a1, a2, a3, a4, a6), (b2, b4, b6, _), _ = E._model
     if p == 2:
         n = 1
         for x in range(2):
@@ -309,10 +305,8 @@ def two_torsion_image(E: CurveQ) -> str:
     c, d = cubic.coeff(1), cubic.coeff(0)
     disc = (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
             - 4 * a * c ** 3 - 27 * a * a * d * d)
-    if disc > 0:
-        num, den = disc.numerator, disc.denominator
-        if isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
-            return "2Cn"
+    if disc > 0 and is_square(disc.numerator) and is_square(disc.denominator):
+        return "2Cn"
     return "GL2(F2)"
 
 
@@ -340,9 +334,7 @@ def _short_model(E: CurveQ) -> tuple[int, int]:
     """Integral A, B with E isomorphic over Q to y^2 = x^3 + Ax + B."""
     inv = curve_invariants(E)
     c4, c6 = inv.c4, inv.c6
-    u = 1
-    for c in (c4, c6):
-        u = u * c.denominator // gcd(u, c.denominator)
+    u = lcm(c4.denominator, c6.denominator)
     return int(-27 * c4 * u ** 4), int(-54 * c6 * u ** 6)
 
 

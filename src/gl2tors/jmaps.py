@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+from .arith import is_square
 from .polynomial import (BiPoly, UniPoly, _eval_int_at, _frac,
                          farey_fractions, poly_gcd)
 
@@ -43,8 +44,7 @@ def _scaled_int(P: UniPoly) -> tuple[Fraction, list[int]]:
     to high; the zero polynomial gives (0, [0])."""
     if P.is_zero():
         return Fraction(0), [0]
-    C = P.integer_coeffs()
-    return P.leading() / C[-1], C
+    return P._content(), P.integer_coeffs()
 
 
 @dataclass(frozen=True)
@@ -276,15 +276,11 @@ def zeta3_descent_search(height: int) -> list[DescentHit]:
     for t in farey_fractions(height):
         p, q = t.numerator, t.denominator
         v = (p ** 3 - 27 * q ** 3) * q
-        if _is_square(-3 * v):
+        if is_square(-3 * v):
             hits.append(_flag_hit(t, "a=0"))
-        if _is_square(v):
+        if is_square(v):
             hits.append(_flag_hit(t, "b=0"))
     return hits
-
-
-def _is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def _flag_hit(t: Fraction, case: str) -> DescentHit:

@@ -1,9 +1,15 @@
 """Exact polynomial arithmetic over Q in one and two variables.
 
-UniPoly and BiPoly are immutable sparse coefficient maps with Fraction
-coefficients. Rational root extraction scans the rational root theorem
-candidates when the outer coefficients factor comfortably; otherwise it
-lifts the roots of the square-free part modulo a small prime by Newton's
+UniPoly and BiPoly are immutable sparse maps from exponent keys to
+nonzero Fractions. Their shared core _Poly holds all that does not
+depend on the key shape: ==, hash, +, -, *, ** with int and Fraction
+operands, and _content, the positive rational c with P / c a primitive
+integer polynomial, which integer_coeffs, primitive and the integer
+models of the resultant divide out.
+
+Rational root extraction scans the rational root theorem candidates
+when the outer coefficients factor comfortably; otherwise it lifts the
+roots of the square-free part modulo a small prime by Newton's
 iteration until rational reconstruction recovers all of them (every
 returned root is verified exactly). Resultants are Sylvester
 determinants of the integer models, evaluated at integer nodes and
@@ -12,6 +18,7 @@ interpolated over the integers.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -26,10 +33,106 @@ def _frac(v) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
 
 
-class UniPoly:
-    """A univariate polynomial over Q, stored as {exponent: coefficient}."""
+class _Poly:
+    """A sparse map self._c from exponent keys to nonzero Fractions. A
+    subclass validates keys in __init__ and sets ONE, the key of the
+    constant term, and _add_keys, the key of a product of monomials."""
 
     __slots__ = ("_c",)
+
+    @classmethod
+    def constant(cls, v):
+        return cls({cls.ONE: _frac(v)})
+
+    def items(self):
+        return sorted(self._c.items())
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.constant(other)
+        if isinstance(other, type(self)):
+            return other
+        return None
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._c == o._c
+
+    def __hash__(self) -> int:
+        return hash(tuple(sorted(self._c.items())))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        c = dict(self._c)
+        for k, v in o._c.items():
+            c[k] = c.get(k, Fraction(0)) + v
+        return type(self)(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self._c.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        add = self._add_keys
+        c = {}
+        for k1, v1 in self._c.items():
+            for k2, v2 in o._c.items():
+                k = add(k1, k2)
+                c[k] = c.get(k, Fraction(0)) + v1 * v2
+        return type(self)(c)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        out = self.constant(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def _content(self) -> Fraction:
+        """The positive rational c with self / c a primitive integer
+        polynomial: the gcd of the numerators over the lcm of the
+        denominators (0 for the zero polynomial)."""
+        vs = self._c.values()
+        return Fraction(gcd(*(v.numerator for v in vs)),
+                        lcm(*(v.denominator for v in vs)))
+
+
+class UniPoly(_Poly):
+    """A univariate polynomial over Q, stored as {exponent: coefficient}."""
+
+    __slots__ = ()
+    ONE = 0
+    _add_keys = operator.add
 
     def __init__(self, coeffs: dict[int, Fraction] | None = None):
         c = {}
@@ -49,18 +152,8 @@ class UniPoly:
     def x(cls) -> "UniPoly":
         return cls({1: Fraction(1)})
 
-    @classmethod
-    def constant(cls, v) -> "UniPoly":
-        return cls({0: _frac(v)})
-
     def coeff(self, e: int) -> Fraction:
         return self._c.get(e, Fraction(0))
-
-    def items(self):
-        return sorted(self._c.items())
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     @property
     def degree(self) -> int:
@@ -71,71 +164,6 @@ class UniPoly:
         if not self._c:
             raise ValueError("zero polynomial has no leading coefficient")
         return self._c[max(self._c)]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly.constant(other)
-        if isinstance(other, UniPoly):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            c[e] = c.get(e, Fraction(0)) + v
-        return UniPoly(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c: dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in o._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, Fraction(0)) + v1 * v2
-        return UniPoly(c)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = UniPoly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __call__(self, x) -> Fraction:
         x = _frac(x)
@@ -155,12 +183,12 @@ class UniPoly:
         denominators and content. Sign of the leading term is preserved."""
         if self.is_zero():
             raise ValueError("zero polynomial")
-        den = lcm(*(v.denominator for v in self._c.values()))
+        c = self._content()
+        n, d = c.numerator, c.denominator
         ints = [0] * (self.degree + 1)
         for e, v in self._c.items():
-            ints[e] = v.numerator * (den // v.denominator)
-        g = gcd(*ints)
-        return [v // g for v in ints]
+            ints[e] = v.numerator * d // (v.denominator * n)
+        return ints
 
     def to_bipoly(self, axis: int) -> "BiPoly":
         """Embed as a BiPoly depending only on variable 0 (s) or 1 (t)."""
@@ -177,10 +205,15 @@ class UniPoly:
         return "UniPoly(" + " + ".join(parts) + ")"
 
 
-class BiPoly:
+class BiPoly(_Poly):
     """A polynomial in two variables s, t over Q: {(i, j): coefficient}."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    ONE = (0, 0)
+
+    @staticmethod
+    def _add_keys(a, b):
+        return (a[0] + b[0], a[1] + b[1])
 
     def __init__(self, coeffs: dict[tuple[int, int], Fraction] | None = None):
         c = {}
@@ -196,85 +229,10 @@ class BiPoly:
     def variable(cls, axis: int) -> "BiPoly":
         return cls({(1, 0) if axis == 0 else (0, 1): Fraction(1)})
 
-    @classmethod
-    def constant(cls, v) -> "BiPoly":
-        return cls({(0, 0): _frac(v)})
-
-    def items(self):
-        return sorted(self._c.items())
-
-    def is_zero(self) -> bool:
-        return not self._c
-
     def degree(self, axis: int) -> int:
         if not self._c:
             return -1
         return max(k[axis] for k in self._c)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.constant(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiPoly.constant(other)
-        if isinstance(other, BiPoly):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = dict(self._c)
-        for k, v in o._c.items():
-            c[k] = c.get(k, Fraction(0)) + v
-        return BiPoly(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({k: -v for k, v in self._c.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in self._c.items():
-            for (i2, j2), v2 in o._c.items():
-                k = (i1 + i2, j1 + j2)
-                c[k] = c.get(k, Fraction(0)) + v1 * v2
-        return BiPoly(c)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = BiPoly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __call__(self, s, t) -> Fraction:
         s, t = _frac(s), _frac(t)
@@ -308,14 +266,8 @@ class BiPoly:
         integers; sign of the lexicographically leading term preserved."""
         if self.is_zero():
             return self
-        den = 1
-        for v in self._c.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        g = 0
-        for v in self._c.values():
-            g = gcd(g, int(v * den))
-        scale = Fraction(den, g)
-        return BiPoly({k: v * scale for k, v in self._c.items()})
+        c = self._content()
+        return BiPoly({k: v / c for k, v in self._c.items()})
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -457,9 +409,7 @@ class _Parser:
 
     def const(self, v):
         sample = next(iter(self.varmap.values()))
-        if isinstance(sample, BiPoly):
-            return BiPoly.constant(v)
-        return UniPoly.constant(v)
+        return type(sample).constant(v)
 
 
 def parse_poly(text: str, var: str = "x") -> UniPoly:
@@ -773,11 +723,10 @@ def _integer_model(B: BiPoly, axis: int) -> tuple[Fraction, list[list[int]]]:
     """(content, rows) with B = content * sum rows[e][o] * v^e * w^o,
     where v is the eliminated variable, w the kept one and the integer
     rows are coprime; rows all have length deg_w(B) + 1."""
-    P = B.primitive()
-    key, v = next(iter(P._c.items()))
+    c = B._content()
     width = B.degree(1 - axis) + 1
-    return B._c[key] / v, [[int(c.coeff(o)) for o in range(width)]
-                           for c in P.coeffs_in(axis)]
+    return c, [[int(row.coeff(o) / c) for o in range(width)]
+               for row in B.coeffs_in(axis)]
 
 
 def _sylvester(fc: list[int], gc: list[int]) -> list[list[int]]:

@@ -61,6 +61,16 @@ def test_jmap_json(capsys):
     assert data == {"label": "Et", "x": "-6", "value": "-12288000"}
 
 
+def test_jmap_negative_fraction_after_double_dash(capsys):
+    assert main(["jmap", "Et", "--", "-3/2"]) == 0
+    out = capsys.readouterr().out
+    assert "Et(-3/2) = -1167051/512" in out
+    assert "CHECK jmap.Et pass x=-3/2 value=-1167051/512" in out
+    assert main(["jmap", "Et", "--json", "--", "-3/2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"label": "Et", "x": "-3/2", "value": "-1167051/512"}
+
+
 def test_jmap_usage_errors():
     assert_usage_exit(["jmap", "nope", "0"])
     assert_usage_exit(["jmap", "Et", "zz"])

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2tors.catalog import identify_candidates, named_group
 from gl2tors.elliptic import (CM_J, CurveQ, count_points, curve_Et,
@@ -56,6 +58,34 @@ def test_invariants_frozen():
     i6 = curve_invariants(E14A6)
     assert (i6.c4, i6.c6, i6.disc) == (8185, 742643, -1835008)
     assert i6.j == Fraction(-548347731625, 1835008)
+
+
+def invariants_reference(E):
+    """b, c invariants, disc and j by the textbook formulas in Fractions."""
+    a1, a2, a3, a4, a6 = E.coefficients()
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3
+          - a4 * a4)
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return (b2, b4, b6, b8, c4, c6, disc, c4 ** 3 / disc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.builds(Fraction, st.integers(-60, 60),
+                          st.integers(1, 12)), min_size=5, max_size=5))
+def test_invariants_from_integral_model_match_formulas(a):
+    try:
+        E = CurveQ(*a)
+    except ValueError:
+        return  # singular
+    inv = curve_invariants(E)
+    got = (inv.b2, inv.b4, inv.b6, inv.b8, inv.c4, inv.c6, inv.disc, inv.j)
+    assert got == invariants_reference(E)
+    assert all(type(v) is Fraction for v in got)
 
 
 def test_curve_et():
