@@ -7,8 +7,8 @@ built: the scale u (lcm of the denominators), the integers u^i * a_i,
 their b2, b4, b6, b8 and the integer discriminant u^12 * disc.
 curve_invariants divides these by powers of u; point counts sum a
 quadratic character over the 2-division cubic mod p in int and numpy
-arithmetic; torsion uses the integral short model and divisor bounds
-on y.
+arithmetic; torsion is bounded by the gcd of a few point counts and
+then read off the division polynomials of the short model.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
-from .arith import is_probable_prime, is_square, square_divisor_roots
+from .arith import is_probable_prime, is_square
 from .groups import GenGroup, closure_codes
 from .modmat import code_det, code_pack, code_trace
 from .polynomial import UniPoly, rational_roots
@@ -338,59 +338,97 @@ def _short_model(E: CurveQ) -> tuple[int, int]:
     return int(-27 * c4 * u ** 4), int(-54 * c6 * u ** 6)
 
 
-def _ec_add(P, Q, A):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if y1 == -y2:
-            return None
-        lam = (3 * x1 * x1 + A) / (2 * y1)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    return (x3, lam * (x1 - x3) - y1)
+# Good primes whose point counts bound the torsion, and the largest
+# power of each prime that Mazur's theorem allows in the exponent of
+# E(Q)_tors; any other prime dividing the bound is ruled out.
+_TORSION_PRIMES = 6
+_MAZUR_PRIME_POWERS = {2: 8, 3: 9, 5: 5, 7: 7}
 
 
-def _point_order(P, A, cap: int = 12) -> int | None:
-    """Order of P if at most cap, else None."""
-    mult = None
-    for k in range(1, cap + 1):
-        mult = _ec_add(mult, P, A)
-        if mult is None:
-            return k
-    return None
+def _torsion_bound(E: CurveQ) -> int:
+    """gcd of #E(F_p) over up to _TORSION_PRIMES good primes p >= 3,
+    stopping at 1. E(Q)_tors injects into each E(F_p), so its order
+    divides the result."""
+    u, _, _, disc = E._model
+    bad = u * disc
+    n = 0
+    good = 0
+    p = 3
+    while good < _TORSION_PRIMES and n != 1:
+        if bad % p and is_probable_prime(p):
+            n = gcd(n, count_points(E, p)[0])
+            good += 1
+        p += 2
+    return n
+
+
+def _division_polys(A: int, B: int):
+    """f(n): the x-only n-division polynomial of y^2 = x^3 + Ax + B,
+    psi_n for odd n and psi_n / 2y for even n. Its roots are the
+    x-coordinates of the points P with nP = 0 and 2P != 0, so
+    x^3 + Ax + B is never zero at one of them."""
+    x = UniPoly.x()
+    g2 = (4 * (x ** 3 + A * x + B)) ** 2  # (2y)^4
+    memo = {1: UniPoly.constant(1), 2: UniPoly.constant(1),
+            3: 3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x - A * A,
+            4: 2 * (x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3
+                    - 5 * A * A * x ** 2 - 4 * A * B * x - 8 * B * B
+                    - A ** 3)}
+
+    def f(n: int) -> UniPoly:
+        if n not in memo:
+            m = n // 2
+            if n % 2 == 0:
+                memo[n] = f(m) * (f(m + 2) * f(m - 1) ** 2
+                                  - f(m - 2) * f(m + 1) ** 2)
+            elif m % 2 == 0:
+                memo[n] = g2 * f(m + 2) * f(m) ** 3 - f(m - 1) * f(m + 1) ** 3
+            else:
+                memo[n] = f(m + 2) * f(m) ** 3 - g2 * f(m - 1) * f(m + 1) ** 3
+        return memo[n]
+    return f
 
 
 def torsion_over_Q(E: CurveQ):
     """Torsion structure of E(Q): (m,) for cyclic C_m, (2, 2k) for
-    C2 x C2k. Integral points on the short model with y = 0 or
-    y^2 dividing 4A^3 + 27B^2 cover all torsion; each candidate is kept
-    only when its order is at most 12."""
+    C2 x C2k.
+
+    The order divides the reduction bound N of _torsion_bound, so N = 1
+    ends the search. Otherwise, on the short model y^2 = x^3 + Ax + B,
+    the q-part for each prime q | N is E(Q)[q^e], where q^e is the
+    largest power of q dividing N within Mazur's cap: the 2-torsion from
+    the rational roots of the cubic, plus two points for each rational
+    root x of the division polynomial f(q^e) at which x^3 + Ax + B is a
+    rational square. The powers q, q^2, ... are tried in turn, and the
+    first that adds no point ends the q-part."""
+    N = _torsion_bound(E)
+    if N == 1:
+        return (1,)
     A, B = _short_model(E)
-    D = 4 * A ** 3 + 27 * B ** 2
-    cubic = UniPoly.from_coeffs([Fraction(B), Fraction(A), Fraction(0),
-                                 Fraction(1)])
-    x_roots = rational_roots(cubic)
-    two_tor = [(r, Fraction(0)) for r in x_roots if r.denominator == 1]
-    points = set(two_tor)
-    for y in square_divisor_roots(D):
-        shifted = UniPoly.from_coeffs([Fraction(B - y * y), Fraction(A),
-                                       Fraction(0), Fraction(1)])
-        for r in rational_roots(shifted):
-            if r.denominator == 1:
-                points.add((r, Fraction(y)))
-                points.add((r, Fraction(-y)))
-    torsion = set()
-    for P in points:
-        if _point_order(P, Fraction(A)) is not None:
-            torsion.add(P)
-    n = len(torsion) + 1
-    full_two = sum(1 for (x, y) in torsion if y == 0) == 3
-    if full_two:
+    cubic = UniPoly.from_coeffs([B, A, 0, 1])
+    two_roots = rational_roots(cubic)
+    f = _division_polys(A, B)
+
+    def killed_by(k: int) -> int:
+        """#E(Q)[k], for k a prime power."""
+        size = 1 + len(two_roots) if k % 2 == 0 else 1
+        if k > 2:
+            for r in rational_roots(f(k)):
+                y2 = cubic(r)
+                if is_square(y2.numerator) and is_square(y2.denominator):
+                    size += 2
+        return size
+
+    n = 1
+    for q, cap in _MAZUR_PRIME_POWERS.items():
+        size, k = 1, q
+        while N % k == 0 and k <= cap:
+            more = killed_by(k)
+            if more == size:
+                break
+            size, k = more, k * q
+        n *= size
+    if len(two_roots) == 3:
         if n % 4 != 0:
             raise AssertionError(f"full 2-torsion in a group of order {n}")
         structure = (2, n // 2)

@@ -25,6 +25,9 @@ from math import gcd, isqrt, lcm
 from .arith import divisors, is_probable_prime
 
 
+_ZERO = Fraction(0)
+
+
 def _frac(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
@@ -72,7 +75,7 @@ class _Poly:
             return NotImplemented
         c = dict(self._c)
         for k, v in o._c.items():
-            c[k] = c.get(k, Fraction(0)) + v
+            c[k] = c.get(k, _ZERO) + v
         return type(self)(c)
 
     __radd__ = __add__
@@ -101,7 +104,7 @@ class _Poly:
         for k1, v1 in self._c.items():
             for k2, v2 in o._c.items():
                 k = add(k1, k2)
-                c[k] = c.get(k, Fraction(0)) + v1 * v2
+                c[k] = c.get(k, _ZERO) + v1 * v2
         return type(self)(c)
 
     __rmul__ = __mul__
@@ -153,7 +156,7 @@ class UniPoly(_Poly):
         return cls({1: Fraction(1)})
 
     def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
+        return self._c.get(e, _ZERO)
 
     @property
     def degree(self) -> int:
@@ -169,10 +172,10 @@ class UniPoly(_Poly):
         x = _frac(x)
         d = self.degree
         if d < 0:
-            return Fraction(0)
-        acc = Fraction(0)
+            return _ZERO
+        acc = _ZERO
         for e in range(d, -1, -1):
-            acc = acc * x + self._c.get(e, Fraction(0))
+            acc = acc * x + self._c.get(e, _ZERO)
         return acc
 
     def derivative(self) -> "UniPoly":
@@ -236,7 +239,7 @@ class BiPoly(_Poly):
 
     def __call__(self, s, t) -> Fraction:
         s, t = _frac(s), _frac(t)
-        acc = Fraction(0)
+        acc = _ZERO
         for (i, j), v in self._c.items():
             acc += v * s ** i * t ** j
         return acc
@@ -248,7 +251,7 @@ class BiPoly(_Poly):
             if e == 0:
                 continue
             k = (i - 1, j) if axis == 0 else (i, j - 1)
-            c[k] = c.get(k, Fraction(0)) + v * e
+            c[k] = c.get(k, _ZERO) + v * e
         return BiPoly(c)
 
     def coeffs_in(self, axis: int) -> list[UniPoly]:

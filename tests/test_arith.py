@@ -3,6 +3,8 @@
 import random
 from math import prod
 
+import pytest
+
 from gl2tors.arith import divisors, factorint, is_probable_prime
 
 
@@ -35,3 +37,42 @@ def test_factorint_roundtrip_semiprimes():
 def test_divisors():
     assert divisors(-12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+# The smallest strong pseudoprime to the first k prime bases, for the k
+# at which it changes (Jaeschke 1993; Sorenson and Webster 2017): below
+# each one, is_probable_prime may use fewer bases.
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051,
+                       318665857834031151167461)
+
+
+def test_strong_pseudoprimes_are_composite():
+    for n in STRONG_PSEUDOPRIMES:
+        f = factorint(n)
+        assert sum(f.values()) > 1
+        assert prod(p ** e for p, e in f.items()) == n
+        assert not is_probable_prime(n)
+
+
+def test_primality_matches_sieve():
+    bound = 2 * 10 ** 5
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(bound ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, bound, i)))
+    assert [n for n in range(bound) if is_probable_prime(n)] == [
+        n for n in range(bound) if sieve[n]]
+
+
+def test_primality_matches_sympy_between_pseudoprimes():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    bounds = (2,) + STRONG_PSEUDOPRIMES + (10 ** 30,)
+    for low, high in zip(bounds, bounds[1:]):
+        for _ in range(40):
+            n = rng.randrange(low, high)
+            p = int(sympy.nextprime(n))
+            for m in (n, p, p + 2):
+                assert is_probable_prime(m) == sympy.isprime(m), m

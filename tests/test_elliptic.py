@@ -1,19 +1,21 @@
 """Curve invariants, point counts, image filtering, and rational torsion."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl2tors.arith import factorint
 from gl2tors.catalog import identify_candidates, named_group
-from gl2tors.elliptic import (CM_J, CurveQ, count_points, curve_Et,
-                              curve_invariants,
+from gl2tors.elliptic import (CM_J, CurveQ, _short_model, _torsion_bound,
+                              count_points, curve_Et, curve_invariants,
                               frobenius_signature, group_class_set,
                               identify_image, is_cm_j, parse_curve,
                               rational_3isogeny_kernel, torsion_over_Q,
                               two_torsion_cubic, two_torsion_image)
-from gl2tors.polynomial import UniPoly
+from gl2tors.polynomial import UniPoly, rational_roots
 
 E37 = parse_curve("[0,0,1,-1,0]")
 E14A4 = parse_curve("[1,0,1,-1,0]")
@@ -224,6 +226,118 @@ def test_torsion_frozen():
     assert torsion_over_Q(parse_curve("[0,0,1,0,0]")) == (3,)
     assert torsion_over_Q(parse_curve("[0,0,0,0,1]")) == (6,)
     assert torsion_over_Q(parse_curve("[0,0,0,0,-2]")) == (1,)
-    # The short model's discriminant needs 861037643 = 7951 * 108293
-    # factored.
-    assert torsion_over_Q(parse_curve("[24,4,1,-7,29]")) == (1,)
+    E = parse_curve("[24,4,1,-7,29]")
+    # The gcd of the point counts (6, 2, 1, ...) reaches 1 at the third
+    # good prime.
+    assert _torsion_bound(E) == 1
+    assert torsion_over_Q(E) == (1,)
+    assert torsion_over_Q(parse_curve("[361/8,3,3,361/8,297/5]")) == (1,)
+
+
+# Curves by Cremona label: one for each of the fifteen torsion groups
+# over Q (Mazur), then three more whose reduction bound N of
+# _torsion_bound exceeds the order, as it also does for 15a8, 15a2 and
+# 15a1.
+TORSION_PINS = [
+    ("37a1", "[0,0,1,-1,0]", (1,), 1),
+    ("46a1", "[1,-1,0,-10,-12]", (2,), 2),
+    ("19a3", "[0,1,1,1,0]", (3,), 3),
+    ("15a8", "[1,1,1,0,0]", (4,), 8),
+    ("11a1", "[0,-1,1,-10,-20]", (5,), 5),
+    ("14a1", "[1,0,1,4,-6]", (6,), 6),
+    ("26b1", "[1,-1,1,-3,3]", (7,), 7),
+    ("15a4", "[1,1,1,35,-28]", (8,), 8),
+    ("54b3", "[1,-1,1,-14,29]", (9,), 9),
+    ("66c1", "[1,0,0,-45,81]", (10,), 10),
+    ("90c3", "[1,-1,1,-122,1721]", (12,), 12),
+    ("15a2", "[1,1,1,-135,-660]", (2, 2), 8),
+    ("15a1", "[1,1,1,-10,-10]", (2, 4), 8),
+    ("30a2", "[1,0,1,-19,26]", (2, 6), 12),
+    ("210e2", "[1,0,0,-1070,7812]", (2, 8), 16),
+    ("11a2", "[0,-1,1,-7820,-263580]", (1,), 5),
+    ("15a5", "[1,1,1,-2160,-39540]", (2,), 8),
+    ("15a7", "[1,1,1,-80,242]", (4,), 8),
+]
+
+
+def _ec_add(P, Q, A):
+    """P + Q on y^2 = x^3 + Ax + B, with None for the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if y1 == -y2:
+            return None
+        lam = (3 * x1 * x1 + A) / (2 * y1)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - x1 - x2
+    return (x3, lam * (x1 - x3) - y1)
+
+
+def _has_order_at_most_12(P, A) -> bool:
+    mult = None
+    for _ in range(12):
+        mult = _ec_add(mult, P, A)
+        if mult is None:
+            return True
+    return False
+
+
+def torsion_nagell_lutz(E):
+    """E(Q)_tors by Nagell-Lutz; the oracle for torsion_over_Q. On an
+    integral short model every torsion point is integral with y = 0 or
+    y^2 dividing 4A^3 + 27B^2; a candidate is kept when its order is at
+    most 12. The model is first divided by every p^4, p^6 it allows,
+    which keeps the discriminant small."""
+    A, B = _short_model(E)
+    for p in factorint(gcd(A, B)):
+        while A % p ** 4 == 0 and B % p ** 6 == 0:
+            A, B = A // p ** 4, B // p ** 6
+    square_divisor_roots = [1]
+    for p, e in factorint(4 * A ** 3 + 27 * B ** 2).items():
+        square_divisor_roots = [d * p ** k for d in square_divisor_roots
+                                for k in range(e // 2 + 1)]
+    points = set()
+    for y in [0] + square_divisor_roots:
+        for x in rational_roots(UniPoly.from_coeffs([B - y * y, A, 0, 1])):
+            if x.denominator == 1:
+                points.update({(x, Fraction(y)), (x, Fraction(-y))})
+    torsion = [P for P in points if _has_order_at_most_12(P, Fraction(A))]
+    n = len(torsion) + 1
+    if sum(1 for _, y in torsion if y == 0) == 3:
+        return (2, n // 2)
+    return (n,)
+
+
+@pytest.mark.parametrize("curve, structure, bound", [
+    pytest.param(*pin[1:], id=pin[0]) for pin in TORSION_PINS])
+def test_torsion_pins(curve, structure, bound):
+    E = parse_curve(curve)
+    assert _torsion_bound(E) == bound
+    assert torsion_over_Q(E) == torsion_nagell_lutz(E) == structure
+
+
+SMALL_INTS = st.integers(-12, 12).map(Fraction)
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-12, 12),
+                            st.integers(1, 4))
+TORSION_CURVES = st.one_of(
+    st.lists(st.one_of(SMALL_INTS, SMALL_FRACTIONS), min_size=5,
+             max_size=5),
+    # Tate normal form y^2 + (1-c)xy - by = x^3 - bx^2: when (0, 0) has
+    # finite order, that order is at least 4.
+    st.tuples(SMALL_FRACTIONS, SMALL_FRACTIONS).map(
+        lambda bc: [1 - bc[1], -bc[0], -bc[0], 0, 0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(TORSION_CURVES)
+def test_torsion_matches_nagell_lutz(a):
+    try:
+        E = CurveQ(*a)
+    except ValueError:
+        return  # singular
+    assert torsion_over_Q(E) == torsion_nagell_lutz(E)

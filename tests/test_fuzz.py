@@ -5,11 +5,10 @@ A command may end only with exit code 0, 1, 2 or 64, never with an
 exception, and --json output must parse. The parsers may raise only
 their own error types, and a parsed catalog must survive
 serialize_catalog. Exponents in generated polynomial text stay at one
-digit, and generated curves have integer coefficients: the parser
-expands powers, and torsion on a curve with large denominators can take
-seconds, so either would cost time, not coverage. Numbers in exponent
-notation, with exponents up to 10^9, are generated for curves and j-map
-arguments: they must be usage errors, not a hang."""
+digit: the parser expands powers, so longer ones would cost time, not
+coverage. Generated curves have integer and p/q coefficients. Numbers in
+exponent notation, with exponents up to 10^9, are generated for curves
+and j-map arguments: they must be usage errors, not a hang."""
 
 import contextlib
 import io
@@ -51,6 +50,8 @@ EXPONENTS = st.tuples(st.integers(-9, 9), st.sampled_from("eE"),
 CURVES = st.one_of(
     st.lists(INTS.map(str), min_size=5,
              max_size=5).map(lambda v: "[" + ",".join(v) + "]"),
+    st.lists(FRACTIONS.map(str), min_size=5,
+             max_size=5).map(lambda v: "[" + ",".join(v) + "]"),
     st.tuples(st.lists(INTS.map(str), min_size=4, max_size=4),
               st.integers(0, 4), EXPONENTS).map(
         lambda t: "[" + ",".join(t[0][:t[1]] + [t[2]] + t[0][t[1]:]) + "]"),
@@ -83,6 +84,7 @@ ARGV = st.one_of(
 
 @settings(SETTINGS, max_examples=200)
 @given(ARGV, st.booleans(), st.sampled_from([[], ["extra"], ["--bogus"]]))
+@example(["torsion", "[361/8,3,3,361/8,297/5]"], False, [])
 def test_main_exits_cleanly_on_random_argv(argv, as_json, extra):
     argv = argv + (["--json"] if as_json else []) + extra
     out, err = io.StringIO(), io.StringIO()
