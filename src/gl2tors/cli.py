@@ -6,15 +6,17 @@ evidence-only (mandatory for bounded-height searches) and payload is
 space-separated key=value text; with --json it prints one indented JSON
 document instead. The exit code comes from the check statuses: 0 when no
 check failed, 1 when one did; 2 is an environment error (e.g. unreadable
-catalog) and 64 a usage error. The `pass` that identify, group and
-torsion emit means "computed": those commands report a result and check
-nothing against it.
+catalog, or stdout closed before the output was written) and 64 a usage
+error. The `pass` that identify, group and torsion emit means "computed":
+those commands report a result and check nothing against it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 from . import catalog as _catalog
@@ -31,12 +33,21 @@ from .verify import index3_counts, run_all
 
 USAGE_EXIT = 64
 
+_NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+
+    def _parse_optional(self, arg_string):
+        # argparse takes -6 and -1.5 for arguments but -3/2 for an
+        # unknown option; no option of this CLI looks like a fraction.
+        if _NEGATIVE_FRACTION.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _int_at_least(low: int, what: str):
@@ -102,8 +113,8 @@ def _build_parser() -> _Parser:
 
     jm = command("jmap", _cmd_jmap, help="evaluate a named j-map")
     jm.add_argument("label", help=f"one of {', '.join(JMAP_LABELS)}")
-    jm.add_argument("x", help="rational argument p/q; a negative fraction "
-                              "goes after --, as in: jmap Et -- -3/2")
+    jm.add_argument("x", help="rational argument: an integer or p/q, "
+                              "with an optional sign, as in: jmap Et -3/2")
 
     fs = command("fiber-search", _cmd_fiber_search,
                  help="rational points on a fiber of two j-maps")
@@ -244,6 +255,7 @@ def _cmd_identify(args, parser):
         "curve": args.curve, "level": args.level,
         "bound": args.prime_bound,
         "primes": res.primes, "skipped": res.skipped,
+        "sampled": res.sampled,
         "observed": sorted(map(list, res.observed)),
         "survivors": list(res.survivors),
         "eliminated": [[l, p, list(c)] for l, p, c in res.eliminated],
@@ -262,7 +274,8 @@ def _cmd_identify(args, parser):
                         f"curve={args.curve.replace(' ', '')} "
                         f"level={args.level} "
                         f"survivors={','.join(res.survivors)} "
-                        f"primes={res.primes} skipped={res.skipped}"))
+                        f"primes={res.primes} skipped={res.skipped} "
+                        f"sampled={res.sampled}"))
     return doc, lines, False
 
 
@@ -363,7 +376,16 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (as `| head` does). Point stdout at
+        # devnull so that the interpreter's last flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(2)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

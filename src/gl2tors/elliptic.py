@@ -162,11 +162,13 @@ def count_points(E: CurveQ, p: int) -> tuple[int, int]:
                 if lhs == rhs:
                     n += 1
         return n, p + 1 - n
-    # #E = p + 1 + sum over x of chi(4x^3 + b2 x^2 + 2 b4 x + b6); Horner
-    # reduces after each product, so every value stays below p^2.
+    # #E = p + 1 + sum over x of chi(4x^3 + b2 x^2 + 2 b4 x + b6) by
+    # Horner. The first two steps share one reduction: with x, b2 % p and
+    # 2 b4 % p below p, (4x + b2 % p) x + 2 b4 % p stays below 5p^2,
+    # which is exact in int64 for p < 1.3 * 10^9 (far beyond any array
+    # of p entries that could be allocated). The last step stays below p^2.
     x = np.arange(p, dtype=np.int64)
-    g = (4 * x + b2 % p) % p
-    g = (g * x + 2 * b4 % p) % p
+    g = ((4 * x + b2 % p) * x + 2 * b4 % p) % p
     g = (g * x + b6 % p) % p
     chi = np.full(p, -1, dtype=np.int8)
     chi[x * x % p] = 1
@@ -207,6 +209,12 @@ class FrobSignature:
         return sum(self.counts.values())
 
 
+def _passed_over(p: int, ell: int, u: int, disc: int) -> bool:
+    """Whether Frobenius sampling skips p: it divides the level, the
+    scaling denominator or the integral discriminant."""
+    return ell % p == 0 or u % p == 0 or disc % p == 0
+
+
 def frobenius_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
     """Sample (a_p mod ell, p mod ell) over good primes p <= bound."""
     if ell not in (2, 3, 9):
@@ -218,7 +226,7 @@ def frobenius_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
     first: dict[tuple[int, int], int] = {}
     skipped = 0
     for p in _prime_range(bound):
-        if ell % p == 0 or u % p == 0 or disc % p == 0:
+        if _passed_over(p, ell, u, disc):
             skipped += 1
             continue
         _, a_p = count_points(E, p)
@@ -245,7 +253,9 @@ class IdentifyResult:
     class set (rigorous, up to twist); survivors are merely consistent
     with the data. uncovered maps each survivor to the classes it allows
     that were never observed. primes and skipped count the good primes
-    sampled and the bad ones passed over (see FrobSignature)."""
+    up to bound and the bad ones passed over (see FrobSignature);
+    sampled counts the good primes that were point-counted, which is
+    fewer than primes when every class was seen before the bound."""
 
     ell: int
     bound: int
@@ -255,6 +265,29 @@ class IdentifyResult:
     uncovered: dict
     primes: int
     skipped: int
+    sampled: int
+
+
+# identify_image samples the primes up to _FIRST_BOUND, then up to
+# _GROWTH times that, and so on up to its bound, and stops once every
+# (trace, det) class mod ell has been seen.
+_FIRST_BOUND = 64
+_GROWTH = 4
+
+
+def _saturated_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
+    """frobenius_signature(E, ell, b) at the first b of the schedule where
+    all ell * phi(ell) classes (a_p mod ell, p mod ell) occur, or at b =
+    bound. Each call samples every good prime up to its b, so once no
+    class is missing no later prime can add a class or an earlier first
+    prime: the classes and first primes equal those at the full bound."""
+    b = min(bound, _FIRST_BOUND)
+    sig = frobenius_signature(E, ell, b)
+    every_class = ell * sum(gcd(d, ell) == 1 for d in range(ell))
+    while len(sig.counts) < every_class and b < bound:
+        b = min(bound, b * _GROWTH)
+        sig = frobenius_signature(E, ell, b)
+    return sig
 
 
 def identify_image(E: CurveQ, ell: int, candidates,
@@ -267,7 +300,12 @@ def identify_image(E: CurveQ, ell: int, candidates,
         if H.modulus != ell:
             raise ValueError(
                 f"candidate {H.label!r} has level {H.modulus}, not {ell}")
-    sig = frobenius_signature(E, ell, bound)
+    sig = _saturated_signature(E, ell, bound)
+    # The primes above the sampled bound are sorted into good and bad
+    # without a point count.
+    u, _, _, disc = E._model
+    tail = [p for p in _prime_range(bound) if p > sig.bound]
+    tail_skipped = sum(_passed_over(p, ell, u, disc) for p in tail)
     survivors = []
     eliminated = []
     uncovered = {}
@@ -281,8 +319,9 @@ def identify_image(E: CurveQ, ell: int, candidates,
             survivors.append(H.label)
             uncovered[H.label] = tuple(sorted(allowed - sig.classes))
     return IdentifyResult(ell, bound, sig.classes, tuple(survivors),
-                          tuple(eliminated), uncovered, sig.primes,
-                          sig.skipped)
+                          tuple(eliminated), uncovered,
+                          sig.primes + len(tail) - tail_skipped,
+                          sig.skipped + tail_skipped, sig.primes)
 
 
 def two_torsion_cubic(E: CurveQ) -> UniPoly:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -69,6 +70,27 @@ def test_jmap_negative_fraction_after_double_dash(capsys):
     assert main(["jmap", "Et", "--json", "--", "-3/2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data == {"label": "Et", "x": "-3/2", "value": "-1167051/512"}
+
+
+def test_jmap_negative_fraction_without_double_dash(capsys):
+    assert main(["jmap", "Et", "--", "-3/2"]) == 0
+    with_dash = capsys.readouterr().out
+    assert main(["jmap", "Et", "-3/2"]) == 0
+    assert capsys.readouterr().out == with_dash
+    for argv in (["jmap", "Et", "-3/2", "--json"],
+                 ["jmap", "Et", "--json", "-3/2"]):
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"label": "Et", "x": "-3/2", "value": "-1167051/512"}
+
+
+@pytest.mark.parametrize("argv", [["jmap", "-h", "Et", "-3/2"],
+                                  ["jmap", "Et", "-3/2", "-h"]])
+def test_jmap_help_around_a_negative_fraction(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: gl2tors jmap" in capsys.readouterr().out
 
 
 def test_jmap_usage_errors():
@@ -153,6 +175,9 @@ def test_identify(capsys):
     assert "eliminated: 3B.1.1 (class (1, 2) at p=2)" in out
     assert ("CHECK identify pass curve=[0,0,1,-1,0] level=3 "
             "survivors=GL2(F3) primes=60 skipped=2") in out
+    # Every class mod 3 is seen by p = 61, so the primes above it are
+    # counted but not point-counted.
+    assert out.rstrip().endswith("primes=60 skipped=2 sampled=16")
 
 
 def test_identify_level2(capsys):
@@ -171,6 +196,7 @@ def test_identify_json(capsys):
     assert data["eliminated"][0] == ["3B.1.1", 2, [1, 2]]
     # 62 primes up to 300: p = 3 divides the level, p = 37 the discriminant.
     assert (data["primes"], data["skipped"]) == (60, 2)
+    assert data["sampled"] == 16
     assert_usage_exit(["identify", "[9,9]"])
 
 
@@ -329,3 +355,30 @@ def test_every_command_prints_checks_or_one_json_document(
 
     assert main(argv + ["--json"]) == code
     assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, as under `| head -3`."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_pipe_exits_without_traceback(monkeypatch, capsys, tmp_path):
+    with open(tmp_path / "stdout", "w") as f:
+        monkeypatch.setattr(sys, "argv", ["gl2tors", "jmap", "Et", "-6",
+                                          "--json"])
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno()))
+        with pytest.raises(SystemExit) as exc:
+            cli.main_entry()
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err

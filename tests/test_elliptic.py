@@ -1,20 +1,26 @@
 """Curve invariants, point counts, image filtering, and rational torsion."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gl2tors import elliptic
 from gl2tors.arith import factorint
-from gl2tors.catalog import identify_candidates, named_group
-from gl2tors.elliptic import (CM_J, CurveQ, _short_model, _torsion_bound,
-                              count_points, curve_Et, curve_invariants,
-                              frobenius_signature, group_class_set,
-                              identify_image, is_cm_j, parse_curve,
-                              rational_3isogeny_kernel, torsion_over_Q,
-                              two_torsion_cubic, two_torsion_image)
+from gl2tors.catalog import (EMBEDDED_LEVEL9, identify_candidates,
+                             named_group)
+from gl2tors.elliptic import (CM_J, CurveQ, IdentifyResult, _short_model,
+                              _torsion_bound, count_points, curve_Et,
+                              curve_invariants, frobenius_signature,
+                              group_class_set, identify_image, is_cm_j,
+                              parse_curve, rational_3isogeny_kernel,
+                              torsion_over_Q, two_torsion_cubic,
+                              two_torsion_image)
+from gl2tors.groups import standard_subgroup
 from gl2tors.polynomial import UniPoly, rational_roots
 
 E37 = parse_curve("[0,0,1,-1,0]")
@@ -112,15 +118,15 @@ def test_ap_frozen():
 
 def count_points_naive(E, p):
     """Direct double loop over the long model reduced mod p, a good prime
-    for E; the oracle for count_points."""
+    for E; the oracle for count_points. The loop over y is one numpy
+    comparison per x, so a prime near 10^4 takes under a second."""
     a1, a2, a3, a4, a6 = (c.numerator * pow(c.denominator, -1, p) % p
                           for c in E.coefficients())
+    y = np.arange(p, dtype=np.int64)
     n = 1
     for x in range(p):
         rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y) % p == rhs:
-                n += 1
+        n += int(np.count_nonzero((y * y + (a1 * x + a3) * y) % p == rhs))
     return n, p + 1 - n
 
 
@@ -130,6 +136,15 @@ def test_count_points_matches_naive():
             assert count_points(E, p) == count_points_naive(E, p)
     E = CurveQ(0, 0, 0, Fraction(1, 2), 0)
     assert count_points(E, 3) == count_points_naive(E, 3) == (4, 0)
+
+
+@pytest.mark.parametrize("p", [5003, 10007, 15013])
+def test_count_points_matches_naive_at_large_primes(p):
+    # count_points reduces once after its first two Horner products; at
+    # these primes the value before that reduction reaches 4.4p^2-4.6p^2.
+    E = CurveQ(Fraction(-7, 3), Fraction(98765, 11), Fraction(5, 2),
+               Fraction(-123456789, 13), Fraction(987654321, 17))
+    assert count_points(E, p) == count_points_naive(E, p)
 
 
 def test_count_points_guards():
@@ -190,6 +205,73 @@ def test_identify_image_guards():
         identify_image(E37, 3, [], 300)
     with pytest.raises(ValueError, match="level"):
         identify_image(E37, 3, [named_group("2B")], 300)
+    with pytest.raises(ValueError, match="level must be 2, 3 or 9, got 5"):
+        identify_image(E37, 5, [standard_subgroup("full", 5)], 300)
+    with pytest.raises(ValueError, match="prime bound must be >= 20, got 19"):
+        identify_image(E37, 3, identify_candidates(3), 19)
+
+
+def _candidates(ell):
+    if ell == 9:
+        return [standard_subgroup("full", 9)] + [named_group(label)
+                                                 for label in EMBEDDED_LEVEL9]
+    return identify_candidates(ell)
+
+
+def identify_reference(E, ell, cands, bound):
+    """Containment filtering on one signature at the full bound."""
+    sig = frobenius_signature(E, ell, bound)
+    survivors, eliminated, uncovered = [], [], {}
+    for H in cands:
+        allowed = group_class_set(H)
+        bad = sig.classes - allowed
+        if bad:
+            cls = min(bad, key=sig.first_prime.get)
+            eliminated.append((H.label, sig.first_prime[cls], cls))
+        else:
+            survivors.append(H.label)
+            uncovered[H.label] = tuple(sorted(allowed - sig.classes))
+    return IdentifyResult(ell, bound, sig.classes, tuple(survivors),
+                          tuple(eliminated), uncovered, sig.primes,
+                          sig.skipped, sig.primes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.builds(Fraction, st.integers(-50, 50),
+                          st.integers(1, 4)), min_size=5, max_size=5),
+       st.sampled_from((2, 3, 9)), st.integers(20, 3000))
+# Rational 3-isogenies (14a4, 14a6) and rational 2-torsion (15a1): these
+# never show every class, so sampling runs to the bound.
+@example([1, 0, 1, -1, 0], 3, 3000)
+@example([1, 0, 1, -171, -874], 3, 3000)
+@example([1, 1, 1, -10, -10], 2, 3000)
+def test_identify_image_matches_full_bound_signature(a, ell, bound):
+    try:
+        E = CurveQ(*a)
+    except ValueError:
+        assume(False)
+    cands = _candidates(ell)
+    got = identify_image(E, ell, cands, bound)
+    want = identify_reference(E, ell, cands, bound)
+    assert got.sampled <= got.primes
+    assert got == replace(want, sampled=got.sampled)
+
+
+def test_identify_image_stops_once_every_class_is_seen(monkeypatch):
+    calls = []
+
+    def counting(E, p):
+        calls.append(p)
+        return count_points(E, p)
+    monkeypatch.setattr(elliptic, "count_points", counting)
+    res = identify_image(E37, 3, identify_candidates(3), 10 ** 4)
+    assert len(calls) < 150
+    assert res.sampled < res.primes == 1227
+    calls.clear()
+    res = identify_image(E14A4, 3, identify_candidates(3), 2000)
+    # A 3B image never shows (0, 1), (1, 2) or (2, 2).
+    assert res.sampled == res.primes == 300
+    assert calls.count(1999) == 1
 
 
 def test_two_torsion_image():
