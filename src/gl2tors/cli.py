@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
 
     def command(name, run, **kw):
         sp = sub.add_parser(name, parents=[common], **kw)
-        sp.set_defaults(run=run)
+        sp.set_defaults(run=run, parser=sp)
         return sp
 
     va = command("verify-all", _cmd_verify_all, help="run every check")
@@ -368,9 +368,8 @@ def main(argv=None) -> int:
     """Run one command and print its result: the text and CHECK lines, or
     with --json one JSON document. Returns 1 if a check failed, else 0;
     usage errors (64) and unreadable catalogs (2) raise SystemExit."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    doc, lines, failed = args.run(args, parser)
+    args = _build_parser().parse_args(argv)
+    doc, lines, failed = args.run(args, args.parser)
     print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
     return 1 if failed else 0
 

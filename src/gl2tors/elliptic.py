@@ -21,8 +21,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .arith import is_probable_prime, is_square
-from .groups import GenGroup, closure_codes
-from .modmat import code_det, code_pack, code_trace
+from .groups import GenGroup
+from .modmat import code_det, code_trace
 from .polynomial import UniPoly, rational_roots
 
 
@@ -239,10 +239,11 @@ def frobenius_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
 
 def group_class_set(H: GenGroup) -> frozenset:
     """(trace, det) classes of <H, -I>, the coarsest Frobenius-visible
-    invariant of H up to the quadratic twist ambiguity."""
+    invariant of H up to the quadratic twist ambiguity. -I is central, so
+    <H, -I> is H together with -H, and -g has class (-tr g, det g)."""
     n = H.modulus
-    codes = closure_codes(H.gen_codes + (code_pack(-1, 0, 0, -1, n),), n)
-    return frozenset((code_trace(c, n), code_det(c, n)) for c in codes)
+    classes = {(code_trace(c, n), code_det(c, n)) for c in H.element_codes}
+    return frozenset(classes | {(-t % n, d) for t, d in classes})
 
 
 @dataclass(frozen=True)

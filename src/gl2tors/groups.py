@@ -1,9 +1,9 @@
 """Subgroups of GL2(Z/nZ): closure, standard constructions, classification.
 
-A group is a list of generator codes plus a lazily computed element set,
-both packed integer codes (see modmat), and, on demand, a cached right
-Cayley table that the subgroup searches in `action` run over; vectors
-are (x, y) int pairs.
+A group is a list of generator codes plus a lazily computed element set
+and right Cayley table, both from one BFS over the generators (see
+`_closure_table`); the subgroup searches in `action` run over the table.
+Matrices are packed integer codes (see modmat), vectors (x, y) int pairs.
 GMat appears only where matrices enter or leave: generator input, the
 `generators` view and membership tests. All iteration is in sorted code
 or (x, y) order so results are deterministic.
@@ -38,29 +38,9 @@ def _check_invertible(code: int, n: int) -> None:
         raise ValueError(f"generator not invertible mod {n}: det = {d}")
 
 
-def closure_codes(gen_codes, n: int) -> frozenset[int]:
-    """Set of all products of the given packed generators (BFS closure)."""
-    ident = code_pack(1, 0, 0, 1, n)
-    gens = sorted(set(gen_codes))
-    for g in gens:
-        _check_invertible(g, n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = code_mul(x, g, n)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
-
-
 class CayleyTable(NamedTuple):
     """The right Cayley graph of a group on its generators, by element
-    index.
+    index, as the closure BFS finds it: 8 + 4k bytes per element.
 
     codes holds the elements in BFS order from the identity, which is
     index 0. With k generators, edges[i*k + j] is the index of
@@ -74,16 +54,18 @@ class CayleyTable(NamedTuple):
     edges: array
 
 
-def _cayley_table(G: GenGroup) -> CayleyTable:
-    """Build G's Cayley table with |G|*k products; raises ValueError when
-    the generators do not reach exactly G's element set."""
-    n = G.modulus
+def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
+    """Element set and Cayley table of the group the packed generators
+    generate, from the one closure BFS (|G|*k products); raises
+    ValueError when a generator is not invertible mod n."""
+    for g in gen_codes:
+        _check_invertible(g, n)
     ident = code_pack(1, 0, 0, 1, n)
     codes = [ident]
     index = {ident: 0}
-    edges = array("i")
+    edges = []
     for x in codes:  # grows while it is walked: BFS order
-        for g in G.gen_codes:
+        for g in gen_codes:
             y = code_mul(x, g, n)
             i = index.get(y)
             if i is None:
@@ -92,11 +74,12 @@ def _cayley_table(G: GenGroup) -> CayleyTable:
                 edges.append(~i)
             else:
                 edges.append(i)
-    if index.keys() != G.element_codes:
-        raise ValueError(
-            f"generators reach {len(codes)} elements, not the given "
-            f"element set of {G.order}")
-    return CayleyTable(array("q", codes), edges)
+    return frozenset(index), CayleyTable(array("q", codes), array("i", edges))
+
+
+def closure_codes(gen_codes, n: int) -> frozenset[int]:
+    """Set of all products of the given packed generators (one table BFS)."""
+    return _closure_table(gen_codes, n)[0]
 
 
 @dataclass(frozen=True)
@@ -105,10 +88,11 @@ class GenGroup:
     demand.
 
     `element_codes` and `table` (the right Cayley table, see CayleyTable)
-    are computed on first use and cached on the value. Equality and
-    hashing ignore both caches: they compare the modulus, the generator
-    codes and the label, so two generator lists of one subgroup give
-    unequal values. Compare `element_codes` to test for the same subgroup.
+    are cached on the value; a group built from generators gets both from
+    one BFS on first use of either. Equality and hashing ignore both
+    caches: they compare the modulus, the generator codes and the label,
+    so two generator lists of one subgroup give unequal values. Compare
+    `element_codes` to test for the same subgroup.
     """
 
     modulus: int
@@ -143,18 +127,29 @@ class GenGroup:
         """The generators as GMat values, for output."""
         return tuple(GMat.from_code(c, self.modulus) for c in self.gen_codes)
 
+    def _close(self) -> None:
+        """Fill both caches from one BFS; raises ValueError when the
+        generators do not reach exactly a given element set (`from_codes`)."""
+        codes, table = _closure_table(self.gen_codes, self.modulus)
+        if self._codes is None:
+            object.__setattr__(self, "_codes", codes)
+        elif codes != self._codes:
+            raise ValueError(
+                f"generators reach {len(codes)} elements, not the given "
+                f"element set of {len(self._codes)}")
+        object.__setattr__(self, "_table", table)
+
     @property
     def element_codes(self) -> frozenset[int]:
         if self._codes is None:
-            codes = closure_codes(self.gen_codes, self.modulus)
-            object.__setattr__(self, "_codes", codes)
+            self._close()
         return self._codes
 
     @property
     def table(self) -> CayleyTable:
         """The cached right Cayley table: |G| codes and |G|*k edges."""
         if self._table is None:
-            object.__setattr__(self, "_table", _cayley_table(self))
+            self._close()
         return self._table
 
     @property
@@ -193,7 +188,7 @@ def greedy_generators(codes: frozenset[int], n: int) -> list[int]:
 
 
 def closure(gens, n: int, label: str = "") -> GenGroup:
-    """Group generated by the given matrices (elements computed eagerly)."""
+    """Group generated by the given matrices, closed eagerly."""
     G = GenGroup.from_generators(gens, n, label)
     G.element_codes
     return G

@@ -98,6 +98,16 @@ def test_jmap_usage_errors():
     assert_usage_exit(["jmap", "Et", "zz"])
 
 
+@pytest.mark.parametrize("argv", [["jmap", "Et", "-3/0"], ["group", "nope"]])
+def test_usage_error_inside_a_command_names_it(argv, capsys):
+    # Raised by the command after parsing, so the usage shown is the
+    # command's own and not the list of every command.
+    assert_usage_exit(argv)
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: gl2tors {argv[0]} ")
+    assert "Traceback" not in err
+
+
 def test_group_builtin(capsys):
     assert main(["group", "3B.1.1"]) == 0
     out = capsys.readouterr().out

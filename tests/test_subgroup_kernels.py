@@ -1,11 +1,14 @@
-"""The table-driven subgroup searches against element-wise references.
+"""The table-driven closure and subgroup searches against element-wise
+references.
 
-The homomorphism reference propagates each assignment of generator
-images over the Cayley graph with code_mul and a dict, the way `action`
-did before it kept a Cayley table on the group; the index-6 reference
-takes every orbit with `orbit_of_vector` over the whole element set.
-Random generator lists include the identity and repeated generators,
-which give the table self-loops and duplicate check edges."""
+The closure reference is the set BFS that `groups` ran before the table
+BFS gave a group its element set. The homomorphism reference propagates
+each assignment of generator images over the Cayley graph with code_mul
+and a dict, the way `action` did before it kept a Cayley table on the
+group; the index-6 reference takes every orbit with `orbit_of_vector`
+over the whole element set. Random generator lists include the identity
+and repeated generators, which give the table self-loops and duplicate
+check edges."""
 
 import itertools
 import random
@@ -15,16 +18,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl2tors import groups
 from gl2tors.action import (ComplementWitness, _conjugacy_classes,
                             index2_subgroups, index3_fixing_count,
                             index3_subgroups, index6_complement_search,
                             orbit_of_vector)
-from gl2tors.groups import (GenGroup, closure, contains_minus_identity,
-                            det_image, exact_order_vectors,
-                            fixes_full_order_vector, standard_subgroup)
-from gl2tors.modmat import TorVec, code_det, code_mul, code_pack
+from gl2tors.catalog import named_group
+from gl2tors.elliptic import group_class_set
+from gl2tors.groups import (GenGroup, closure, closure_codes,
+                            contains_minus_identity, det_image,
+                            exact_order_vectors, fixes_full_order_vector,
+                            standard_subgroup)
+from gl2tors.modmat import TorVec, code_det, code_mul, code_pack, code_trace
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def closure_reference(gen_codes, n):
+    """All products of the packed generators, by a BFS over a set."""
+    ident = code_pack(1, 0, 0, 1, n)
+    gens = sorted(set(gen_codes))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = code_mul(x, g, n)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
 
 
 def hom_kernels_reference(G, images, mul, ident, keep):
@@ -137,6 +162,67 @@ def generator_lists(n, max_size=3):
                      st.booleans()).map(
         lambda t: t[0][:-1] + t[0][:1] if t[1] and len(t[0]) > 1
         else t[0])
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 5, 7, 9)).flatmap(
+    lambda n: st.tuples(st.just(n), generator_lists(n))))
+def test_closure_matches_reference(case):
+    n, gens = case
+    G = GenGroup.from_generators(gens, n)
+    want = closure_reference(G.gen_codes, n)
+    assert G.element_codes == want
+    assert sorted(G.table.codes) == sorted(want)
+    assert closure_codes(G.gen_codes, n) == want
+
+
+def _classes_reference(H):
+    n = H.modulus
+    codes = closure_reference(H.gen_codes + (code_pack(-1, 0, 0, -1, n),),
+                              n)
+    return frozenset((code_trace(c, n), code_det(c, n)) for c in codes)
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 9)).flatmap(
+    lambda n: st.tuples(st.just(n), generator_lists(n))))
+def test_group_class_set_matches_reference(case):
+    n, gens = case
+    H = GenGroup.from_generators(gens, n)
+    assert group_class_set(H) == _classes_reference(H)
+
+
+def test_group_class_set_adds_minus_h():
+    H = named_group("3B.1.1")
+    assert not contains_minus_identity(H)
+    classes = group_class_set(H)
+    assert classes == _classes_reference(H)
+    own = {(code_trace(c, 3), code_det(c, 3)) for c in H.element_codes}
+    assert own < classes
+
+
+def test_one_walk_per_group(monkeypatch):
+    # closure() and then both homomorphism searches make each product of
+    # an element with a generator once: the table BFS gives the elements.
+    calls = []
+
+    def counting_mul(x, g, n):
+        calls.append(None)
+        return code_mul(x, g, n)
+
+    monkeypatch.setattr(groups, "code_mul", counting_mul)
+    G = closure([(1, 1, 0, 1), (2, 0, 0, 5), (1, 0, 3, 1)], 9)
+    index2_subgroups(G)
+    index3_subgroups(G)
+    assert len(calls) == G.order * len(G.gen_codes)
+
+
+def test_singular_generator_is_rejected_from_either_cache():
+    singular = (code_pack(1, 1, 0, 3, 3),)
+    with pytest.raises(ValueError, match="not invertible"):
+        GenGroup(3, singular).element_codes
+    with pytest.raises(ValueError, match="not invertible"):
+        GenGroup(3, singular).table
 
 
 @SETTINGS
