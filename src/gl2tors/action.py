@@ -5,16 +5,24 @@ results (OrbitRecord, ComplementWitness) and the orbit_stabilizer
 argument.
 
 Index-2 and index-3 subgroups are enumerated through homomorphisms onto
-C2 and S3: images of the generators are chosen freely, then propagated
-along the tree edges of the group's cached Cayley table (GenGroup.table,
-built once with |G|*k matrix products) and kept only when every check
-edge agrees. The search works on element indices and the small target
-group's multiplication table, so it does no matrix arithmetic. By the
-coset action this finds every subgroup of those indices.
+C2 and S3: images of the generators are chosen, then propagated along
+the tree edges of the group's cached Cayley table (GenGroup.table, built
+once by the closure BFS) and kept only when every check edge agrees.
+The search works on element indices and the small target group's
+multiplication table, so it does no matrix arithmetic. By the coset
+action this finds every subgroup of those indices.
+
+For index 3 only assignments that generate a transitive subgroup of S3
+are tried (one with a 3-cycle, or two distinct transpositions), and of
+those only the least of each orbit under conjugation by S3. Conjugating
+a homomorphism by s permutes the three points, so the three point
+stabilizers of each homomorphism found are the index-3 subgroups of its
+whole conjugacy orbit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -69,9 +77,27 @@ _S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _C2_MUL = ((0, 1), (1, 0))
 _S3_MUL = tuple(tuple(_S3.index((q[p[0]], q[p[1]], q[p[2]])) for q in _S3)
                 for p in _S3)
-# Whether S3 element v fixes the point 0, and where it sends it.
-_S3_FIXES_0 = tuple(p[0] == 0 for p in _S3)
-_S3_POINT_0 = tuple(p[0] for p in _S3)
+# _S3_FIXES[i][v]: whether S3 element v fixes the point i.
+_S3_FIXES = tuple(tuple(p[i] == i for p in _S3) for i in range(3))
+# _S3_CONJ[s][v] = s^-1 * v * s.
+_S3_CONJ = tuple(tuple(_S3_MUL[_S3_MUL[s].index(0)][_S3_MUL[v][s]]
+                       for v in range(len(_S3))) for s in range(len(_S3)))
+
+
+@functools.lru_cache(maxsize=None)
+def _s3_representatives(k: int) -> tuple[tuple[int, ...], ...]:
+    """The assignments of S3 elements to k generators that generate a
+    transitive subgroup, one per orbit under conjugation by S3 (the least
+    of its orbit), in increasing order."""
+    reps = []
+    for assign in itertools.product(range(len(_S3)), repeat=k):
+        orbit = {0}
+        for _ in range(2):  # the orbit of 0 under <assign>
+            orbit |= {_S3[v][i] for v in assign for i in orbit}
+        if len(orbit) == 3 and assign == min(
+                tuple(conj[v] for v in assign) for conj in _S3_CONJ):
+            reps.append(assign)
+    return tuple(reps)
 
 
 def _homomorphisms(G: GenGroup, mul, images):
@@ -117,13 +143,16 @@ def index2_subgroups(G: GenGroup) -> list[frozenset[int]]:
 
 def index3_subgroups(G: GenGroup) -> list[frozenset[int]]:
     """All index-3 subgroups: point stabilizers of transitive actions on
-    three cosets, i.e. homomorphisms to S3 with transitive image."""
-    images = itertools.product(range(len(_S3)), repeat=len(G.gen_codes))
+    three cosets, i.e. of homomorphisms to S3 with transitive image.
+
+    Only the conjugacy representatives of _s3_representatives are
+    walked; each homomorphism found gives all three point stabilizers,
+    which are the point-0 stabilizers of its S3-conjugates."""
+    images = _s3_representatives(len(G.gen_codes))
     codes = G.table.codes
-    subs = {frozenset(itertools.compress(codes,
-                                         map(_S3_FIXES_0.__getitem__, phi)))
+    subs = {frozenset(itertools.compress(codes, map(fixes.__getitem__, phi)))
             for phi in _homomorphisms(G, _S3_MUL, images)
-            if {_S3_POINT_0[v] for v in set(phi)} == {0, 1, 2}}
+            for fixes in _S3_FIXES}
     return sorted(subs, key=sorted)
 
 

@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import is_probable_prime, is_square
+from .arith import factorint, is_probable_prime, is_square
 from .groups import GenGroup
 from .modmat import code_det, code_trace
 from .polynomial import UniPoly, rational_roots
@@ -371,11 +371,20 @@ def is_cm_j(j) -> bool:
 
 
 def _short_model(E: CurveQ) -> tuple[int, int]:
-    """Integral A, B with E isomorphic over Q to y^2 = x^3 + Ax + B."""
+    """Integral A, B with E isomorphic over Q to y^2 = x^3 + Ax + B.
+
+    A = -27 c4 u^4 and B = -54 c6 u^6 with u = lcm(den c4, den c6), then
+    divided by p^4 and p^6 while both divide, for p = 2, 3 and the primes
+    of u: a rescaled model gets back the A, B of the unscaled one. Only
+    u is factored."""
     inv = curve_invariants(E)
     c4, c6 = inv.c4, inv.c6
     u = lcm(c4.denominator, c6.denominator)
-    return int(-27 * c4 * u ** 4), int(-54 * c6 * u ** 6)
+    A, B = int(-27 * c4 * u ** 4), int(-54 * c6 * u ** 6)
+    for p in {2, 3}.union(factorint(u)):
+        while A % p ** 4 == 0 and B % p ** 6 == 0:
+            A, B = A // p ** 4, B // p ** 6
+    return A, B
 
 
 # Good primes whose point counts bound the torsion, and the largest

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from .arith import factorint, is_probable_prime
 from .modmat import (GMat, code_act, code_det, code_entries, code_inverse,
-                     code_mul, code_pack, code_trace, least_nonresidue)
+                     code_mul, code_mul_tables, code_pack, code_trace,
+                     least_nonresidue)
 
 
 def gl2_order(n: int) -> int:
@@ -56,17 +57,24 @@ class CayleyTable(NamedTuple):
 
 def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
     """Element set and Cayley table of the group the packed generators
-    generate, from the one closure BFS (|G|*k products); raises
-    ValueError when a generator is not invertible mod n."""
+    generate, from the one closure BFS; raises ValueError when a
+    generator is not invertible mod n.
+
+    Each of the |G|*k products x*g is two lookups in g's row tables
+    (modmat.code_mul_tables, k*n^2 entries in all), after one divmod of
+    x into its rows; the BFS makes no code_mul call."""
     for g in gen_codes:
         _check_invertible(g, n)
+    tables = [code_mul_tables(g, n) for g in gen_codes]
+    n2 = n * n
     ident = code_pack(1, 0, 0, 1, n)
     codes = [ident]
     index = {ident: 0}
     edges = []
     for x in codes:  # grows while it is walked: BFS order
-        for g in gen_codes:
-            y = code_mul(x, g, n)
+        r1, r2 = divmod(x, n2)
+        for hi, lo in tables:
+            y = hi[r1] + lo[r2]
             i = index.get(y)
             if i is None:
                 i = index[y] = len(codes)

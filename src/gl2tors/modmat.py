@@ -7,6 +7,11 @@ only one that knows that layout. Vectors are (x, y) int pairs, and
 matrices act on them as row vectors from the right:
 (x, y)*M = (x*a + y*c, x*b + y*d).
 
+A code splits into its rows: x = r1*n^2 + r2 with r1 = x // n^2 the
+packed first row a*n + b and r2 = x % n^2 the packed second row c*n + d.
+Each row of x*g is that row of x times g, so for a fixed g the product
+is two lookups in row tables (see code_mul_tables).
+
 GMat and TorVec are input and output types only: GMat parses and prints
 a matrix and converts to and from its code; TorVec is an (x, y, modulus)
 value for vectors handed to or returned from the library.
@@ -44,6 +49,20 @@ def code_mul(x: int, y: int, n: int) -> int:
     ya, yb, yc, yd = y // n3, (y // n2) % n, (y // n) % n, y % n
     return ((((xa * ya + xb * yc) % n) * n + (xa * yb + xb * yd) % n) * n
             + (xc * ya + xd * yc) % n) * n + (xc * yb + xd * yd) % n
+
+
+def code_mul_tables(g: int, n: int) -> tuple[list[int], list[int]]:
+    """Row tables (hi, lo) of right multiplication by the packed matrix g:
+    lo[a*n + b] is the packed row (a, b)*g, hi[r] = lo[r] * n^2, and
+
+        code_mul(x, g, n) == hi[x // n^2] + lo[x % n^2]
+
+    for every code x in [0, n^4), singular ones included."""
+    ga, gb, gc, gd = code_entries(g, n)
+    lo = [(a * ga + b * gc) % n * n + (a * gb + b * gd) % n
+          for a in range(n) for b in range(n)]
+    n2 = n * n
+    return [r * n2 for r in lo], lo
 
 
 def code_det(x: int, n: int) -> int:

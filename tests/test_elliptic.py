@@ -403,6 +403,25 @@ def test_torsion_pins(curve, structure, bound):
     assert torsion_over_Q(E) == torsion_nagell_lutz(E) == structure
 
 
+def _rescaled(E, lam):
+    """The model with a_i * lam^i, isomorphic to E over Q."""
+    return CurveQ(*(a * lam ** i for a, i in zip(
+        (E.a1, E.a2, E.a3, E.a4, E.a6), (1, 2, 3, 4, 6))))
+
+
+@pytest.mark.parametrize("curve, structure", [
+    pytest.param(pin[1], pin[2], id=pin[0]) for pin in TORSION_PINS
+    if pin[0] in ("54b3", "210e2")])
+@pytest.mark.parametrize("lam", [Fraction(1, 30), Fraction(1, 396)])
+def test_short_model_of_rescaled_curve(curve, structure, lam):
+    # u = 30^k or 396^k puts p^4, p^6 into A, B at 2, 3, 5 and 11; they
+    # are divided out again.
+    E = parse_curve(curve)
+    R = _rescaled(E, lam)
+    assert _short_model(R) == _short_model(E)
+    assert torsion_over_Q(R) == structure
+
+
 SMALL_INTS = st.integers(-12, 12).map(Fraction)
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(-12, 12),
                             st.integers(1, 4))

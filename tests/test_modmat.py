@@ -1,13 +1,15 @@
 """Packed matrix arithmetic mod n and the row action on int pairs."""
 
 import random
+from math import gcd
 
 import pytest
 
 from gl2tors.groups import closure
 from gl2tors.modmat import (GMat, TorVec, code_act, code_det, code_entries,
-                            code_inverse, code_mul, code_pack, code_trace,
-                            least_nonresidue, vector_exact_order)
+                            code_inverse, code_mul, code_mul_tables,
+                            code_pack, code_trace, least_nonresidue,
+                            vector_exact_order)
 
 
 def _random_code(rng, n):
@@ -117,3 +119,20 @@ def test_random_inverses():
         assert code_mul(A, code_inverse(A, n), n) == ident
         assert code_mul(code_inverse(A, n), A, n) == ident
         done += 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_row_tables_give_code_mul(n):
+    # x*g is hi[x // n^2] + lo[x % n^2] for every code x, singular or not.
+    rng = random.Random(n)
+    gens = []
+    while len(gens) < 3:
+        g = _random_code(rng, n)
+        if gcd(code_det(g, n), n) == 1:
+            gens.append(g)
+    n2 = n * n
+    for g in gens:
+        hi, lo = code_mul_tables(g, n)
+        assert len(hi) == len(lo) == n2
+        assert all(hi[x // n2] + lo[x % n2] == code_mul(x, g, n)
+                   for x in range(n2 * n2))

@@ -2,13 +2,16 @@
 references.
 
 The closure reference is the set BFS that `groups` ran before the table
-BFS gave a group its element set. The homomorphism reference propagates
+BFS gave a group its element set, and the table reference is the table
+BFS as it ran before its products came from row tables: one code_mul per
+edge. The homomorphism reference propagates
 each assignment of generator images over the Cayley graph with code_mul
 and a dict, the way `action` did before it kept a Cayley table on the
 group; the index-6 reference takes every orbit with `orbit_of_vector`
 over the whole element set. Random generator lists include the identity
 and repeated generators, which give the table self-loops and duplicate
-check edges."""
+check edges. The index-3 reference walks every assignment in S3^k and
+keeps the point-0 stabilizer of each transitive homomorphism."""
 
 import itertools
 import random
@@ -19,17 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2tors import groups
-from gl2tors.action import (ComplementWitness, _conjugacy_classes,
-                            index2_subgroups, index3_fixing_count,
-                            index3_subgroups, index6_complement_search,
+from gl2tors.action import (_S3, ComplementWitness, _conjugacy_classes,
+                            _s3_representatives, index2_subgroups,
+                            index3_fixing_count, index3_subgroups,
+                            index6_complement_search, minus_one_complements,
                             orbit_of_vector)
-from gl2tors.catalog import named_group
+from gl2tors.catalog import EMBEDDED_LEVEL9, named_group
 from gl2tors.elliptic import group_class_set
-from gl2tors.groups import (GenGroup, closure, closure_codes,
-                            contains_minus_identity, det_image,
-                            exact_order_vectors, fixes_full_order_vector,
-                            standard_subgroup)
-from gl2tors.modmat import TorVec, code_det, code_mul, code_pack, code_trace
+from gl2tors.groups import (STANDARD_KINDS, GenGroup, closure,
+                            closure_codes, contains_minus_identity,
+                            det_image, exact_order_vectors,
+                            fixes_full_order_vector, standard_subgroup)
+from gl2tors.modmat import (TorVec, code_det, code_inverse, code_mul,
+                            code_pack, code_trace)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -50,6 +55,26 @@ def closure_reference(gen_codes, n):
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+def table_reference(gen_codes, n):
+    """Codes in BFS order and the edge list of the right Cayley table, by
+    the table BFS with one code_mul per edge."""
+    ident = code_pack(1, 0, 0, 1, n)
+    codes = [ident]
+    index = {ident: 0}
+    edges = []
+    for x in codes:
+        for g in gen_codes:
+            y = code_mul(x, g, n)
+            i = index.get(y)
+            if i is None:
+                i = index[y] = len(codes)
+                codes.append(y)
+                edges.append(~i)
+            else:
+                edges.append(i)
+    return codes, edges
 
 
 def hom_kernels_reference(G, images, mul, ident, keep):
@@ -176,6 +201,18 @@ def test_closure_matches_reference(case):
     assert closure_codes(G.gen_codes, n) == want
 
 
+@SETTINGS
+@given(st.sampled_from((2, 3, 5, 7, 9, 11)).flatmap(
+    lambda n: st.tuples(st.just(n), generator_lists(n))))
+def test_table_matches_reference(case):
+    # Row-table products leave the BFS order and every edge unchanged.
+    n, gens = case
+    G = GenGroup.from_generators(gens, n)
+    codes, edges = table_reference(G.gen_codes, n)
+    assert list(G.table.codes) == codes
+    assert list(G.table.edges) == edges
+
+
 def _classes_reference(H):
     n = H.modulus
     codes = closure_reference(H.gen_codes + (code_pack(-1, 0, 0, -1, n),),
@@ -202,19 +239,23 @@ def test_group_class_set_adds_minus_h():
 
 
 def test_one_walk_per_group(monkeypatch):
-    # closure() and then both homomorphism searches make each product of
-    # an element with a generator once: the table BFS gives the elements.
-    calls = []
+    # closure() and then both homomorphism searches close the generators
+    # once: one table BFS gives the elements and the table, with one
+    # edge per product of an element with a generator.
+    tables = []
+    closure_table = groups._closure_table
 
-    def counting_mul(x, g, n):
-        calls.append(None)
-        return code_mul(x, g, n)
+    def counting_closure_table(gen_codes, n):
+        out = closure_table(gen_codes, n)
+        tables.append(out[1])
+        return out
 
-    monkeypatch.setattr(groups, "code_mul", counting_mul)
+    monkeypatch.setattr(groups, "_closure_table", counting_closure_table)
     G = closure([(1, 1, 0, 1), (2, 0, 0, 5), (1, 0, 3, 1)], 9)
     index2_subgroups(G)
     index3_subgroups(G)
-    assert len(calls) == G.order * len(G.gen_codes)
+    assert len(tables) == 1
+    assert len(tables[0].edges) == G.order * len(G.gen_codes)
 
 
 def test_singular_generator_is_rejected_from_either_cache():
@@ -303,3 +344,88 @@ def test_det_image_matches_elementwise(case):
     G = GenGroup.from_generators(gens, n)
     assert det_image(G) == frozenset(code_det(c, n)
                                      for c in G.element_codes)
+
+
+def _s3_mul(p, q):
+    return (q[p[0]], q[p[1]], q[p[2]])
+
+
+def _s3_transitive(assign):
+    """Whether the permutations generate a transitive subgroup of S3, by
+    closing the subgroup they generate."""
+    group = {(0, 1, 2)}
+    while True:
+        more = group | {_s3_mul(p, S3[v]) for p in group for v in assign}
+        if more == group:
+            return {p[0] for p in group} == {0, 1, 2}
+        group = more
+
+
+def _s3_conjugates(assign):
+    inverse = {p: next(q for q in S3 if _s3_mul(p, q) == (0, 1, 2))
+               for p in S3}
+    return {tuple(S3.index(_s3_mul(_s3_mul(inverse[s], S3[v]), s))
+                  for v in assign) for s in S3}
+
+
+@pytest.mark.parametrize("k, count", [(1, 1), (2, 7), (3, 41), (4, 235)])
+def test_s3_representatives(k, count):
+    # Indices into _S3, whose order the reference's S3 repeats.
+    assert _S3 == S3
+    reps = _s3_representatives(k)
+    assert len(reps) == count
+    assert all(_s3_transitive(a) for a in reps)
+    rep_set = set(reps)
+    for assign in itertools.product(range(6), repeat=k):
+        if _s3_transitive(assign):
+            assert len(_s3_conjugates(assign) & rep_set) == 1, assign
+
+
+def _level9_groups():
+    """The standard subgroups at level 9 and the catalog level-9 groups,
+    each followed by its -I complements."""
+    groups_ = [standard_subgroup(kind, 9,
+                                 2 if kind.startswith("nonsplit") else None)
+               for kind in STANDARD_KINDS]
+    groups_ += [named_group(label) for label in EMBEDDED_LEVEL9]
+    out = []
+    for G in groups_:
+        out.append(G)
+        if contains_minus_identity(G):
+            out.extend(minus_one_complements(G))
+    return out
+
+
+LEVEL9_GROUPS = _level9_groups()
+
+
+@pytest.mark.parametrize("G", LEVEL9_GROUPS,
+                         ids=[G.label for G in LEVEL9_GROUPS])
+def test_index3_matches_reference_on_level9_groups(G):
+    assert index3_subgroups(G) == index3_reference(G)
+
+
+def _is_normal(G, codes):
+    n = G.modulus
+    return all(frozenset(code_mul(code_mul(code_inverse(g, n), c, n), g, n)
+                         for c in codes) == codes for g in G.gen_codes)
+
+
+def test_index3_from_c3_images_only():
+    # An abelian group maps onto C3, never onto S3: every index-3
+    # subgroup is normal.
+    G = standard_subgroup("split-cartan", 9)
+    subs = index3_subgroups(G)
+    assert len(subs) == 4
+    assert all(_is_normal(G, s) for s in subs)
+    assert subs == index3_reference(G)
+
+
+def test_index3_from_s3_images():
+    # 9H0-9b maps onto S3: besides the one normal index-3 subgroup (a C3
+    # image), the point stabilizers of S3 images are not normal.
+    G = named_group("9H0-9b")
+    subs = index3_subgroups(G)
+    assert len(subs) == 13
+    assert sum(_is_normal(G, s) for s in subs) == 1
+    assert subs == index3_reference(G)
