@@ -1,0 +1,127 @@
+"""Alternating parent/change runs of perfbench/run.py, written as JSON.
+
+    python3 scripts/bench_pairs.py --parent PARENT_CHECKOUT \
+        --change CHANGE_CHECKOUT --workloads curves,battery \
+        --seeds 1401-1410 --out BENCH.json
+
+For seed N the pair runs the parent first when N is odd and the change
+first when N is even, each side from its own checkout, with
+`python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`.
+Every run keeps its exit code, the tail of its stderr and its result
+line (the last stdout line, parsed as JSON), or null when it printed
+none; such runs are listed under `runs_without_result` and on stderr,
+and their pairs stay out of the summary. The summary gives, per
+end-to-end metric, the median and quartiles (numpy's linear
+interpolation) of each side and the number of pairs in which the change
+read lower. `--default-seed` adds one run of the change per workload at
+perfbench's default seed, where it checks the recorded digests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import subprocess
+import sys
+
+import numpy as np
+
+METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
+STDERR_LINES = 20
+
+
+def run(checkout: str, workload: str, seed: int | None,
+        seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seconds", str(seconds), "--trace", "0"]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    return {"exit_code": proc.returncode,
+            "stderr_tail": proc.stderr.splitlines()[-STDERR_LINES:],
+            "result": result}
+
+
+def summarize(pairs: list[dict]) -> dict:
+    done = [p for p in pairs
+            if p["parent"]["result"] and p["change"]["result"]]
+    out = {}
+    for name in METRICS if done else ():
+        a = [p["parent"]["result"]["metrics"][name]["value"] for p in done]
+        b = [p["change"]["result"]["metrics"][name]["value"] for p in done]
+        qa = [round(float(q), 5) for q in np.percentile(a, [25, 50, 75])]
+        qb = [round(float(q), 5) for q in np.percentile(b, [25, 50, 75])]
+        out[name] = {"parent_median": qa[1], "parent_q1": qa[0],
+                     "parent_q3": qa[2], "change_median": qb[1],
+                     "change_q1": qb[0], "change_q3": qb[2],
+                     "change_lower_in": sum(y < x for x, y in zip(a, b))}
+    return out
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--workloads", default="battery,grid,groups,curves")
+    ap.add_argument("--seeds", type=seed_range, required=True,
+                    help="a seed or an inclusive range such as 1401-1410")
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--default-seed", action="store_true")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+    sides = {"parent": args.parent, "change": args.change}
+    doc = {"command": "python3 perfbench/run.py --workload W --seed N "
+                      f"--seconds {args.seconds:g} --trace 0",
+           "host": {"python": platform.python_version(),
+                    "os": platform.system()},
+           "order": "pair for seed N runs parent first when N is odd and "
+                    "change first when N is even",
+           "workloads": {}, "runs_without_result": []}
+    for w in args.workloads.split(","):
+        pairs = []
+        for seed in args.seeds:
+            order = (("parent", "change") if seed % 2
+                     else ("change", "parent"))
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = r = run(sides[side], w, seed, args.seconds)
+                if r["result"] is None:
+                    doc["runs_without_result"].append(
+                        {"workload": w, "seed": seed, "side": side,
+                         "exit_code": r["exit_code"]})
+                    print(f"{w} seed {seed} {side}: no result line, exit "
+                          f"code {r['exit_code']}", file=sys.stderr)
+            pairs.append(pair)
+        results = [p[s]["result"] for p in pairs for s in sides
+                   if p[s]["result"]]
+        doc["workloads"][w] = {
+            "seeds": args.seeds, "pair_count": len(pairs),
+            "all_correct": all(r["correct"] for r in results),
+            "failed_operations": {
+                s: sum(p[s]["result"]["failed"] for p in pairs
+                       if p[s]["result"]) for s in sides},
+            "summary": summarize(pairs), "pairs": pairs}
+    if args.default_seed:
+        doc["default_seed_runs"] = [
+            {"side": "change", "workload": w,
+             **run(args.change, w, None, args.seconds)}
+            for w in args.workloads.split(",")]
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

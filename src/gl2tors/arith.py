@@ -1,6 +1,6 @@
 """Integer factorization helpers: deterministic Miller-Rabin with the
-fewest proven witnesses for the size of n, Brent's variant of Pollard
-rho, and divisor enumeration."""
+fewest proven witnesses for the size of n, the next prime above n, and
+Brent's variant of Pollard rho."""
 
 from __future__ import annotations
 
@@ -48,6 +48,16 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def next_prime(n: int) -> int:
+    """The least prime greater than n."""
+    if n < 2:
+        return 2
+    n += 1 + n % 2
+    while not is_probable_prime(n):
+        n += 2
+    return n
 
 
 def _pollard_brent(n: int) -> int:
@@ -112,16 +122,6 @@ def factorint(n: int) -> dict[int, int]:
         d = _pollard_brent(m)
         stack.extend((d, m // d))
     return dict(sorted(out.items()))
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of |n| (n != 0)."""
-    if n == 0:
-        raise ValueError("0 has infinitely many divisors")
-    out = [1]
-    for p, e in factorint(n).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def is_square(n: int) -> bool:

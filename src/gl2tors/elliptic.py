@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import factorint, is_probable_prime, is_square
+from .arith import factorint, is_probable_prime, is_square, next_prime
 from .groups import GenGroup
 from .modmat import code_det, code_trace
 from .polynomial import UniPoly, rational_roots
@@ -402,12 +402,12 @@ def _torsion_bound(E: CurveQ) -> int:
     bad = u * disc
     n = 0
     good = 0
-    p = 3
+    p = 2
     while good < _TORSION_PRIMES and n != 1:
-        if bad % p and is_probable_prime(p):
+        p = next_prime(p)
+        if bad % p:
             n = gcd(n, count_points(E, p)[0])
             good += 1
-        p += 2
     return n
 
 

@@ -7,11 +7,10 @@ operands, and _content, the positive rational c with P / c a primitive
 integer polynomial, which integer_coeffs, primitive and the integer
 models of the resultant divide out.
 
-Rational root extraction scans the rational root theorem candidates
-when the outer coefficients factor comfortably; otherwise it lifts the
-roots of the square-free part modulo a small prime by Newton's
-iteration until rational reconstruction recovers all of them (every
-returned root is verified exactly). Resultants are Sylvester
+Rational roots have one path: the roots of the integer model modulo the
+least usable small prime, found by evaluation, are lifted by Newton's
+iteration until rational reconstruction recovers all of them, and every
+returned root is verified exactly. Resultants are Sylvester
 determinants of the integer models, evaluated at integer nodes and
 interpolated over the integers.
 """
@@ -22,7 +21,7 @@ import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import divisors, is_probable_prime
+from .arith import next_prime
 
 
 _ZERO = Fraction(0)
@@ -484,54 +483,21 @@ def farey_fractions(height: int) -> list[Fraction]:
             + [Fraction(p, q) for p, q in positive])
 
 
-_FACTOR_BIT_LIMIT = 76
-
-
-def _factorable(n: int) -> bool:
-    return n != 0 and abs(n).bit_length() <= _FACTOR_BIT_LIMIT
-
-
 def rational_roots(P: UniPoly) -> list[Fraction]:
     """All rational roots of P, sorted, without multiplicity.
 
-    Powers of x are deflated first. The primitive integer model is then
-    scanned with the rational root theorem when its outer coefficients
-    are small enough to factor; otherwise the roots are lifted from a
-    small prime by Newton's iteration and recovered by rational
-    reconstruction (see _hensel_roots). Both paths find every rational
-    root, and the second verifies each candidate exactly.
+    Powers of x are deflated first; _hensel_roots finds the roots of the
+    rest, verifies each one exactly and says why none is missed.
     """
     if P.is_zero():
         raise ValueError("zero polynomial has every rational root")
     coeffs = P.integer_coeffs()
-    roots: set[Fraction] = set()
-    # Deflate powers of x.
     k = 0
     while coeffs[k] == 0:
         k += 1
+    roots = _hensel_roots(coeffs[k:])
     if k > 0:
-        roots.add(Fraction(0))
-        coeffs = coeffs[k:]
-    if len(coeffs) == 1:
-        return sorted(roots)
-    a0, lead = coeffs[0], coeffs[-1]
-    if _factorable(a0) and _factorable(lead):
-        # A root p/q in lowest terms makes q*x - p a factor over Z, so
-        # q - p divides P(1) and q + p divides P(-1).
-        at1 = sum(coeffs)
-        atm1 = sum(coeffs[::2]) - sum(coeffs[1::2])
-        numerators = divisors(a0)
-        for q in divisors(lead):
-            for p in numerators:
-                if gcd(p, q) != 1:
-                    continue
-                for sp in (p, -p):
-                    if ((q == sp or at1 % (q - sp) == 0)
-                            and (q == -sp or atm1 % (q + sp) == 0)
-                            and _eval_int_at(coeffs, sp, q) == 0):
-                        roots.add(Fraction(sp, q))
-        return sorted(roots)
-    roots.update(_hensel_roots(coeffs))
+        roots.append(Fraction(0))
     return sorted(roots)
 
 
@@ -546,107 +512,26 @@ def _eval_int_at(coeffs: list[int], p: int, q: int) -> int:
     return acc
 
 
-def _next_prime(n: int) -> int:
-    n += 1 + (n % 2)
-    while not is_probable_prime(n):
-        n += 2
-    return n
+def _value_and_slope(c: list[int], r: int, m: int) -> tuple[int, int]:
+    """c(r) and c'(r) mod m, by one Horner pass."""
+    f = df = 0
+    for v in reversed(c):
+        df = (df * r + f) % m
+        f = (f * r + v) % m
+    return f, df
 
 
-def _pstrip(c: list[int], p: int) -> list[int]:
-    c = [x % p for x in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pstrip(out, p)
-
-
-def _pdivmod(a: list[int], b: list[int], p: int):
-    """Quotient and remainder of a by b over F_p (b[-1] invertible)."""
-    r = list(a)
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + db] * inv % p
-        if c:
-            for i, y in enumerate(b):
-                r[k + i] = (r[k + i] - c * y) % p
-    return _pstrip(q, p), _pstrip(r[:db], p)
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _pstrip(a, p), _pstrip(b, p)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _ppow_xplusa(a: int, e: int, m: list[int], p: int) -> list[int]:
-    base = _pdivmod([a % p, 1], m, p)[1]
-    out = [1]
-    while e:
-        if e & 1:
-            out = _pdivmod(_pmul(out, base, p), m, p)[1]
-        base = _pdivmod(_pmul(base, base, p), m, p)[1]
-        e >>= 1
-    return out
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    return _pstrip(out, p)
-
-
-def _split_linears(g: list[int], p: int, out: list[int]) -> None:
-    """Extract roots from a monic product of distinct linear factors."""
-    d = len(g) - 1
-    if d <= 0:
-        return
-    if d == 1:
-        out.append(-g[0] % p)
-        return
-    shift = 0
-    while True:
-        h = _ppow_xplusa(shift, (p - 1) // 2, g, p)
-        h = _psub(h, [1], p)
-        d1 = _pgcd(h, g, p)
-        if 0 < len(d1) - 1 < d:
-            d2 = _pdivmod(g, d1, p)[0]
-            _split_linears(d1, p, out)
-            _split_linears(d2, p, out)
-            return
-        shift += 1
-
-
-def _roots_mod(coeffs: list[int], p: int) -> list[int]:
-    c = _pstrip(coeffs, p)
-    if len(c) <= 1:
-        return []
-    inv = pow(c[-1], -1, p)
-    c = [x * inv % p for x in c]
-    # gcd(x^p - x, c) collects exactly the roots in F_p.
-    xp = _ppow_xplusa(0, p, c, p)
-    g = _pgcd(_psub(xp, [0, 1], p), c, p)
-    roots: list[int] = []
-    _split_linears(g, p, roots)
-    return sorted(roots)
+def _simple_roots_mod(c: list[int], p: int) -> list[int] | None:
+    """The roots of c in F_p, found by evaluating c and c' at every
+    residue, or None if one of them is a multiple root."""
+    roots = []
+    for r in range(p):
+        f, df = _value_and_slope(c, r, p)
+        if f == 0:
+            if df == 0:
+                return None
+            roots.append(r)
+    return roots
 
 
 def _rational_reconstruct(r: int, m: int) -> Fraction | None:
@@ -684,37 +569,44 @@ def _squarefree_part(c: list[int]) -> list[int]:
     return c if len(g) == 1 else _exact_quotient(c, g)
 
 
-_HENSEL_PRIME_FLOOR = 2 ** 20
-
-
 def _hensel_roots(coeffs: list[int]) -> list[Fraction]:
     """Every rational root of an integer polynomial with nonzero constant
     term.
 
-    The square-free part S is reduced modulo the first prime p above
-    2^20 that keeps its degree and leaves it square-free. Each root of
-    S mod p is then a simple root, so Newton's iteration lifts it
-    uniquely to p^(2^k); lifting stops once the modulus m exceeds
-    2*max(|S(0)|, |lead S|)^2. A rational root a/b of S has a | S(0)
-    and b | lead S, so rational reconstruction modulo m returns it; the
-    other lifts give candidates that fail the exact evaluation.
+    The primes are walked upward from 2 to the first p that does not
+    divide lead S and at which every root of S mod p is simple. S is the
+    input until a prime turns up a multiple root; then it becomes its
+    square-free part, since a repeated factor can leave a multiple root
+    at every prime. Once S is square-free, every prime not dividing
+    lead(S) * disc(S) qualifies, so the walk ends.
+
+    No root is missed: a root a/b of S in lowest terms has a | S(0) and
+    b | lead S, so b is a unit mod p and a/b reduces to a root r of S
+    mod p. That root is simple, so Newton's iteration lifts r uniquely
+    to p^(2^k), and the lift is a/b mod p^(2^k). Lifting stops once the
+    modulus m exceeds 2*H^2 for H = max(|S(0)|, |lead S|), where
+    rational reconstruction modulo m returns a/b. The lifts of the other
+    roots mod p give no candidate or one that fails the exact check.
     """
-    S = _squarefree_part(coeffs)
-    dS = [e * v for e, v in enumerate(S)][1:]
-    p = _HENSEL_PRIME_FLOOR
+    S, squarefree, p = coeffs, False, 2
     while True:
-        p = _next_prime(p)
-        if S[-1] % p and len(_pgcd(S, dS, p)) == 1:
-            break
+        if S[-1] % p:
+            roots = _simple_roots_mod(S, p)
+            if roots is not None:
+                break
+            if not squarefree:
+                S, squarefree = _squarefree_part(S), True
+                continue
+        p = next_prime(p)
     height = max(abs(S[0]), abs(S[-1]))
     target = 2 * height * height
     out = []
-    for r in _roots_mod(S, p):
+    for r in roots:
         m = p
         while m <= target:
             m *= m
-            r = (r - _eval_int_at(S, r, 1)
-                 * pow(_eval_int_at(dS, r, 1), -1, m)) % m
+            f, df = _value_and_slope(S, r, m)
+            r = (r - f * pow(df, -1, m)) % m
         cand = _rational_reconstruct(r, m)
         if (cand is not None
                 and _eval_int_at(S, cand.numerator, cand.denominator) == 0):

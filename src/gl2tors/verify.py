@@ -19,9 +19,9 @@ from .action import (index3_fixing_count, index6_complement_search,
                      minus_one_complements, orbit_stabilizer)
 from .elliptic import (CurveQ, count_points, curve_Et, curve_invariants,
                        identify_image, is_cm_j, parse_curve, torsion_over_Q)
-from .groups import (GenGroup, contains_minus_identity, dickson_classify,
-                     is_applicable, stable_lines, standard_order,
-                     standard_subgroup)
+from .groups import (STANDARD_KINDS, GenGroup, contains_minus_identity,
+                     dickson_classify, is_applicable, stable_lines,
+                     standard_order, standard_subgroup)
 from .jmaps import (classify_fiber_point, fiber_curve, jmap_eval,
                     named_jmap, search_hyperelliptic, search_plane,
                     zeta3_descent_search)
@@ -63,7 +63,6 @@ def check_group_orders() -> VerificationReport:
 
 def check_standard_orders() -> VerificationReport:
     def fn():
-        from .groups import STANDARD_KINDS
         bad = []
         for p in (3, 5, 7):
             phi = least_nonresidue(p)
@@ -234,12 +233,10 @@ def check_resultant_evidence() -> VerificationReport:
         m2b = named_jmap("2B")
         m9h = named_jmap("9H0-9b")
         mno = named_jmap("no-9-isogeny")
-        F = (m2b.num.to_bipoly(0) * m9h.den.to_bipoly(1)
-             - m9h.num.to_bipoly(1) * m2b.den.to_bipoly(0))
+        F = fiber_curve(m2b, m9h).F
         R1 = resultant(F, F.derivative(0), 0)
         roots1 = rational_roots(R1)
-        G = (mno.num.to_bipoly(0) * m2b.den.to_bipoly(1)
-             - m2b.num.to_bipoly(1) * mno.den.to_bipoly(0))
+        G = fiber_curve(mno, m2b).F
         R2 = resultant(G, G.derivative(1), 1)
         roots2 = rational_roots(R2)
         ok = (set(roots1) <= {Fraction(-1), Fraction(1)}

@@ -1,11 +1,11 @@
-"""Integer factorization: Miller-Rabin, Pollard-Brent and divisors."""
+"""Integer factorization: Miller-Rabin, next_prime and Pollard-Brent."""
 
 import random
 from math import prod
 
 import pytest
 
-from gl2tors.arith import divisors, factorint, is_probable_prime
+from gl2tors.arith import factorint, is_probable_prime, next_prime
 
 
 def _random_prime(rng, bits):
@@ -34,9 +34,10 @@ def test_factorint_roundtrip_semiprimes():
     assert factorint(1) == factorint(0) == {}
 
 
-def test_divisors():
-    assert divisors(-12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
+def test_next_prime():
+    assert [next_prime(n) for n in (-5, 0, 1, 2, 3, 4, 13, 24, 89)] == [
+        2, 2, 2, 3, 5, 5, 17, 29, 97]
+    assert next_prime(2 ** 61 - 2) == 2 ** 61 - 1
 
 
 # The smallest strong pseudoprime to the first k prime bases, for the k

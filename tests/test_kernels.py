@@ -9,7 +9,7 @@ must agree with a Sylvester determinant taken by Fraction Gaussian
 elimination, at non-integer nodes and at integer nodes it uses itself."""
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +21,6 @@ from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
 from gl2tors.jmaps import (JMAP_LABELS, POLE, PlaneCurve, jmap_eval,
                            named_jmap, search_hyperelliptic, search_plane,
                            zeta3_descent_search)
-from gl2tors import polynomial
 from gl2tors.polynomial import (BiPoly, UniPoly, farey_fractions,
                                 rational_roots, resultant)
 from test_elliptic import E37, count_points_naive
@@ -259,8 +258,8 @@ def test_frobenius_signature_computes_invariants_once(monkeypatch):
 
 
 X = UniPoly.x()
-# No real root, and 306-bit outer coefficients: products with it take
-# the Hensel-lifting path of rational_roots.
+# No real root, and 306-bit outer coefficients: the planted roots must
+# be lifted far past the prime they are found at.
 BIG_K = 2 ** 305 + 7
 BIG_COFACTOR = BIG_K * X ** 2 + (BIG_K + 1) * X + BIG_K
 
@@ -289,16 +288,23 @@ def test_rational_roots_finds_planted_roots_of_large_height(roots):
 @SETTINGS
 @given(planted(st.integers(min_value=-12, max_value=12),
                st.integers(min_value=1, max_value=12)))
-def test_rational_roots_both_paths_find_small_planted_roots(roots):
+def test_rational_roots_finds_small_planted_roots(roots):
     P, want = plant(roots, X ** 2 + X + 1)
-    coeffs = P.integer_coeffs()
-    assert max(abs(coeffs[0]), abs(coeffs[-1])).bit_length() <= 76
     assert rational_roots(P) == want
-    # The scan path answered; the lifting path must agree with it.
-    while coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    lifted = sorted(polynomial._hensel_roots(coeffs))
-    assert lifted == [r for r in want if r != 0]
+
+
+@pytest.mark.parametrize("P, want", [
+    # The square has a root mod every prime (one of 2, 3, 6 is a square
+    # mod p), so only the square-free part has a usable prime.
+    (((X ** 2 - 2) * (X ** 2 - 3) * (X ** 2 - 6)) ** 2 * (3 * X - 5),
+     [Fraction(5, 3)]),
+    # The leading coefficient is divisible by 2, 3, 5 and 7.
+    ((210 * X - 11) * (X ** 2 + X + 1), [Fraction(11, 210)]),
+    # Two of the roots meet mod every prime below 30.
+    (prod(X - k for k in range(1, 31)), list(range(1, 31))),
+])
+def test_rational_roots_prime_choice_edge_cases(P, want):
+    assert rational_roots(P) == want
 
 
 def sylvester_reference(F, G, axis, x):
