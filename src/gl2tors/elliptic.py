@@ -334,20 +334,14 @@ def two_torsion_cubic(E: CurveQ) -> UniPoly:
 def two_torsion_image(E: CurveQ) -> str:
     """Galois image on E[2] by factoring the 2-division cubic:
     '2Cs' (split), '2B' (one root), '2Cn' (irreducible, square
-    discriminant), or 'GL2(F2)'."""
-    cubic = two_torsion_cubic(E)
-    nroots = len(rational_roots(cubic))
+    discriminant), or 'GL2(F2)'. The cubic's discriminant is 16 * disc
+    E, a square exactly when the integral model's u^12 * disc E is."""
+    nroots = len(rational_roots(two_torsion_cubic(E)))
     if nroots == 3:
         return "2Cs"
     if nroots == 1:
         return "2B"
-    a, b = cubic.coeff(3), cubic.coeff(2)
-    c, d = cubic.coeff(1), cubic.coeff(0)
-    disc = (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
-            - 4 * a * c ** 3 - 27 * a * a * d * d)
-    if disc > 0 and is_square(disc.numerator) and is_square(disc.denominator):
-        return "2Cn"
-    return "GL2(F2)"
+    return "2Cn" if is_square(E._model[3]) else "GL2(F2)"
 
 
 def rational_3isogeny_kernel(E: CurveQ) -> list[Fraction]:

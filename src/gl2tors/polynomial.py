@@ -10,9 +10,12 @@ models of the resultant divide out.
 Rational roots have one path: the roots of the integer model modulo the
 least usable small prime, found by evaluation, are lifted by Newton's
 iteration until rational reconstruction recovers all of them, and every
-returned root is verified exactly. Resultants are Sylvester
-determinants of the integer models, evaluated at integer nodes and
-interpolated over the integers.
+returned root is verified exactly. Resultants of the integer models
+are evaluated at the integer nodes where neither leading coefficient
+vanishes, by the subresultant pseudo-remainder sequence, and
+interpolated over the integers. _pseudo_remainder is the one remainder
+loop: the gcd runs the primitive PRS on it, the resultant the
+subresultant PRS.
 """
 
 from __future__ import annotations
@@ -444,17 +447,20 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """lead(b)^k * (a mod b) for some k >= 0, on low-to-high integer
-    coefficient lists with b nonzero; trailing zeros are stripped."""
+    """lead(b)^(deg a - deg b + 1) * (a mod b), or a if deg a < deg b, on
+    low-to-high integer coefficient lists with b nonzero; trailing zeros
+    are stripped. The power is exact, as the subresultant PRS of
+    _int_resultant needs: each step multiplies by lead(b) once, even
+    where the coefficient it clears is already zero."""
     r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while r and len(r) - 1 >= db:
-        lr, shift = r[-1], len(r) - 1 - db
+    lb = b[-1]
+    for shift in range(len(a) - len(b), -1, -1):
+        lr = r.pop()
         r = [c * lb for c in r]
-        for i, c in enumerate(b):
+        for i, c in enumerate(b[:-1]):
             r[shift + i] -= lr * c
-        while r and r[-1] == 0:
-            r.pop()
+    while r and r[-1] == 0:
+        r.pop()
     return r
 
 
@@ -624,41 +630,30 @@ def _integer_model(B: BiPoly, axis: int) -> tuple[Fraction, list[list[int]]]:
                for row in B.coeffs_in(axis)]
 
 
-def _sylvester(fc: list[int], gc: list[int]) -> list[list[int]]:
-    """Sylvester matrix rows of two low-to-high coefficient lists, at
-    their formal degrees len - 1 (zero leading entries are kept)."""
-    df, dg = len(fc) - 1, len(gc) - 1
-    frow = fc[::-1]
-    grow = gc[::-1]
-    return ([[0] * i + frow + [0] * (dg - 1 - i) for i in range(dg)]
-            + [[0] * i + grow + [0] * (df - 1 - i) for i in range(df)])
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Gaussian
-    elimination with row pivoting; m is overwritten. Every division is
-    exact (Bareiss)."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        rk = m[k]
-        pivot = rk[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            a = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - a * rk[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _int_resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of two low-to-high integer coefficient lists with
+    nonzero leading coefficients, by the subresultant pseudo-remainder
+    sequence (Brown and Traub 1971; Cohen, GTM 138, Algorithm 3.3.7).
+    Every division in it is exact."""
+    da, db = len(a) - 1, len(b) - 1
+    s = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            s = -1
+    g = h = 1
+    while db > 0:
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        a, b = b, [c // (g * h ** delta) for c in r]
+        da, db = db, len(r) - 1
+        g = a[-1]
+        h = g ** delta * h // h ** delta
+    return s * b[0] ** da * h // h ** da
 
 
 def _interpolate(nodes: list[int], vals: list[int]) -> list[int]:
@@ -693,10 +688,13 @@ def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
     F and G are scaled to coprime integer models, F = c_F * F' and
     G = c_G * G'. Res(F', G') has degree at most
     deg(G) * deg_w(F) + deg(F) * deg_w(G) in the kept variable w; it is
-    evaluated at that many integer nodes 0, 1, -1, 2, ... plus one (the
-    coefficient lists by Horner, the Sylvester determinant by integer
-    Bareiss elimination) and interpolated over the integers, which
-    reproduces every node value. Res(F, G) = c_F^deg(G) * c_G^deg(F) *
+    evaluated at that many integer nodes plus one and interpolated over
+    the integers, which reproduces every node value. The nodes are taken
+    from 0, 1, -1, 2, ..., skipping every node where the leading
+    coefficient of F' or G' in the eliminated variable vanishes: at the
+    others both specialisations keep their degrees, so their resultant,
+    a subresultant PRS on the coefficient lists (_int_resultant), is
+    the value of Res(F', G'). Res(F, G) = c_F^deg(G) * c_G^deg(F) *
     Res(F', G').
     """
     df, dg = F.degree(axis), G.degree(axis)
@@ -712,8 +710,9 @@ def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
     while len(nodes) < bound + 1:
         fc = [_eval_int_at(row, x, 1) for row in frows]
         gc = [_eval_int_at(row, x, 1) for row in grows]
-        nodes.append(x)
-        vals.append(_bareiss_det(_sylvester(fc, gc)))
+        if fc[-1] and gc[-1]:
+            nodes.append(x)
+            vals.append(_int_resultant(fc, gc))
         x = -x if x > 0 else -x + 1
     scale = cf ** dg * cg ** df
     return UniPoly({e: scale * c

@@ -279,6 +279,9 @@ def test_two_torsion_image():
     assert two_torsion_image(parse_curve("[0,0,0,-1,0]")) == "2Cs"
     assert two_torsion_image(E14A4) == "2B"
     assert two_torsion_image(parse_curve("[0,0,0,-3,-1]")) == "2Cn"
+    # The same curve with (x, y) scaled by (1/4, 1/8): the integral
+    # model's scale u is 64.
+    assert two_torsion_image(parse_curve("[0,0,0,-3/16,-1/64]")) == "2Cn"
     assert two_torsion_image(E37) == "GL2(F2)"
     assert two_torsion_image(parse_curve("[0,0,0,0,-2]")) == "GL2(F2)"
 

@@ -6,7 +6,9 @@ point-count references start from the rational invariants and count
 points on the long model directly. The root finder must return exactly
 the roots planted in a product of linear factors, and the resultant
 must agree with a Sylvester determinant taken by Fraction Gaussian
-elimination, at non-integer nodes and at integer nodes it uses itself."""
+elimination, at non-integer nodes and at integer nodes it uses itself;
+so must the node resultant in the cases of its recurrence that small
+random inputs rarely reach."""
 
 from fractions import Fraction
 from math import isqrt, lcm, prod
@@ -21,8 +23,8 @@ from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
 from gl2tors.jmaps import (JMAP_LABELS, POLE, PlaneCurve, jmap_eval,
                            named_jmap, search_hyperelliptic, search_plane,
                            zeta3_descent_search)
-from gl2tors.polynomial import (BiPoly, UniPoly, farey_fractions,
-                                rational_roots, resultant)
+from gl2tors.polynomial import (BiPoly, UniPoly, _int_resultant,
+                                farey_fractions, rational_roots, resultant)
 from test_elliptic import E37, count_points_naive
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -362,3 +364,45 @@ def test_resultant_matches_fraction_sylvester(A, B, C, axis, k0, common):
         assert R(x) == sylvester_reference(F, G, axis, x)
     for k in range(-2, 3):
         assert R(k) == sylvester_reference(F, G, axis, Fraction(k))
+
+
+B5 = [1, 0, 0, 0, 2, 3]
+
+
+@pytest.mark.parametrize("a, b", [
+    # a = x*b + (x^2 + 2x + 3): the remainder drops three degrees.
+    ([3, 3, 1, 0, 0, 2, 3], B5),
+    # 2x^4 + 3 over 3x^2 - 5: from degree 2 straight to degree 0.
+    ([3, 0, 0, 0, 2], [-5, 0, 3]),
+    # Equal degrees: delta = 0 in the first step.
+    ([2, -1, 0, 5], [7, 3, -4, 1]),
+    # deg a < deg b with both degrees odd: the swap changes the sign.
+    ([4, 1], [-2, 0, 5, 3]),
+    ([1, -3, 0, 2], B5),
+    # A degree-0 argument.
+    ([-6], [1, 2, 0, 3]),
+    ([1, 2, 0, 3], [-6]),
+    # A common root x = 1: (x - 1)(x + 2) and (x - 1)(x^2 + 1).
+    ([-2, 1, 1], [-1, 1, -1, 1]),
+])
+def test_int_resultant_matches_fraction_sylvester(a, b):
+    def ref(u, v):
+        return sylvester_reference(UniPoly.from_coeffs(u).to_bipoly(0),
+                                   UniPoly.from_coeffs(v).to_bipoly(0), 0, 0)
+    assert _int_resultant(a, b) == ref(a, b)
+    assert _int_resultant(b, a) == ref(b, a)
+
+
+def test_resultant_skips_node_where_both_leads_vanish():
+    s, t = BiPoly.variable(0), BiPoly.variable(1)
+    # Both leading coefficients in s vanish at t = 2, so the
+    # formal-degree determinant there is 0; only F's vanishes at t = 0.
+    F = t * (t - 2) * s ** 2 + (t + 1) * s + 3
+    G = (t - 2) * (t + 4) * s ** 3 - s + t * t - 5
+    R = resultant(F, G, 0)
+    assert sylvester_reference(F, G, 0, Fraction(2)) == 0
+    assert not R.is_zero()
+    for k in range(-6, 7):
+        assert R(k) == sylvester_reference(F, G, 0, Fraction(k))
+        x = Fraction(2 * k + 1, 4)
+        assert R(x) == sylvester_reference(F, G, 0, x)

@@ -153,8 +153,8 @@ def test_resultant_common_factor_vanishes():
 
 
 def test_resultant_interpolated():
-    # Sylvester size 7 and degree bound 3 * 4 + 4 * 3 = 24 in t: the
-    # determinant is evaluated at 25 integer nodes and interpolated.
+    # Degrees 4 and 3 in s and degree bound 3 * 4 + 4 * 3 = 24 in t:
+    # the resultant is evaluated at 25 integer nodes and interpolated.
     F = parse_bipoly("(s - t)^4")
     G = parse_bipoly("(s + t)^3")
     R = resultant(F, G, 0)
