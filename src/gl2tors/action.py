@@ -17,7 +17,9 @@ are tried (one with a 3-cycle, or two distinct transpositions), and of
 those only the least of each orbit under conjugation by S3. Conjugating
 a homomorphism by s permutes the three points, so the three point
 stabilizers of each homomorphism found are the index-3 subgroups of its
-whole conjugacy orbit.
+whole conjugacy orbit. Two index-3 subgroups are conjugate in G exactly
+when their coset actions are conjugate by S3, so the homomorphisms found
+are one per G-conjugacy class of index-3 subgroups.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import operator
 from dataclasses import dataclass
 
 from .groups import GenGroup, exact_order_vectors, fixes_full_order_vector
-from .modmat import TorVec, code_act, code_inverse, code_mul, code_pack
+from .modmat import TorVec, code_act, code_pack
 
 
 @dataclass(frozen=True)
@@ -156,41 +158,20 @@ def index3_subgroups(G: GenGroup) -> list[frozenset[int]]:
     return sorted(subs, key=sorted)
 
 
-def _conjugacy_classes(G: GenGroup, subs) -> list[list[frozenset[int]]]:
-    """Partition subgroup element-sets into G-conjugacy classes."""
-    n = G.modulus
-    gen_pairs = [(g, code_inverse(g, n)) for g in G.gen_codes]
-    remaining = list(subs)
-    classes = []
-    while remaining:
-        seed = remaining[0]
-        seen = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g, gi in gen_pairs:
-                    t = frozenset(code_mul(code_mul(gi, c, n), g, n)
-                                  for c in s)
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        classes.append(sorted(seen, key=sorted))
-        remaining = [s for s in remaining if s not in seen]
-    return classes
-
-
 def index3_fixing_count(G: GenGroup) -> int:
     """Number of conjugacy classes of index-3 subgroups of G fixing some
-    vector of exact order 9 pointwise. Level must be 9."""
+    vector of exact order 9 pointwise: the homomorphisms found whose
+    point-0 stabilizer H fixes such a v (then x^-1 H x fixes v*x). Level
+    must be 9."""
     if G.modulus != 9:
         raise ValueError(f"expected level 9, got {G.modulus}")
-    subs = [s for s in index3_subgroups(G)
-            if fixes_full_order_vector(s, 9)]
-    if not subs:
-        return 0
-    return len(_conjugacy_classes(G, subs))
+    images = _s3_representatives(len(G.gen_codes))
+    codes = G.table.codes
+    fixes = _S3_FIXES[0]
+    # Lists: fixes_full_order_vector walks the codes once per vector.
+    stabilizers = (list(itertools.compress(codes, map(fixes.__getitem__, phi)))
+                   for phi in _homomorphisms(G, _S3_MUL, images))
+    return sum(fixes_full_order_vector(H, 9) for H in stabilizers)
 
 
 def minus_one_complements(H: GenGroup) -> list[GenGroup]:

@@ -29,7 +29,7 @@ from .jmaps import (JMAP_LABELS, POLE, classify_fiber_point, fiber_curve,
                     jmap_eval, named_jmap, search_hyperelliptic,
                     search_plane)
 from .polynomial import PolyParseError, parse_poly
-from .verify import index3_counts, run_all
+from .verify import index3_bound_ok, index3_counts, run_all
 
 USAGE_EXIT = 64
 
@@ -221,7 +221,7 @@ def _cmd_search_index(args, parser):
     label = G.label
     if args.mode == "3":
         counts = index3_counts(G)
-        ok = all(c <= 2 for c in counts)
+        ok = index3_bound_ok(counts)
         return ({"label": label, "mode": 3, "counts": counts,
                  "bound_ok": ok},
                 [f"index-3 fixing class counts (group, then complements): "

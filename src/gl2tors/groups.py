@@ -85,6 +85,11 @@ def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
     return frozenset(index), CayleyTable(array("q", codes), array("i", edges))
 
 
+# The most row-table entries (k*n^2, k generators at level n) a group may
+# build: n = 1000 with one generator peaks at about 107 MB.
+_MAX_TABLE_ENTRIES = 10 ** 6
+
+
 def closure_codes(gen_codes, n: int) -> frozenset[int]:
     """Set of all products of the given packed generators (one table BFS)."""
     return _closure_table(gen_codes, n)[0]
@@ -113,7 +118,8 @@ class GenGroup:
 
     @classmethod
     def from_generators(cls, gens, n: int, label: str = "") -> "GenGroup":
-        """Generators given as GMat values or (a, b, c, d) rows mod n."""
+        """Generators given as GMat values or (a, b, c, d) rows mod n, at
+        most _MAX_TABLE_ENTRIES row-table entries (k*n^2) in all."""
         codes = []
         for g in gens:
             M = g if isinstance(g, GMat) else GMat(*g, n)
@@ -122,6 +128,10 @@ class GenGroup:
                     f"generator modulus {M.modulus} does not match {n}")
             codes.append(M.code())
             _check_invertible(codes[-1], n)
+        if len(codes) * n * n > _MAX_TABLE_ENTRIES:
+            raise ValueError(f"{len(codes)} generator(s) at level {n} need "
+                             f"{len(codes) * n * n} row-table entries, "
+                             f"more than {_MAX_TABLE_ENTRIES}")
         return cls(n, tuple(codes), label)
 
     @classmethod

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gl2tors import groups
 from gl2tors.catalog import (EMBEDDED_LEVEL9, NAMED_GROUP_GENERATORS,
                              CatalogEntry, CatalogError, TORSION_BY_DEGREE,
                              identify_candidates, is_admissible_torsion,
@@ -72,6 +73,17 @@ def test_parse_catalog_errors():
         parse_catalog("g 3 [[1,1,0,3]]")
     with pytest.raises(CatalogError, match="line 3"):
         parse_catalog("# comment\n\nbadline")
+
+
+def test_parse_catalog_rejects_level_above_table_cap(monkeypatch):
+    def closure_must_not_run(gen_codes, n):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(groups, "_closure_table", closure_must_not_run)
+    with pytest.raises(CatalogError, match="line 2: .*row-table entries"):
+        parse_catalog("ok 1000 [[1,0,0,1]]\nbig 1001 [[1,0,0,1]]")
+    with pytest.raises(CatalogError, match="line 1: .*row-table entries"):
+        parse_catalog("two 708 [[1,0,0,1],[1,1,0,1]]")
 
 
 def test_catalog_entry_group():

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from gl2tors import catalog, cli
+from gl2tors import catalog, cli, groups
 from gl2tors.cli import main
 from gl2tors.verify import VerificationReport
 
@@ -135,6 +135,19 @@ def test_group_inline(capsys):
     assert "order: 9" in capsys.readouterr().out
     assert_usage_exit(["group", "[[1,1,0,1]]"])  # missing --level
     assert_usage_exit(["group", "nosuchgroup"])
+
+
+def _closure_must_not_run(gen_codes, n):
+    raise AssertionError(f"closure of {len(gen_codes)} generator(s) at "
+                         f"level {n} was started")
+
+
+def test_group_inline_rejects_level_above_table_cap(monkeypatch, capsys):
+    # One generator at level 1001 needs 1001^2 row-table entries, above
+    # the cap of 10^6: a usage error before any closure starts.
+    monkeypatch.setattr(groups, "_closure_table", _closure_must_not_run)
+    assert_usage_exit(["group", "[[1000,0,0,1000]]", "--level", "1001"])
+    assert "row-table entries" in capsys.readouterr().err
 
 
 def test_search_index_mode3(capsys):

@@ -81,6 +81,18 @@ def test_closure_rejects_singular_generator():
         GenGroup.from_generators([GMat(1, 0, 0, 1, 3)], 9)
 
 
+def test_from_generators_caps_the_row_tables():
+    # k generators at level n need k*n^2 row-table entries; 10^6 is the
+    # most accepted.
+    assert GenGroup.from_generators([(1, 0, 0, 1)], 1000).modulus == 1000
+    four = GenGroup.from_generators([(1, 0, 0, 1)] * 4, 500)
+    assert len(four.gen_codes) == 4
+    with pytest.raises(ValueError, match="1002001 row-table entries"):
+        GenGroup.from_generators([(1, 0, 0, 1)], 1001)
+    with pytest.raises(ValueError, match="1008005 row-table entries"):
+        GenGroup.from_generators([(1, 0, 0, 1)] * 5, 449)
+
+
 def test_greedy_generators_roundtrip():
     B = standard_subgroup("borel", 5)
     G = GenGroup.from_codes(B.element_codes, 5)

@@ -11,7 +11,9 @@ group; the index-6 reference takes every orbit with `orbit_of_vector`
 over the whole element set. Random generator lists include the identity
 and repeated generators, which give the table self-loops and duplicate
 check edges. The index-3 reference walks every assignment in S3^k and
-keeps the point-0 stabilizer of each transitive homomorphism."""
+keeps the point-0 stabilizer of each transitive homomorphism, and the
+index-3 fixing-count reference sorts the fixing subgroups into
+G-conjugacy classes by a BFS that conjugates them by the generators."""
 
 import itertools
 import random
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2tors import groups
-from gl2tors.action import (_S3, ComplementWitness, _conjugacy_classes,
+from gl2tors.action import (_S3, _S3_MUL, ComplementWitness, _homomorphisms,
                             _s3_representatives, index2_subgroups,
                             index3_fixing_count, index3_subgroups,
                             index6_complement_search, minus_one_complements,
@@ -137,6 +139,31 @@ def index3_reference(G):
         G, itertools.product(S3, repeat=len(G.gen_codes)),
         mul=lambda p, q: (q[p[0]], q[p[1]], q[p[2]]), ident=(0, 1, 2),
         keep=keep)
+
+
+def _conjugacy_classes(G: GenGroup, subs) -> list[list[frozenset[int]]]:
+    """Partition subgroup element-sets into G-conjugacy classes."""
+    n = G.modulus
+    gen_pairs = [(g, code_inverse(g, n)) for g in G.gen_codes]
+    remaining = list(subs)
+    classes = []
+    while remaining:
+        seed = remaining[0]
+        seen = {seed}
+        frontier = [seed]
+        while frontier:
+            nxt = []
+            for s in frontier:
+                for g, gi in gen_pairs:
+                    t = frozenset(code_mul(code_mul(gi, c, n), g, n)
+                                  for c in s)
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
+            frontier = nxt
+        classes.append(sorted(seen, key=sorted))
+        remaining = [s for s in remaining if s not in seen]
+    return classes
 
 
 def index3_fixing_count_reference(G):
@@ -403,6 +430,23 @@ LEVEL9_GROUPS = _level9_groups()
                          ids=[G.label for G in LEVEL9_GROUPS])
 def test_index3_matches_reference_on_level9_groups(G):
     assert index3_subgroups(G) == index3_reference(G)
+    assert index3_fixing_count(G) == index3_fixing_count_reference(G)
+
+
+@pytest.mark.parametrize("G, nsubs, nclasses", [
+    (named_group("9H0-9b"), 13, 5),
+    (named_group("9B0-9a"), 7, 5),
+    (named_group("9J0-9b"), 4, 2),
+    (standard_subgroup("split-cartan", 9), 4, 4),
+], ids=["9H0-9b", "9B0-9a", "9J0-9b", "split-cartan"])
+def test_index3_class_counts(G, nsubs, nclasses):
+    # One homomorphism per class: the S3 search over conjugacy
+    # representatives finds as many as the conjugation BFS finds classes.
+    subs = index3_subgroups(G)
+    assert len(subs) == nsubs
+    assert len(_conjugacy_classes(G, subs)) == nclasses
+    images = _s3_representatives(len(G.gen_codes))
+    assert len(list(_homomorphisms(G, _S3_MUL, images))) == nclasses
 
 
 def _is_normal(G, codes):

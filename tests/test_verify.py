@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gl2tors import verify
+from gl2tors import catalog, verify
 from gl2tors.catalog import (NAMED_GROUP_GENERATORS, CatalogEntry,
                              parse_catalog)
 from gl2tors.verify import (VerificationReport, _run, check_catalog_entry,
@@ -38,10 +38,15 @@ def test_check_et_family():
     assert r.status == "pass"
 
 
-def test_check_catalog_entry_level9():
+def test_check_catalog_entry_level9(monkeypatch):
     level, gens = NAMED_GROUP_GENERATORS["9H0-9b"]
     entry = CatalogEntry("9H0-9b", level, gens)
+    built = []
+    closure = catalog.closure
+    monkeypatch.setattr(catalog, "closure",
+                        lambda *a: built.append(a) or closure(*a))
     reports = check_catalog_entry(entry)
+    assert len(built) == 1  # both checks share one group
     assert [r.check_id for r in reports] == [
         "catalog.9H0-9b.group", "catalog.9H0-9b.level9"]
     assert all(r.status == "evidence-only" for r in reports)
@@ -49,6 +54,13 @@ def test_check_catalog_entry_level9():
     assert "index3-counts=[0, 0, 1]" in reports[1].details
     assert "index6-witnesses=36" in reports[1].details
     assert "bound-ok=True" in reports[1].details
+
+
+def test_check_catalog_entry_reports_a_bad_group_as_failures():
+    # Not invertible mod 9 (det 3): each check fails with the error.
+    reports = check_catalog_entry(CatalogEntry("bad", 9, ((1, 1, 0, 3),)))
+    assert [r.status for r in reports] == ["fail", "fail"]
+    assert all("not invertible" in r.details for r in reports)
 
 
 def test_check_catalog_entry_level3():
