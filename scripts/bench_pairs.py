@@ -14,7 +14,11 @@ and their pairs stay out of the summary. The summary gives, per
 end-to-end metric, the median and quartiles (numpy's linear
 interpolation) of each side and the number of pairs in which the change
 read lower. `--default-seed` adds one run of the change per workload at
-perfbench's default seed, where it checks the recorded digests.
+perfbench's default seed, where it checks the recorded digests, and one
+traced run (`--trace 1`) of the change per workload at that seed, whose
+exit code, `correct` and `# WRONG:` lines go under `traced_runs`; a
+traced run is incorrect when a layer counter reads zero on its home
+workload.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ STDERR_LINES = 20
 
 
 def run(checkout: str, workload: str, seed: int | None,
-        seconds: float) -> dict:
+        seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     if seed is not None:
         cmd += ["--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -45,6 +49,7 @@ def run(checkout: str, workload: str, seed: int | None,
         result = None
     return {"exit_code": proc.returncode,
             "stderr_tail": proc.stderr.splitlines()[-STDERR_LINES:],
+            "wrong": [ln for ln in lines if ln.startswith("# WRONG:")],
             "result": result}
 
 
@@ -117,6 +122,14 @@ def main() -> int:
             {"side": "change", "workload": w,
              **run(args.change, w, None, args.seconds)}
             for w in args.workloads.split(",")]
+        doc["traced_runs"] = []
+        for w in args.workloads.split(","):
+            r = run(args.change, w, None, args.seconds, trace=1)
+            doc["traced_runs"].append({
+                "side": "change", "workload": w,
+                "exit_code": r["exit_code"],
+                "correct": r["result"]["correct"] if r["result"] else None,
+                "wrong": r["wrong"]})
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")

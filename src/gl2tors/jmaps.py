@@ -170,27 +170,28 @@ def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
 
     Fiber curves are searched by j-value matching: evaluate both maps on
     the grid, intersect by value, and pair up pole parameters; this is
-    exactly the zero set of F on the grid. Other curves are swept
+    exactly the zero set of F on the grid. Values are matched by their
+    (numerator, denominator) pairs, which hash faster. Other curves are swept
     directly in Fractions: F's coefficients in t are evaluated once per
     s, then F(s, t) by Horner in t."""
     grid = farey_fractions(height)
     if curve.jmap_s is not None and curve.jmap_t is not None:
-        by_j: dict[Fraction, list[Fraction]] = {}
+        by_j: dict[tuple[int, int], list[Fraction]] = {}
         s_poles = []
         for s in grid:
             v = jmap_eval(curve.jmap_s, s)
             if v is POLE:
                 s_poles.append(s)
             else:
-                by_j.setdefault(v, []).append(s)
+                by_j.setdefault((v.numerator, v.denominator), []).append(s)
         out = []
         t_poles = []
         for t in grid:
             v = jmap_eval(curve.jmap_t, t)
             if v is POLE:
                 t_poles.append(t)
-            elif v in by_j:
-                out.extend((s, t) for s in by_j[v])
+            elif (v.numerator, v.denominator) in by_j:
+                out.extend((s, t) for s in by_j[v.numerator, v.denominator])
         out.extend((s, t) for s in s_poles for t in t_poles)
         return sorted(out)
     in_t = curve.F.coeffs_in(1)

@@ -21,6 +21,7 @@ subresultant PRS.
 from __future__ import annotations
 
 import operator
+import threading
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -469,15 +470,45 @@ def _primitive(c: list[int]) -> list[int]:
     return [v // g for v in c] if g > 1 else c
 
 
+# _grid[q][p] is Fraction(p, q) for coprime |p|, q < len(_grid) (negative
+# p index from the row's end), else None. Growth publishes new rows in one
+# assignment, reusing the old rows' Fractions; no published row changes.
+_grid: list[list[Fraction | None]] = [[]]
+_grid_lock = threading.Lock()
+
+
+def _grid_rows(height: int) -> list[list[Fraction | None]]:
+    global _grid
+    with _grid_lock:
+        rows, old = _grid, len(_grid) - 1
+        if old >= height:
+            return rows
+
+        def fresh(ps, q):
+            return [Fraction(p, q) if gcd(p, q) == 1 else None for p in ps]
+        new = [[]]
+        for q in range(1, height + 1):
+            row, k = (rows[q], old) if q <= old else (fresh([0], q), 0)
+            new.append(row[:k + 1] + fresh(range(k + 1, height + 1), q)
+                       + fresh(range(-height, -k), q) + row[k + 1:])
+        _grid = new
+        return new
+
+
 def farey_fractions(height: int) -> list[Fraction]:
     """All rationals p/q in lowest terms with |p| <= height and
     1 <= q <= height, sorted ascending.
 
     The Farey sequence of order height on [0, 1] comes from the
-    next-term recurrence; the values above 1 are the reciprocals of its
-    interior points, and the negative values mirror the positive ones."""
+    next-term recurrence on ints; the values above 1 are the reciprocals
+    of its interior points, and the negative values mirror the positive
+    ones. Every call returns a new list, which the caller owns, but the
+    Fractions in it are shared: each is built once, in a process-wide
+    table that holds the grid of the largest height H requested so far
+    in about 2 * H^2 row slots."""
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
+    rows = _grid_rows(height)
     unit = [(0, 1)]
     a, b, c, d = 0, 1, 1, height
     while c <= d:
@@ -485,8 +516,8 @@ def farey_fractions(height: int) -> list[Fraction]:
         k = (height + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
     positive = unit + [(q, p) for p, q in reversed(unit[1:-1])]
-    return ([Fraction(-p, q) for p, q in reversed(positive[1:])]
-            + [Fraction(p, q) for p, q in positive])
+    return ([rows[q][-p] for p, q in reversed(positive[1:])]
+            + [rows[q][p] for p, q in positive])
 
 
 def rational_roots(P: UniPoly) -> list[Fraction]:
@@ -581,10 +612,11 @@ def _hensel_roots(coeffs: list[int]) -> list[Fraction]:
 
     The primes are walked upward from 2 to the first p that does not
     divide lead S and at which every root of S mod p is simple. S is the
-    input until a prime turns up a multiple root; then it becomes its
-    square-free part, since a repeated factor can leave a multiple root
-    at every prime. Once S is square-free, every prime not dividing
-    lead(S) * disc(S) qualifies, so the walk ends.
+    input until a second prime turns up a multiple root (the first is
+    often a prime dividing the discriminant of a square-free input); then
+    it becomes its square-free part, since a repeated factor can leave a
+    multiple root at every prime. Once S is square-free, every prime not
+    dividing lead(S) * disc(S) qualifies, so the walk ends.
 
     No root is missed: a root a/b of S in lowest terms has a | S(0) and
     b | lead S, so b is a unit mod p and a/b reduces to a root r of S
@@ -594,14 +626,15 @@ def _hensel_roots(coeffs: list[int]) -> list[Fraction]:
     rational reconstruction modulo m returns a/b. The lifts of the other
     roots mod p give no candidate or one that fails the exact check.
     """
-    S, squarefree, p = coeffs, False, 2
+    S, multiple, p = coeffs, 0, 2
     while True:
         if S[-1] % p:
             roots = _simple_roots_mod(S, p)
             if roots is not None:
                 break
-            if not squarefree:
-                S, squarefree = _squarefree_part(S), True
+            multiple += 1
+            if multiple == 2:
+                S = _squarefree_part(S)
                 continue
         p = next_prime(p)
     height = max(abs(S[0]), abs(S[-1]))

@@ -1,28 +1,38 @@
 """The integer kernels against Fraction references.
 
 Each search reference evaluates with Fraction arithmetic at every grid
-point, the way the searches did before they moved to integers; the
-point-count references start from the rational invariants and count
+point, the way the searches did before they moved to integers, and
+the grid of the shared Fraction table must equal the reference grid in
+any order of heights, from several threads too; the point-count
+references start from the rational invariants and count
 points on the long model directly. The root finder must return exactly
-the roots planted in a product of linear factors, and the resultant
+the roots planted in a product of linear factors and those of the
+rational root theorem on division polynomials, and the resultant
 must agree with a Sylvester determinant taken by Fraction Gaussian
 elimination, at non-integer nodes and at integer nodes it uses itself;
 so must the node resultant in the cases of its recurrence that small
 random inputs rarely reach."""
 
+import functools
+import operator
+import random
+import sys
+import threading
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt, lcm, prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gl2tors import elliptic
+from gl2tors import elliptic, polynomial
 from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
-                              frobenius_signature)
-from gl2tors.jmaps import (JMAP_LABELS, POLE, PlaneCurve, jmap_eval,
-                           named_jmap, search_hyperelliptic, search_plane,
-                           zeta3_descent_search)
+                              frobenius_signature, two_torsion_cubic)
+from gl2tors.jmaps import (JMAP_LABELS, POLE, PlaneCurve, fiber_curve,
+                           jmap_eval, named_jmap, search_hyperelliptic,
+                           search_plane, zeta3_descent_search)
 from gl2tors.polynomial import (BiPoly, UniPoly, _int_resultant,
                                 farey_fractions, rational_roots, resultant)
 from test_elliptic import E37, count_points_naive
@@ -79,6 +89,78 @@ def test_farey_fractions_matches_set_sort():
         grid = farey_fractions(H)
         assert grid == grid_reference(H)
         assert all(type(x) is Fraction for x in grid)
+
+
+@functools.cache
+def reference_arrays(H):
+    """Numerators, denominators and heights max(|p|, q) of
+    grid_reference(H). The grid at h <= H is the part of it with height
+    at most h, in the same order."""
+    ref = grid_reference(H)
+    num = np.array([x.numerator for x in ref])
+    den = np.array([x.denominator for x in ref])
+    return num, den, np.maximum(np.abs(num), den)
+
+
+def matches_reference(grid, h, H):
+    num, den, height = reference_arrays(H)
+    keep = height <= h
+    return (len(grid) == keep.sum()
+            and np.array_equal([x.numerator for x in grid], num[keep])
+            and np.array_equal([x.denominator for x in grid], den[keep]))
+
+
+@pytest.fixture
+def empty_grid(monkeypatch):
+    """The shared Fraction table, emptied for this test only."""
+    monkeypatch.setattr(polynomial, "_grid", [[]])
+
+
+def test_farey_fractions_in_any_height_order(empty_grid):
+    farey_fractions(200)
+    heights = list(range(60, 0, -1)) + random.Random(17).sample(
+        range(1, 221), 220)
+    for h in heights:
+        assert matches_reference(farey_fractions(h), h, 220), h
+
+
+def test_farey_fractions_shares_values_but_not_lists(empty_grid):
+    first = farey_fractions(5)
+    rows = polynomial._grid
+    published = [list(row) for row in rows]
+    first.reverse()
+    first[0] = Fraction(7)
+    second = farey_fractions(5)
+    assert second == grid_reference(5) and second is not first
+    farey_fractions(30)
+    assert polynomial._grid is not rows
+    assert all(len(row) == len(old) and all(map(operator.is_, row, old))
+               for row, old in zip(rows, published))
+    assert all(map(operator.is_, farey_fractions(5), second))
+
+
+def test_farey_fractions_grows_safely_from_threads(empty_grid):
+    reference_arrays(220)
+    bad = []
+
+    def walk(seed):
+        for h in random.Random(seed).sample(range(1, 121), 120):
+            if not matches_reference(farey_fractions(h), h, 220):
+                bad.append((seed, h))
+    threads = [threading.Thread(target=walk, args=(seed,))
+               for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == []
+    assert len(polynomial._grid) == 121
 
 
 @SETTINGS
@@ -161,6 +243,23 @@ def test_search_plane_direct_sweep_matches_reference(lines, H):
     for a, b, c in lines:
         F = F * (s * a + t * b + c)
     assert search_plane(PlaneCurve(F), H) == plane_reference(F, H)
+
+
+def fiber_reference(curve, H):
+    """The fiber search keyed by Fraction j-values from Fraction map
+    evaluation, with POLE as one more key: every pole pair is a point."""
+    grid = grid_reference(H)
+    by_j = {}
+    for s in grid:
+        by_j.setdefault(jmap_reference(curve.jmap_s, s), []).append(s)
+    return sorted((s, t) for t in grid
+                  for s in by_j.get(jmap_reference(curve.jmap_t, t), ()))
+
+
+def test_search_plane_fiber_matches_fraction_keyed_reference():
+    for a, b in permutations(JMAP_LABELS, 2):
+        curve = fiber_curve(named_jmap(a), named_jmap(b))
+        assert search_plane(curve, 8) == fiber_reference(curve, 8), (a, b)
 
 
 def _is_prime(n):
@@ -304,9 +403,42 @@ def test_rational_roots_finds_small_planted_roots(roots):
     ((210 * X - 11) * (X ** 2 + X + 1), [Fraction(11, 210)]),
     # Two of the roots meet mod every prime below 30.
     (prod(X - k for k in range(1, 31)), list(range(1, 31))),
+    # A repeated linear factor: 1 is a double root mod 3 and mod 5, and
+    # only the second of them replaces P by its square-free part.
+    ((X - 1) ** 2 * (2 * X + 3), [Fraction(-3, 2), 1]),
 ])
 def test_rational_roots_prime_choice_edge_cases(P, want):
     assert rational_roots(P) == want
+
+
+def rational_roots_reference(P):
+    """The candidates of the rational root theorem that are roots."""
+    c = P.integer_coeffs()
+    k = next(i for i, v in enumerate(c) if v)
+
+    def divisors(n):
+        return [d for i in range(1, isqrt(n) + 1) if n % i == 0
+                for d in (i, n // i)]
+    candidates = {Fraction(sign * a, b) for a in divisors(abs(c[k]))
+                  for b in divisors(abs(c[-1])) for sign in (1, -1)}
+    roots = {x for x in candidates if P(x) == 0}
+    return sorted(roots | ({Fraction(0)} if k else set()))
+
+
+def test_rational_roots_of_division_polynomials_match_reference():
+    rng = random.Random(20261018)
+    curves = 0
+    while curves < 300:
+        try:
+            E = CurveQ(*(rng.randint(-50, 50) for _ in range(5)))
+        except ValueError:
+            continue
+        curves += 1
+        inv = curve_invariants(E)
+        psi3 = UniPoly.from_coeffs([inv.b8, 3 * inv.b6, 3 * inv.b4,
+                                    inv.b2, 3])
+        for P in (two_torsion_cubic(E), psi3):
+            assert rational_roots(P) == rational_roots_reference(P), E
 
 
 def sylvester_reference(F, G, axis, x):
