@@ -483,7 +483,8 @@ def test_resultant_matches_fraction_sylvester(A, B, C, axis, k0, common):
     F = A + (w - k0) * v ** (max(A.degree(axis), 0) + 1)
     G = B + Fraction(3, 2) * v ** (max(B.degree(axis), 0) + 1)
     if common:
-        shared = C + v
+        # A leading term above C, as for F and G: C + v is zero at C = -v.
+        shared = C + v ** (max(C.degree(axis), 0) + 1)
         F, G = F * shared, G * shared
     R = resultant(F, G, axis)
     if common:
