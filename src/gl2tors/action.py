@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass
 
 from .groups import GenGroup, exact_order_vectors, fixes_full_order_vector
-from .modmat import TorVec, code_act, code_pack
+from .modmat import TorVec, code_act, code_mul, code_pack
 
 
 @dataclass(frozen=True)
@@ -175,16 +175,24 @@ def index3_fixing_count(G: GenGroup) -> int:
 
 
 def minus_one_complements(H: GenGroup) -> list[GenGroup]:
-    """Index-2 subgroups of H not containing -I, in a deterministic order."""
+    """Index-2 subgroups of H not containing -I, in a deterministic order.
+
+    Each such C has H = C x {I, -I}, so projecting H's generators onto C
+    (g, or -g when g is not in C) generates C; identity and repeated
+    images are dropped, so C has at most as many generators as H."""
     n = H.modulus
     minus = code_pack(-1, 0, 0, -1, n)
     if minus not in H.element_codes:
         raise ValueError("-I is not in the subgroup")
+    ident = code_pack(1, 0, 0, 1, n)
     out = []
     for s in index2_subgroups(H):
         if minus not in s:
+            images = (g if g in s else code_mul(g, minus, n)
+                      for g in H.gen_codes)
+            gens = tuple(dict.fromkeys(c for c in images if c != ident))
             label = f"{H.label}-comp{len(out) + 1}" if H.label else ""
-            out.append(GenGroup.from_codes(s, n, label))
+            out.append(GenGroup(n, gens, label, s))
     return out
 
 

@@ -7,8 +7,9 @@ built: the scale u (lcm of the denominators), the integers u^i * a_i,
 their b2, b4, b6, b8 and the integer discriminant u^12 * disc.
 curve_invariants divides these by powers of u; point counts sum a
 quadratic character over the 2-division cubic mod p in int and numpy
-arithmetic; torsion is bounded by the gcd of a few point counts and
-then read off the division polynomials of the short model.
+arithmetic. Torsion is bounded by the gcd of a few point counts and then
+read off the division polynomials of the given model, built from its
+b-invariants, so every x-coordinate found lies on that model.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import factorint, is_probable_prime, is_square, next_prime
+from .arith import is_probable_prime, is_square, next_prime
+from .catalog import is_admissible_torsion
 from .groups import GenGroup
 from .modmat import code_det, code_trace
 from .polynomial import UniPoly, rational_roots
@@ -326,7 +328,9 @@ def identify_image(E: CurveQ, ell: int, candidates,
 
 
 def two_torsion_cubic(E: CurveQ) -> UniPoly:
-    """The 2-division cubic 4x^3 + b2 x^2 + 2 b4 x + b6."""
+    """The 2-division cubic 4x^3 + b2 x^2 + 2 b4 x + b6 = psi_2^2, the
+    discriminant in y of E's equation: x has a rational y on E exactly
+    where it is a rational square."""
     inv = curve_invariants(E)
     return UniPoly.from_coeffs([inv.b6, 2 * inv.b4, inv.b2, Fraction(4)])
 
@@ -344,13 +348,15 @@ def two_torsion_image(E: CurveQ) -> str:
     return "2Cn" if is_square(E._model[3]) else "GL2(F2)"
 
 
-def rational_3isogeny_kernel(E: CurveQ) -> list[Fraction]:
-    """x-coordinates of rational order-3 points: rational roots of the
-    3-division polynomial 3x^4 + b2 x^3 + 3 b4 x^2 + 3 b6 x + b8."""
-    inv = curve_invariants(E)
-    psi3 = UniPoly.from_coeffs([inv.b8, 3 * inv.b6, 3 * inv.b4, inv.b2,
+def _psi3(inv: Invariants) -> UniPoly:
+    """The 3-division polynomial 3x^4 + b2 x^3 + 3 b4 x^2 + 3 b6 x + b8."""
+    return UniPoly.from_coeffs([inv.b8, 3 * inv.b6, 3 * inv.b4, inv.b2,
                                 Fraction(3)])
-    return rational_roots(psi3)
+
+
+def rational_3isogeny_kernel(E: CurveQ) -> list[Fraction]:
+    """x-coordinates of rational order-3 points: rational roots of psi_3."""
+    return rational_roots(_psi3(curve_invariants(E)))
 
 
 # The thirteen j-invariants of CM curves over Q.
@@ -362,23 +368,6 @@ CM_J = frozenset(Fraction(v) for v in (
 def is_cm_j(j) -> bool:
     """Whether j is one of the thirteen rational CM j-invariants."""
     return Fraction(j) in CM_J
-
-
-def _short_model(E: CurveQ) -> tuple[int, int]:
-    """Integral A, B with E isomorphic over Q to y^2 = x^3 + Ax + B.
-
-    A = -27 c4 u^4 and B = -54 c6 u^6 with u = lcm(den c4, den c6), then
-    divided by p^4 and p^6 while both divide, for p = 2, 3 and the primes
-    of u: a rescaled model gets back the A, B of the unscaled one. Only
-    u is factored."""
-    inv = curve_invariants(E)
-    c4, c6 = inv.c4, inv.c6
-    u = lcm(c4.denominator, c6.denominator)
-    A, B = int(-27 * c4 * u ** 4), int(-54 * c6 * u ** 6)
-    for p in {2, 3}.union(factorint(u)):
-        while A % p ** 4 == 0 and B % p ** 6 == 0:
-            A, B = A // p ** 4, B // p ** 6
-    return A, B
 
 
 # Good primes whose point counts bound the torsion, and the largest
@@ -405,18 +394,17 @@ def _torsion_bound(E: CurveQ) -> int:
     return n
 
 
-def _division_polys(A: int, B: int):
-    """f(n): the x-only n-division polynomial of y^2 = x^3 + Ax + B,
-    psi_n for odd n and psi_n / 2y for even n. Its roots are the
-    x-coordinates of the points P with nP = 0 and 2P != 0, so
-    x^3 + Ax + B is never zero at one of them."""
-    x = UniPoly.x()
-    g2 = (4 * (x ** 3 + A * x + B)) ** 2  # (2y)^4
-    memo = {1: UniPoly.constant(1), 2: UniPoly.constant(1),
-            3: 3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x - A * A,
-            4: 2 * (x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3
-                    - 5 * A * A * x ** 2 - 4 * A * B * x - 8 * B * B
-                    - A ** 3)}
+def _division_polys(E: CurveQ):
+    """f(n): the x-only n-division polynomial of E, psi_n for odd n and
+    psi_n / psi_2 for even n (Silverman, AEC, Ex. 3.7). Its roots are the
+    x-coordinates of the points P with nP = 0 and 2P != 0, so the
+    2-division cubic is never zero at one of them."""
+    inv = curve_invariants(E)
+    b2, b4, b6, b8 = inv.b2, inv.b4, inv.b6, inv.b8
+    g2 = two_torsion_cubic(E) ** 2  # psi_2^4
+    memo = {1: UniPoly.constant(1), 2: UniPoly.constant(1), 3: _psi3(inv),
+            4: UniPoly.from_coeffs([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6,
+                                    10 * b8, 10 * b6, 5 * b4, b2, 2])}
 
     def f(n: int) -> UniPoly:
         if n not in memo:
@@ -437,20 +425,19 @@ def torsion_over_Q(E: CurveQ):
     C2 x C2k.
 
     The order divides the reduction bound N of _torsion_bound, so N = 1
-    ends the search. Otherwise, on the short model y^2 = x^3 + Ax + B,
-    the q-part for each prime q | N is E(Q)[q^e], where q^e is the
-    largest power of q dividing N within Mazur's cap: the 2-torsion from
-    the rational roots of the cubic, plus two points for each rational
-    root x of the division polynomial f(q^e) at which x^3 + Ax + B is a
-    rational square. The powers q, q^2, ... are tried in turn, and the
-    first that adds no point ends the q-part."""
+    ends the search. Otherwise the q-part for each prime q | N is
+    E(Q)[q^e], where q^e is the largest power of q dividing N within
+    Mazur's cap: the 2-torsion from the rational roots of the 2-division
+    cubic, plus two points for each rational root x of the division
+    polynomial f(q^e) at which that cubic is a rational square. The
+    powers q, q^2, ... are tried in turn, and the first that adds no
+    point ends the q-part."""
     N = _torsion_bound(E)
     if N == 1:
         return (1,)
-    A, B = _short_model(E)
-    cubic = UniPoly.from_coeffs([B, A, 0, 1])
+    cubic = two_torsion_cubic(E)
     two_roots = rational_roots(cubic)
-    f = _division_polys(A, B)
+    f = _division_polys(E)
 
     def killed_by(k: int) -> int:
         """#E(Q)[k], for k a prime power."""
@@ -477,8 +464,6 @@ def torsion_over_Q(E: CurveQ):
         structure = (2, n // 2)
     else:
         structure = (n,)
-    allowed = {(1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,),
-               (12,), (2, 2), (2, 4), (2, 6), (2, 8)}
-    if structure not in allowed:
+    if not is_admissible_torsion(structure, 1):
         raise AssertionError(f"impossible torsion {structure}")
     return structure

@@ -389,7 +389,9 @@ def is_applicable(G: GenGroup) -> Applicability:
 
 @functools.lru_cache(maxsize=None)
 def _full_codes(n: int) -> tuple[int, ...]:
-    return tuple(sorted(standard_subgroup("full", n).element_codes))
+    """GL2(Z/nZ) in increasing code order, at any level: the codes below
+    n^4 whose determinant is a unit."""
+    return tuple(x for x in range(n ** 4) if gcd(code_det(x, n), n) == 1)
 
 
 def is_conjugate_subgroup(G: GenGroup, H: GenGroup) -> bool:

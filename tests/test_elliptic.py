@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from gl2tors import elliptic
 from gl2tors.arith import factorint
-from gl2tors.catalog import (EMBEDDED_LEVEL9, identify_candidates,
-                             named_group)
-from gl2tors.elliptic import (CM_J, CurveQ, IdentifyResult, _short_model,
+from gl2tors.catalog import (EMBEDDED_LEVEL9, TORSION_BY_DEGREE,
+                             identify_candidates, named_group)
+from gl2tors.elliptic import (_MAZUR_PRIME_POWERS, CM_J, CurveQ,
+                              IdentifyResult, _division_polys,
                               _torsion_bound, count_points, curve_Et,
                               curve_invariants, frobenius_signature,
                               group_class_set, identify_image, is_cm_j,
@@ -372,16 +373,26 @@ def _has_order_at_most_12(P, A) -> bool:
     return False
 
 
-def torsion_nagell_lutz(E):
-    """E(Q)_tors by Nagell-Lutz; the oracle for torsion_over_Q. On an
-    integral short model every torsion point is integral with y = 0 or
-    y^2 dividing 4A^3 + 27B^2; a candidate is kept when its order is at
-    most 12. The model is first divided by every p^4, p^6 it allows,
-    which keeps the discriminant small."""
-    A, B = _short_model(E)
+def reduced_short_model(E):
+    """Integral A, B with E isomorphic over Q to y^2 = x^3 + Ax + B:
+    A = -27 c4 u^4 and B = -54 c6 u^6 with u = lcm(den c4, den c6), then
+    divided by every p^4, p^6 they allow, which keeps the discriminant
+    small."""
+    inv = curve_invariants(E)
+    u = lcm(inv.c4.denominator, inv.c6.denominator)
+    A, B = int(-27 * inv.c4 * u ** 4), int(-54 * inv.c6 * u ** 6)
     for p in factorint(gcd(A, B)):
         while A % p ** 4 == 0 and B % p ** 6 == 0:
             A, B = A // p ** 4, B // p ** 6
+    return A, B
+
+
+def torsion_nagell_lutz(E):
+    """E(Q)_tors by Nagell-Lutz on reduced_short_model(E); the oracle for
+    torsion_over_Q, which works on the given model. On an integral short
+    model every torsion point is integral with y = 0 or y^2 dividing
+    4A^3 + 27B^2; a candidate is kept when its order is at most 12."""
+    A, B = reduced_short_model(E)
     square_divisor_roots = [1]
     for p, e in factorint(4 * A ** 3 + 27 * B ** 2).items():
         square_divisor_roots = [d * p ** k for d in square_divisor_roots
@@ -415,14 +426,38 @@ def _rescaled(E, lam):
 @pytest.mark.parametrize("curve, structure", [
     pytest.param(pin[1], pin[2], id=pin[0]) for pin in TORSION_PINS
     if pin[0] in ("54b3", "210e2")])
-@pytest.mark.parametrize("lam", [Fraction(1, 30), Fraction(1, 396)])
+@pytest.mark.parametrize("lam", [Fraction(1, 30), Fraction(1, 396),
+                                 Fraction(35, 2)])
 def test_short_model_of_rescaled_curve(curve, structure, lam):
-    # u = 30^k or 396^k puts p^4, p^6 into A, B at 2, 3, 5 and 11; they
-    # are divided out again.
+    # The oracle's short model divides the powers of 2, 3, 5, 7 and 11
+    # that lam puts into A, B out again; torsion_over_Q works on the
+    # rescaled model itself.
     E = parse_curve(curve)
     R = _rescaled(E, lam)
-    assert _short_model(R) == _short_model(E)
-    assert torsion_over_Q(R) == structure
+    assert reduced_short_model(R) == reduced_short_model(E)
+    assert torsion_over_Q(R) == torsion_nagell_lutz(R) == structure
+
+
+@pytest.mark.parametrize("A, B", [(1, 1), (-1, 0), (0, 1), (-7, 10),
+                                  (Fraction(3, 4), Fraction(-5, 8))])
+def test_division_polys_on_short_model(A, B):
+    # At a1 = a2 = a3 = 0: b2 = 0, b4 = 2A, b6 = 4B and b8 = -A^2.
+    A, B = Fraction(A), Fraction(B)
+    f = _division_polys(CurveQ(0, 0, 0, A, B))
+    x = UniPoly.x()
+    assert f(3) == 3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x - A * A
+    assert f(4) == 2 * (x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3
+                        - 5 * A * A * x ** 2 - 4 * A * B * x - 8 * B * B
+                        - A ** 3)
+
+
+def test_mazur_prime_powers_match_the_degree_1_table():
+    # The exponent of C_m is m, and of C2 x C2k it is 2k.
+    largest = {}
+    for structure in TORSION_BY_DEGREE[1]:
+        for q, e in factorint(max(structure)).items():
+            largest[q] = max(largest.get(q, 1), q ** e)
+    assert _MAZUR_PRIME_POWERS == largest
 
 
 SMALL_INTS = st.integers(-12, 12).map(Fraction)

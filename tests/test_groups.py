@@ -1,10 +1,12 @@
 """Group closure, standard subgroups, applicability, classification."""
 
+import random
+
 import pytest
 
 from gl2tors.catalog import named_group
-from gl2tors.groups import (STANDARD_KINDS, GenGroup, _projective_order,
-                            closure,
+from gl2tors.groups import (STANDARD_KINDS, GenGroup, _full_codes,
+                            _projective_order, closure,
                             contains_minus_identity, det_image,
                             det_surjective, dickson_classify,
                             exact_order_vectors, gl2_order,
@@ -12,8 +14,8 @@ from gl2tors.groups import (STANDARD_KINDS, GenGroup, _projective_order,
                             is_conjugate_subgroup, pow_is_square,
                             reduce_level, stable_lines, standard_order,
                             standard_subgroup)
-from gl2tors.modmat import (GMat, code_act, code_mul, code_pack,
-                            least_nonresidue)
+from gl2tors.modmat import (GMat, code_act, code_entries, code_inverse,
+                            code_mul, code_pack, least_nonresidue)
 
 
 def test_gl2_order():
@@ -147,6 +149,36 @@ def test_is_conjugate_subgroup():
     assert is_conjugate_subgroup(B1, borel)
     assert is_conjugate_subgroup(named_group("3Cs.1.1"), B1)
     assert not is_conjugate_subgroup(standard_subgroup("sl2", 3), B1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_full_codes_are_the_full_group(n):
+    assert _full_codes(n) == tuple(sorted(
+        standard_subgroup("full", n).element_codes))
+
+
+@pytest.mark.parametrize("n", [6, 12, 18])
+def test_conjugacy_at_composite_levels(n):
+    assert len(_full_codes(n)) == gl2_order(n)
+    G = closure([(1, 1, 0, 1), (-1, 0, 0, 1)], n)
+    rng = random.Random(n)
+    x = rng.choice(_full_codes(n))
+    xi = code_inverse(x, n)
+    H = closure([code_entries(code_mul(code_mul(xi, g, n), x, n), n)
+                 for g in G.gen_codes], n)
+    assert H.element_codes != G.element_codes
+    assert is_conjugate(G, H)
+    assert is_conjugate_subgroup(G, H)
+    assert is_conjugate_subgroup(closure([(1, 1, 0, 1)], n), H)
+    reflection = closure([(-1, 0, 0, 1)], n)
+    minus = closure([(-1, 0, 0, -1)], n)
+    assert not is_conjugate(reflection, minus)
+    assert not is_conjugate_subgroup(reflection, minus)
+    # Same order, traces and determinants: only the search tells them
+    # apart, since diag(-1, 1) is the identity mod 2 and the swap is not.
+    swap = closure([(0, 1, 1, 0)], n)
+    assert not is_conjugate(reflection, swap)
+    assert not is_conjugate_subgroup(reflection, swap)
 
 
 def test_stable_lines():

@@ -1,6 +1,6 @@
-"""Every name a gl2tors module imports is used in that module, and every
+"""Every name a gl2tors module imports is used in that module, every
 top-level function of the package is named somewhere outside its own
-def."""
+def, and the package holds no assert statement."""
 
 import ast
 import re
@@ -93,3 +93,21 @@ def test_unused_function_is_reported():
         "b": "from a import used\nTARGETS = [('a', 'traced')]\n",
     }
     assert unused_functions(modules, Counter(["scripted"])) == ["a.dead"]
+
+
+def assert_statements(source: str) -> list[int]:
+    """Line numbers of the assert statements in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so invariants raise explicitly.
+    found = {p.name: assert_statements(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_assert_statement_is_reported():
+    src = "x = 1\nassert x\nif x:\n    assert x, 'msg'\n"
+    assert assert_statements(src) == [2, 4]

@@ -29,7 +29,8 @@ from gl2tors.action import (_S3, _S3_MUL, ComplementWitness, _homomorphisms,
                             index3_fixing_count, index3_subgroups,
                             index6_complement_search, minus_one_complements,
                             orbit_of_vector)
-from gl2tors.catalog import EMBEDDED_LEVEL9, named_group
+from gl2tors.catalog import (EMBEDDED_LEVEL9, NAMED_GROUP_GENERATORS,
+                             named_group)
 from gl2tors.elliptic import group_class_set
 from gl2tors.groups import (STANDARD_KINDS, GenGroup, closure,
                             closure_codes, contains_minus_identity,
@@ -424,6 +425,26 @@ def _level9_groups():
 
 
 LEVEL9_GROUPS = _level9_groups()
+
+
+COMPLEMENT_PARENTS = [G for G in LEVEL9_GROUPS + [
+    named_group(label) for label in NAMED_GROUP_GENERATORS
+    if label not in EMBEDDED_LEVEL9] if contains_minus_identity(G)]
+
+
+@pytest.mark.parametrize("H", COMPLEMENT_PARENTS,
+                         ids=[f"{H.label}@{H.modulus}"
+                              for H in COMPLEMENT_PARENTS])
+def test_complements_carry_projected_generators(H):
+    n = H.modulus
+    minus = code_pack(-1, 0, 0, -1, n)
+    kernels = [s for s in index2_subgroups(H) if minus not in s]
+    comps = minus_one_complements(H)
+    assert [C.element_codes for C in comps] == kernels
+    for C, s in zip(comps, kernels):
+        assert set(C.gen_codes) <= s
+        assert len(C.gen_codes) <= len(H.gen_codes)
+        assert closure_codes(C.gen_codes, n) == s
 
 
 @pytest.mark.parametrize("G", LEVEL9_GROUPS,
