@@ -9,16 +9,19 @@ first when N is even, each side from its own checkout, with
 `python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`.
 Every run keeps its exit code, the tail of its stderr and its result
 line (the last stdout line, parsed as JSON), or null when it printed
-none; such runs are listed under `runs_without_result` and on stderr,
-and their pairs stay out of the summary. The summary gives, per
-end-to-end metric, the median and quartiles (numpy's linear
-interpolation) of each side and the number of pairs in which the change
-read lower. `--default-seed` adds one run of the change per workload at
-perfbench's default seed, where it checks the recorded digests, and one
-traced run (`--trace 1`) of the change per workload at that seed, whose
-exit code, `correct` and `# WRONG:` lines go under `traced_runs`; a
-traced run is incorrect when a layer counter reads zero on its home
-workload.
+none. A run without a result line is run once more with the same seed,
+side and workload: the failed run's exit code and stderr tail go under
+`reruns`, both runs are listed on stderr, and the rerun takes the failed
+run's place. A run that still printed no result is listed under
+`runs_without_result`, and its pair stays out of the summary. The
+summary gives, per end-to-end metric, the median and quartiles (numpy's
+linear interpolation) of each side and the number of pairs in which the
+change read lower. `--default-seed` adds one run of the change per
+workload at perfbench's default seed, where it checks the recorded
+digests, and one traced run (`--trace 1`) of the change per workload at
+that seed, whose exit code, `correct` and `# WRONG:` lines go under
+`traced_runs`; a traced run is incorrect when a layer counter reads zero
+on its home workload.
 """
 
 from __future__ import annotations
@@ -51,6 +54,29 @@ def run(checkout: str, workload: str, seed: int | None,
             "stderr_tail": proc.stderr.splitlines()[-STDERR_LINES:],
             "wrong": [ln for ln in lines if ln.startswith("# WRONG:")],
             "result": result}
+
+
+def run_or_rerun(doc: dict, side: str, checkout: str, workload: str,
+                 seed: int | None, seconds: float, trace: int = 0) -> dict:
+    """run(), repeated once when the first run printed no result line."""
+    r = run(checkout, workload, seed, seconds, trace)
+    if r["result"] is not None:
+        return r
+    where = {"workload": workload, "seed": seed, "side": side,
+             "trace": trace}
+    doc["reruns"].append({**where, "exit_code": r["exit_code"],
+                          "stderr_tail": r["stderr_tail"]})
+    print(f"{workload} seed {seed} {side} trace {trace}: no result line, "
+          f"exit code {r['exit_code']}; rerunning", file=sys.stderr)
+    r = run(checkout, workload, seed, seconds, trace)
+    print(f"{workload} seed {seed} {side} trace {trace} rerun: "
+          + ("result line" if r["result"] is not None
+             else f"no result line, exit code {r['exit_code']}"),
+          file=sys.stderr)
+    if r["result"] is None:
+        doc["runs_without_result"].append({**where,
+                                           "exit_code": r["exit_code"]})
+    return r
 
 
 def summarize(pairs: list[dict]) -> dict:
@@ -92,7 +118,7 @@ def main() -> int:
                     "os": platform.system()},
            "order": "pair for seed N runs parent first when N is odd and "
                     "change first when N is even",
-           "workloads": {}, "runs_without_result": []}
+           "workloads": {}, "reruns": [], "runs_without_result": []}
     for w in args.workloads.split(","):
         pairs = []
         for seed in args.seeds:
@@ -100,13 +126,8 @@ def main() -> int:
                      else ("change", "parent"))
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = r = run(sides[side], w, seed, args.seconds)
-                if r["result"] is None:
-                    doc["runs_without_result"].append(
-                        {"workload": w, "seed": seed, "side": side,
-                         "exit_code": r["exit_code"]})
-                    print(f"{w} seed {seed} {side}: no result line, exit "
-                          f"code {r['exit_code']}", file=sys.stderr)
+                pair[side] = run_or_rerun(doc, side, sides[side], w, seed,
+                                          args.seconds)
             pairs.append(pair)
         results = [p[s]["result"] for p in pairs for s in sides
                    if p[s]["result"]]
@@ -120,11 +141,13 @@ def main() -> int:
     if args.default_seed:
         doc["default_seed_runs"] = [
             {"side": "change", "workload": w,
-             **run(args.change, w, None, args.seconds)}
+             **run_or_rerun(doc, "change", args.change, w, None,
+                            args.seconds)}
             for w in args.workloads.split(",")]
         doc["traced_runs"] = []
         for w in args.workloads.split(","):
-            r = run(args.change, w, None, args.seconds, trace=1)
+            r = run_or_rerun(doc, "change", args.change, w, None,
+                             args.seconds, trace=1)
             doc["traced_runs"].append({
                 "side": "change", "workload": w,
                 "exit_code": r["exit_code"],

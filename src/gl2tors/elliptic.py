@@ -169,13 +169,17 @@ def count_points(E: CurveQ, p: int) -> tuple[int, int]:
     # 2 b4 % p below p, (4x + b2 % p) x + 2 b4 % p stays below 5p^2,
     # which is exact in int64 for p < 1.3 * 10^9 (far beyond any array
     # of p entries that could be allocated). The last step stays below p^2.
+    # chi is 1 on the nonzero squares, which the x <= p/2 already give,
+    # and -1 on the other nonzero values, so the sum is twice the number
+    # of nonzero square values less the number of nonzero values.
     x = np.arange(p, dtype=np.int64)
     g = ((4 * x + b2 % p) * x + 2 * b4 % p) % p
     g = (g * x + b6 % p) % p
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[x * x % p] = 1
-    chi[0] = 0
-    s = int(chi[g].sum())
+    half = x[:p // 2 + 1]
+    square = np.zeros(p, dtype=bool)
+    square[half * half % p] = True
+    square[0] = False
+    s = 2 * int(np.count_nonzero(square[g])) - int(np.count_nonzero(g))
     return p + 1 + s, -s
 
 
@@ -217,17 +221,31 @@ def _passed_over(p: int, ell: int, u: int, disc: int) -> bool:
     return ell % p == 0 or u % p == 0 or disc % p == 0
 
 
-def frobenius_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
-    """Sample (a_p mod ell, p mod ell) over good primes p <= bound."""
+def frobenius_signature(E: CurveQ, ell: int, bound: int, *,
+                        prior: FrobSignature | None = None) -> FrobSignature:
+    """Sample (a_p mod ell, p mod ell) over good primes p <= bound.
+
+    prior, a signature of the same curve and level at a bound no larger,
+    is extended: only the primes above prior.bound are counted, and the
+    result equals the signature taken without it."""
     if ell not in (2, 3, 9):
         raise ValueError(f"level must be 2, 3 or 9, got {ell}")
     if bound < 20:
         raise ValueError(f"prime bound must be >= 20, got {bound}")
-    u, _, _, disc = E._model
     counts: dict[tuple[int, int], int] = {}
     first: dict[tuple[int, int], int] = {}
-    skipped = 0
+    skipped = low = 0
+    if prior is not None:
+        if prior.ell != ell or prior.bound > bound:
+            raise ValueError(
+                f"prior signature (level {prior.ell}, bound {prior.bound}) "
+                f"does not extend to level {ell}, bound {bound}")
+        counts, first = dict(prior.counts), dict(prior.first_prime)
+        skipped, low = prior.skipped, prior.bound
+    u, _, _, disc = E._model
     for p in _prime_range(bound):
+        if p <= low:
+            continue
         if _passed_over(p, ell, u, disc):
             skipped += 1
             continue
@@ -281,15 +299,16 @@ _GROWTH = 4
 def _saturated_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
     """frobenius_signature(E, ell, b) at the first b of the schedule where
     all ell * phi(ell) classes (a_p mod ell, p mod ell) occur, or at b =
-    bound. Each call samples every good prime up to its b, so once no
-    class is missing no later prime can add a class or an earlier first
-    prime: the classes and first primes equal those at the full bound."""
+    bound. Each step extends the last one's signature, so every good
+    prime up to b is counted once; once no class is missing no later
+    prime can add a class or an earlier first prime: the classes and
+    first primes equal those at the full bound."""
     b = min(bound, _FIRST_BOUND)
     sig = frobenius_signature(E, ell, b)
     every_class = ell * sum(gcd(d, ell) == 1 for d in range(ell))
     while len(sig.counts) < every_class and b < bound:
         b = min(bound, b * _GROWTH)
-        sig = frobenius_signature(E, ell, b)
+        sig = frobenius_signature(E, ell, b, prior=sig)
     return sig
 
 

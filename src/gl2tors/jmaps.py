@@ -6,9 +6,15 @@ within the grid and are reported as evidence, never as completeness
 proofs.
 
 Searches evaluate in integers: a polynomial of degree d at x = p/q is
-taken as q^d * P(p/q) by homogenised Horner on its integer model, a
-square test is an `isqrt` on an integer, and a Fraction is built only
-for a hit (or, in `jmap_eval`, once for the value).
+taken as q^d * P(p/q) by homogenised Horner on its integer model, and a
+Fraction is built only for a hit (or, in `jmap_eval`, once for the
+value). The square-test searches (`search_hyperelliptic` with a nonzero
+discriminant, `zeta3_descent_search`) first sieve the whole grid at
+once: numpy evaluates the integer form modulo 64 * 63 * 65 * 11 and
+keeps the points whose value is a square modulo each of 64, 63, 65 and
+11. A non-square modulo some m is not a square, so the sieve drops only
+points the exact test would reject; an `isqrt` on the exact integer
+decides every survivor, and the hits are sorted by exact value.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from .arith import is_square
-from .polynomial import (BiPoly, UniPoly, _eval_int_at, _frac,
+from .polynomial import (BiPoly, UniPoly, _eval_int_at, _frac, _grid_arrays,
                          farey_fractions, poly_gcd)
 
 
@@ -223,7 +231,6 @@ def search_hyperelliptic(h: UniPoly, f: UniPoly,
     With disc = h^2 + 4f = (a/b) * P, P primitive of degree d and e the
     even number d or d + 1, disc(p/q) is a rational square exactly when
     a*b * q^e * P(p/q) is an integer square."""
-    grid = farey_fractions(height)
     ch, H = _scaled_int(h)
     dh = len(H) - 1
 
@@ -233,27 +240,59 @@ def search_hyperelliptic(h: UniPoly, f: UniPoly,
 
     disc = h * h + 4 * f
     if disc.is_zero():
-        return [(x, -h_at(x.numerator, x.denominator) / 2) for x in grid]
+        return [(x, -h_at(x.numerator, x.denominator) / 2)
+                for x in farey_fractions(height)]
     scale, P = _scaled_int(disc)
-    L, b = scale.numerator * scale.denominator, scale.denominator
+    b = scale.denominator
     if len(P) % 2 == 0:
         P.append(0)  # odd degree d: evaluate at degree e = d + 1
     half = (len(P) - 1) // 2
-    out = []
-    for x in grid:
-        p, q = x.numerator, x.denominator
-        v = L * _eval_int_at(P, p, q)
+    LP = [scale.numerator * b * c for c in P]
+    hits = []
+    for p, q in _sieved_points(LP, height):
+        v = _eval_int_at(LP, p, q)
         if v < 0:
             continue
         r = isqrt(v)
-        if r * r != v:
-            continue
-        hv = h_at(p, q)
-        root = Fraction(r, b * q ** half)
+        if r * r == v:
+            hits.append((Fraction(p, q), r))
+    out = []
+    for x, r in sorted(hits):
+        hv = h_at(x.numerator, x.denominator)
+        root = Fraction(r, b * x.denominator ** half)
         out.append((x, (-hv - root) / 2))
         if r:
             out.append((x, (-hv + root) / 2))
     return out
+
+
+# An integer that is a non-square modulo some m is not a square.
+# _SQUARES[m][r] says whether r is a square modulo m; together the four
+# moduli pass about 1 residue in 119 modulo their product.
+_SQUARES = {m: np.isin(np.arange(m), np.arange(m) ** 2 % m)
+            for m in (64, 63, 65, 11)}
+_SIEVE_M = 64 * 63 * 65 * 11
+
+
+def _sieved_points(C: list[int], height: int) -> list[tuple[int, int]]:
+    """The (p, q) of the height grid, in no order, at which the integer
+    form sum C[i] p^i q^(e - i), e = len(C) - 1, is a square modulo each
+    of 64, 63, 65 and 11; every point where it is a square is among them.
+
+    Horner runs on int64 modulo M = 64 * 63 * 65 * 11: the coefficients
+    and p are reduced first, so each step's two products of residues sum
+    to less than 2 * M^2 < 1.7 * 10^13 and no step can overflow."""
+    p, q = _grid_arrays(height)
+    pm, qm = p % _SIEVE_M, q % _SIEVE_M
+    acc = np.full(p.shape, C[-1] % _SIEVE_M, dtype=np.int64)
+    qpow = np.ones_like(qm)
+    for c in reversed(C[:-1]):
+        qpow = qpow * qm % _SIEVE_M
+        acc = (acc * pm + c % _SIEVE_M * qpow) % _SIEVE_M
+    keep = np.ones(p.shape, dtype=bool)
+    for m, square in _SQUARES.items():
+        keep &= square[acc % m]
+    return list(zip(p[keep].tolist(), q[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -274,14 +313,12 @@ def zeta3_descent_search(height: int) -> list[DescentHit]:
     At t = p/q the conditions are that (p^3 - 27q^3)*q, respectively
     -3*(p^3 - 27q^3)*q, is an integer square."""
     hits = []
-    for t in farey_fractions(height):
-        p, q = t.numerator, t.denominator
-        v = (p ** 3 - 27 * q ** 3) * q
-        if is_square(-3 * v):
-            hits.append(_flag_hit(t, "a=0"))
-        if is_square(v):
-            hits.append(_flag_hit(t, "b=0"))
-    return hits
+    # Low to high in p, with q making up degree 4.
+    for case, C in (("a=0", [81, 0, 0, -3, 0]), ("b=0", [-27, 0, 0, 1, 0])):
+        hits.extend((Fraction(p, q), case)
+                    for p, q in _sieved_points(C, height)
+                    if is_square(_eval_int_at(C, p, q)))
+    return [_flag_hit(t, case) for t, case in sorted(hits)]
 
 
 def _flag_hit(t: Fraction, case: str) -> DescentHit:

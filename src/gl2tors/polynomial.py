@@ -25,6 +25,8 @@ import threading
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+import numpy as np
+
 from .arith import next_prime
 
 
@@ -518,6 +520,23 @@ def farey_fractions(height: int) -> list[Fraction]:
     positive = unit + [(q, p) for p, q in reversed(unit[1:-1])]
     return ([rows[q][-p] for p, q in reversed(positive[1:])]
             + [rows[q][p] for p, q in positive])
+
+
+def _grid_arrays(height: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q), two int64 arrays holding every coprime pair with |p| <=
+    height and 1 <= q <= height once, in no order: the points of
+    farey_fractions(height), with no Fraction built and no shared table.
+
+    A boolean mask over the (2 * height + 1) * height rectangle drops the
+    pairs that some r in 2..height divides, one strided slice per r."""
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
+    keep = np.ones((height, 2 * height + 1), dtype=bool)  # [q - 1, p + H]
+    for r in range(2, height + 1):
+        keep[r - 1::r, height % r::r] = False
+    q, p = np.nonzero(keep)
+    return (p.astype(np.int64, copy=False) - height,
+            q.astype(np.int64, copy=False) + 1)
 
 
 def rational_roots(P: UniPoly) -> list[Fraction]:

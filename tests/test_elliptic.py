@@ -268,11 +268,45 @@ def test_identify_image_stops_once_every_class_is_seen(monkeypatch):
     res = identify_image(E37, 3, identify_candidates(3), 10 ** 4)
     assert len(calls) < 150
     assert res.sampled < res.primes == 1227
+    # Each step of the schedule counts only the primes above the last.
+    assert len(calls) == len(set(calls)) == res.sampled
     calls.clear()
     res = identify_image(E14A4, 3, identify_candidates(3), 2000)
     # A 3B image never shows (0, 1), (1, 2) or (2, 2).
     assert res.sampled == res.primes == 300
+    assert len(calls) == len(set(calls)) == res.sampled
     assert calls.count(1999) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.builds(Fraction, st.integers(-50, 50),
+                          st.integers(1, 4)), min_size=5, max_size=5),
+       st.sampled_from((2, 3, 9)), st.integers(20, 5000))
+@example([1, 0, 1, -1, 0], 3, 5000)
+def test_frobenius_prior_chain_equals_one_shot(a, ell, bound):
+    try:
+        E = CurveQ(*a)
+    except ValueError:
+        assume(False)
+    b = min(bound, elliptic._FIRST_BOUND)
+    sig = frobenius_signature(E, ell, b)
+    while b < bound:
+        b = min(bound, b * elliptic._GROWTH)
+        sig = frobenius_signature(E, ell, b, prior=sig)
+    want = frobenius_signature(E, ell, bound)
+    assert sig == want
+    assert list(sig.counts) == list(want.counts)
+    assert list(sig.first_prime) == list(want.first_prime)
+    # A prior at the same bound adds nothing.
+    assert frobenius_signature(E, ell, bound, prior=want) == want
+
+
+def test_frobenius_prior_guards():
+    sig = frobenius_signature(E37, 3, 100)
+    with pytest.raises(ValueError, match="does not extend"):
+        frobenius_signature(E37, 9, 200, prior=sig)
+    with pytest.raises(ValueError, match="does not extend"):
+        frobenius_signature(E37, 3, 50, prior=sig)
 
 
 def test_two_torsion_image():

@@ -11,7 +11,9 @@ rational root theorem on division polynomials, and the resultant
 must agree with a Sylvester determinant taken by Fraction Gaussian
 elimination, at non-integer nodes and at integer nodes it uses itself;
 so must the node resultant in the cases of its recurrence that small
-random inputs rarely reach."""
+random inputs rarely reach. The square sieve of the searches must keep
+every grid point where a form with a planted square is a square, and
+its grid must be the points of farey_fractions."""
 
 import functools
 import operator
@@ -27,14 +29,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gl2tors import elliptic, polynomial
+from gl2tors import elliptic, jmaps, polynomial
+from gl2tors.arith import is_square
 from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
                               frobenius_signature, two_torsion_cubic)
 from gl2tors.jmaps import (JMAP_LABELS, POLE, PlaneCurve, fiber_curve,
                            jmap_eval, named_jmap, search_hyperelliptic,
                            search_plane, zeta3_descent_search)
-from gl2tors.polynomial import (BiPoly, UniPoly, _int_resultant,
-                                farey_fractions, rational_roots, resultant)
+from gl2tors.polynomial import (BiPoly, UniPoly, _eval_int_at, _grid_arrays,
+                                _int_resultant, farey_fractions,
+                                rational_roots, resultant)
 from test_elliptic import E37, count_points_naive
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -189,6 +193,63 @@ def test_search_hyperelliptic_zero_disc_examples():
 def test_zeta3_descent_matches_reference(H):
     hits = zeta3_descent_search(H)
     assert [(h.t, h.case) for h in hits] == zeta3_reference(H)
+
+
+def test_sieve_residue_tables():
+    assert jmaps._SIEVE_M == prod(jmaps._SQUARES)
+    for m, square in jmaps._SQUARES.items():
+        assert {r for r in range(m) if square[r]} == {
+            x * x % m for x in range(m)}
+
+
+def test_grid_arrays_match_farey_fractions():
+    for H in range(1, 61):
+        p, q = _grid_arrays(H)
+        assert p.dtype == q.dtype == np.int64
+        pairs = list(zip(p.tolist(), q.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == {(x.numerator, x.denominator)
+                              for x in farey_fractions(H)}
+    with pytest.raises(ValueError, match="height"):
+        _grid_arrays(0)
+
+
+def _form_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=8),
+       st.integers(min_value=1, max_value=14), st.randoms())
+def test_sieve_keeps_every_square(e, H, rnd):
+    """A form sum C[i] p^i q^(e-i) with a square planted at a grid point
+    (p0, q0): C = (q0 p - p0 q) * B + q0^e u^2 q^e, so C(p0, q0) =
+    (q0^e u)^2. Coefficients reach past 2^70, and p0 may be negative."""
+    grid = list(zip(*(a.tolist() for a in _grid_arrays(H))))
+    p0, q0 = rnd.choice(grid)
+    big = 2 ** rnd.choice((4, 40, 80))
+    u = rnd.randint(0, 2 ** 40)
+    if e == 0:
+        C = [u * u]
+    else:
+        C = _form_mul([-p0, q0],
+                      [rnd.randint(-big, big) for _ in range(e)])
+        C[0] += q0 ** e * u * u
+    assert len(C) == e + 1
+    kept = set(jmaps._sieved_points(C, H))
+    assert (p0, q0) in kept
+    squares = {(p, q) for p, q in grid if is_square(_eval_int_at(C, p, q))}
+    assert squares <= kept
+    # The survivors are exactly the points whose value is a square
+    # modulo each of the four moduli.
+    residues = {m: {x * x % m for x in range(m)} for m in jmaps._SQUARES}
+    assert kept == {(p, q) for p, q in grid
+                    if all(_eval_int_at(C, p, q) % m in residues[m]
+                           for m in residues)}
 
 
 # Every rational pole of the six maps, so that each map meets its own.
