@@ -50,8 +50,9 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _int_at_least(low: int, what: str):
-    """An argparse type: an integer >= low, else a one-line usage error."""
+def _int_at_least(low: int, what: str, high: int | None = None):
+    """An argparse type: an integer >= low (and <= high, if given), else a
+    one-line usage error."""
     def parse(text: str) -> int:
         try:
             v = int(text)
@@ -61,13 +62,20 @@ def _int_at_least(low: int, what: str):
         if v < low:
             raise argparse.ArgumentTypeError(
                 f"{what} must be >= {low}, got {v}")
+        if high is not None and v > high:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be <= {high}, got {v}")
         return v
     return parse
 
 
-# Grid searches need a height of at least 1; Frobenius sampling needs a
-# prime bound of at least 20 (see elliptic.frobenius_signature).
-_height = _int_at_least(1, "height")
+# Grid searches need a height of at least 1. A search that hits every grid
+# point grows as H^2: by peak RSS, fiber-search 2B 2B takes about 1 KB per
+# H^2 (186 MB at H = 400) and curve-search 'y^2 = x^2' about 1.4 KB (1.36 GB
+# at H = 1000), so the cap turns what would be a failed allocation into a
+# usage error. Frobenius sampling needs a prime bound of at least 20 (see
+# elliptic.frobenius_signature).
+_height = _int_at_least(1, "height", 1000)
 _prime_bound = _int_at_least(20, "prime bound")
 
 

@@ -8,13 +8,14 @@ proofs.
 Searches evaluate in integers: a polynomial of degree d at x = p/q is
 taken as q^d * P(p/q) by homogenised Horner on its integer model, and a
 Fraction is built only for a hit (or, in `jmap_eval`, once for the
-value). The square-test searches (`search_hyperelliptic` with a nonzero
-discriminant, `zeta3_descent_search`) first sieve the whole grid at
-once: numpy evaluates the integer form modulo 64 * 63 * 65 * 11 and
-keeps the points whose value is a square modulo each of 64, 63, 65 and
-11. A non-square modulo some m is not a square, so the sieve drops only
-points the exact test would reject; an `isqrt` on the exact integer
-decides every survivor, and the hits are sorted by exact value.
+value). Every square test (`search_hyperelliptic`, a zero discriminant
+included, and both forms of `zeta3_descent_search`) is `_square_points`:
+it sieves the whole grid at once, numpy evaluating the integer form
+modulo 64 * 63 * 65 * 11 and keeping the points whose value is a square
+modulo each of 64, 63, 65 and 11. A non-square modulo some m is not a
+square, so the sieve drops only points the exact test would reject; an
+`isqrt` on the exact integer decides every survivor, and the searches
+sort the hits by exact value.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import is_square
 from .polynomial import (BiPoly, UniPoly, _eval_int_at, _frac, _grid_arrays,
                          farey_fractions, poly_gcd)
 
@@ -230,39 +230,27 @@ def search_hyperelliptic(h: UniPoly, f: UniPoly,
 
     With disc = h^2 + 4f = (a/b) * P, P primitive of degree d and e the
     even number d or d + 1, disc(p/q) is a rational square exactly when
-    a*b * q^e * P(p/q) is an integer square."""
+    a*b * q^e * P(p/q) is an integer square; a zero disc has a = 0, so
+    every grid point is a hit."""
     ch, H = _scaled_int(h)
-    dh = len(H) - 1
-
-    def h_at(p, q):
-        return Fraction(ch.numerator * _eval_int_at(H, p, q),
-                        ch.denominator * q ** dh)
-
-    disc = h * h + 4 * f
-    if disc.is_zero():
-        return [(x, -h_at(x.numerator, x.denominator) / 2)
-                for x in farey_fractions(height)]
-    scale, P = _scaled_int(disc)
+    scale, P = _scaled_int(h * h + 4 * f)
     b = scale.denominator
     if len(P) % 2 == 0:
         P.append(0)  # odd degree d: evaluate at degree e = d + 1
     half = (len(P) - 1) // 2
     LP = [scale.numerator * b * c for c in P]
-    hits = []
-    for p, q in _sieved_points(LP, height):
-        v = _eval_int_at(LP, p, q)
-        if v < 0:
-            continue
-        r = isqrt(v)
-        if r * r == v:
-            hits.append((Fraction(p, q), r))
+    # Grid values differ by >= 1/height^2, so p*height^2 // q sorts exactly.
     out = []
-    for x, r in sorted(hits):
-        hv = h_at(x.numerator, x.denominator)
-        root = Fraction(r, b * x.denominator ** half)
-        out.append((x, (-hv - root) / 2))
+    for p, q, r in sorted(_square_points(LP, height),
+                          key=lambda hit: hit[0] * height ** 2 // hit[1]):
+        # y = (-h(x) -+ r / E) / 2 with h(x) = A / D, as one Fraction each.
+        A = ch.numerator * _eval_int_at(H, p, q)
+        D = ch.denominator * q ** (len(H) - 1)
+        E = b * q ** half
+        x = Fraction(p, q)
+        out.append((x, Fraction(-A * E - r * D, 2 * D * E)))
         if r:
-            out.append((x, (-hv + root) / 2))
+            out.append((x, Fraction(-A * E + r * D, 2 * D * E)))
     return out
 
 
@@ -295,6 +283,18 @@ def _sieved_points(C: list[int], height: int) -> list[tuple[int, int]]:
     return list(zip(p[keep].tolist(), q[keep].tolist()))
 
 
+def _square_points(C: list[int], height: int) -> list[tuple[int, int, int]]:
+    """The (p, q, r) of the height grid, in no order, at which the integer
+    form sum C[i] p^i q^(e - i) equals r^2 with r >= 0."""
+    out = []
+    for p, q in _sieved_points(C, height):
+        v = _eval_int_at(C, p, q)
+        r = isqrt(v) if v > 0 else 0
+        if r * r == v:
+            out.append((p, q, r))
+    return out
+
+
 @dataclass(frozen=True)
 class DescentHit:
     """A parameter found by one of the two square conditions, flagged."""
@@ -312,13 +312,11 @@ def zeta3_descent_search(height: int) -> list[DescentHit]:
 
     At t = p/q the conditions are that (p^3 - 27q^3)*q, respectively
     -3*(p^3 - 27q^3)*q, is an integer square."""
-    hits = []
     # Low to high in p, with q making up degree 4.
-    for case, C in (("a=0", [81, 0, 0, -3, 0]), ("b=0", [-27, 0, 0, 1, 0])):
-        hits.extend((Fraction(p, q), case)
-                    for p, q in _sieved_points(C, height)
-                    if is_square(_eval_int_at(C, p, q)))
-    return [_flag_hit(t, case) for t, case in sorted(hits)]
+    forms = (("a=0", [81, 0, 0, -3, 0]), ("b=0", [-27, 0, 0, 1, 0]))
+    hits = sorted((Fraction(p, q), case) for case, C in forms
+                  for p, q, _ in _square_points(C, height))
+    return [_flag_hit(t, case) for t, case in hits]
 
 
 def _flag_hit(t: Fraction, case: str) -> DescentHit:

@@ -265,12 +265,19 @@ def test_curve_search_bad_model():
     (["identify", "[0,0,1,-1,0]", "--prime-bound", "5"],
      "prime bound must be >= 20, got 5"),
     (["verify-all", "--height", "0"], "height must be >= 1, got 0"),
+    (["curve-search", "y^2 = x^3 + 1", "--height", "100000000"],
+     "height must be <= 1000, got 100000000"),
+    (["fiber-search", "2B", "2B", "--height", "1001"],
+     "height must be <= 1000, got 1001"),
+    (["verify-all", "--height", "100000000"],
+     "height must be <= 1000, got 100000000"),
     (["torsion", "[1/0,0,0,1,1]"], "zero denominator in '1/0'"),
     (["identify", "[1/0,0,0,1,1]"], "zero denominator in '1/0'"),
     (["torsion", "[1e100000000,0,0,0,1]"],
      "expected an integer or p/q, got '1e100000000'"),
     (["jmap", "Et", "1e100000000"], "bad rational '1e100000000'"),
 ], ids=["fiber-search", "curve-search", "identify", "verify-all",
+        "curve-search-huge", "fiber-search-cap", "verify-all-huge",
         "torsion-zero-denominator", "identify-zero-denominator",
         "torsion-exponent", "jmap-exponent"])
 def test_bad_numbers_are_usage_errors(argv, message, capsys):

@@ -12,7 +12,8 @@ must agree with a Sylvester determinant taken by Fraction Gaussian
 elimination, at non-integer nodes and at integer nodes it uses itself;
 so must the node resultant in the cases of its recurrence that small
 random inputs rarely reach. The square sieve of the searches must keep
-every grid point where a form with a planted square is a square, and
+every grid point where a form with a planted square is a square, the
+exact square kernel after it must return exactly those squares, and
 its grid must be the points of farey_fractions."""
 
 import functools
@@ -250,6 +251,12 @@ def test_sieve_keeps_every_square(e, H, rnd):
     assert kept == {(p, q) for p, q in grid
                     if all(_eval_int_at(C, p, q) % m in residues[m]
                            for m in residues)}
+    # The exact kernel keeps exactly the integer squares, each with its
+    # root r >= 0; on the zero form every grid point is a hit with r = 0.
+    for form in (C, [0]):
+        values = {(p, q): _eval_int_at(form, p, q) for p, q in grid}
+        assert sorted(jmaps._square_points(form, H)) == sorted(
+            (p, q, isqrt(v)) for (p, q), v in values.items() if is_square(v))
 
 
 # Every rational pole of the six maps, so that each map meets its own.
