@@ -73,10 +73,19 @@ def _int_at_least(low: int, what: str, high: int | None = None):
 # point grows as H^2: by peak RSS, fiber-search 2B 2B takes about 1 KB per
 # H^2 (186 MB at H = 400) and curve-search 'y^2 = x^2' about 1.4 KB (1.36 GB
 # at H = 1000), so the cap turns what would be a failed allocation into a
-# usage error. Frobenius sampling needs a prime bound of at least 20 (see
-# elliptic.frobenius_signature).
+# usage error.
 _height = _int_at_least(1, "height", 1000)
-_prime_bound = _int_at_least(20, "prime bound")
+# Frobenius sampling needs a prime bound of at least 20 (see
+# elliptic.frobenius_signature). A curve whose Frobenius classes never
+# all show, such as 14a4 with its 3B image, counts points at every good
+# prime up to the bound. Its identify took 0.06, 0.23 and 0.82 s at
+# bounds of 10^4, 2 * 10^4 and 4 * 10^4 (2-core Xeon host, Python
+# 3.11), so each doubling costs about 3.5 times as much: about 5 s at
+# the cap of 10^5 and about 5 minutes at 10^6. The cap stays far inside
+# the bound under which elliptic._point_counts tabulates its cubic in
+# int64 (N < 1.3 * 10^6 for small coefficients), and it turns the sieve
+# of a huge bound, which would fail to allocate, into a usage error.
+_prime_bound = _int_at_least(20, "prime bound", 10 ** 5)
 
 
 def _build_parser() -> _Parser:

@@ -154,33 +154,68 @@ def _bad_primes_guard(E: CurveQ, p: int) -> None:
 def count_points(E: CurveQ, p: int) -> tuple[int, int]:
     """(#E(F_p) including the point at infinity, a_p = p + 1 - #E)."""
     _bad_primes_guard(E, p)
+    n, = _point_counts(E, [p])
+    return n, p + 1 - n
+
+
+def _cubic_fits_int64(E: CurveQ, N: int) -> bool:
+    """Whether G(x) = ((4x + b2) x + 2 b4) x + b6 is exact in int64 at
+    every x < N: each Horner partial value there is below 4N^3 +
+    |b2|N^2 + 2|b4|N + |b6|, and this asks that bound to be below 2^63
+    (N < 1.3 * 10^6 when the b_i are small)."""
+    _, _, (b2, b4, b6, _), _ = E._model
+    return (4 * N ** 3 + abs(b2) * N ** 2 + 2 * abs(b4) * N + abs(b6)
+            < 2 ** 63)
+
+
+def _point_counts(E: CurveQ, primes) -> list[int]:
+    """#E(F_p), the point at infinity included, for each prime p in
+    primes, every one of them good for E."""
     _, (a1, a2, a3, a4, a6), (b2, b4, b6, _), _ = E._model
-    if p == 2:
-        n = 1
-        for x in range(2):
-            for y in range(2):
-                lhs = (y * y + a1 * x * y + a3 * y) % 2
-                rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % 2
-                if lhs == rhs:
-                    n += 1
-        return n, p + 1 - n
-    # #E = p + 1 + sum over x of chi(4x^3 + b2 x^2 + 2 b4 x + b6) by
-    # Horner. The first two steps share one reduction: with x, b2 % p and
-    # 2 b4 % p below p, (4x + b2 % p) x + 2 b4 % p stays below 5p^2,
-    # which is exact in int64 for p < 1.3 * 10^9 (far beyond any array
-    # of p entries that could be allocated). The last step stays below p^2.
-    # chi is 1 on the nonzero squares, which the x <= p/2 already give,
-    # and -1 on the other nonzero values, so the sum is twice the number
-    # of nonzero square values less the number of nonzero values.
-    x = np.arange(p, dtype=np.int64)
-    g = ((4 * x + b2 % p) * x + 2 * b4 % p) % p
-    g = (g * x + b6 % p) % p
-    half = x[:p // 2 + 1]
-    square = np.zeros(p, dtype=bool)
-    square[half * half % p] = True
-    square[0] = False
-    s = 2 * int(np.count_nonzero(square[g])) - int(np.count_nonzero(g))
-    return p + 1 + s, -s
+    # #E = p + 1 + sum over x of chi(G(x)), G(x) = 4x^3 + b2 x^2 + 2 b4 x
+    # + b6. chi is 1 on the nonzero squares, which the h^2 with h <= p/2
+    # already give, and -1 on the other nonzero values, so the sum is
+    # twice the number of nonzero square values less the number of
+    # nonzero values.
+    # Where G is exact in int64 up to the largest prime N, G and h^2 are
+    # evaluated once up to N, and each p reduces a prefix of them.
+    # Otherwise each p runs Horner on the b_i reduced mod p: the first two
+    # steps share one reduction, and with x, b2 % p and 2 b4 % p below p,
+    # (4x + b2 % p) x + 2 b4 % p stays below 5p^2, exact in int64 for
+    # p < 1.3 * 10^9 (far beyond any array of p entries that could be
+    # allocated); the last step stays below p^2.
+    N = max(primes, default=0)
+    table = _cubic_fits_int64(E, N)
+    if table:
+        x = np.arange(N, dtype=np.int64)
+        G = ((4 * x + b2) * x + 2 * b4) * x + b6
+        H = x[:N // 2 + 1] ** 2
+    counts = []
+    for p in primes:
+        if p == 2:
+            n = 1
+            for x in range(2):
+                for y in range(2):
+                    lhs = (y * y + a1 * x * y + a3 * y) % 2
+                    rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % 2
+                    if lhs == rhs:
+                        n += 1
+            counts.append(n)
+            continue
+        if table:
+            g = G[:p] % p
+            h2 = H[:p // 2 + 1] % p
+        else:
+            x = np.arange(p, dtype=np.int64)
+            g = ((4 * x + b2 % p) * x + 2 * b4 % p) % p
+            g = (g * x + b6 % p) % p
+            h2 = x[:p // 2 + 1] ** 2 % p
+        square = np.zeros(p, dtype=bool)
+        square[h2] = True
+        square[0] = False
+        counts.append(p + 1 + 2 * int(np.count_nonzero(square[g]))
+                      - int(np.count_nonzero(g)))
+    return counts
 
 
 def _prime_range(bound: int) -> list[int]:
@@ -243,14 +278,16 @@ def frobenius_signature(E: CurveQ, ell: int, bound: int, *,
         counts, first = dict(prior.counts), dict(prior.first_prime)
         skipped, low = prior.skipped, prior.bound
     u, _, _, disc = E._model
+    good = []
     for p in _prime_range(bound):
         if p <= low:
             continue
         if _passed_over(p, ell, u, disc):
             skipped += 1
-            continue
-        _, a_p = count_points(E, p)
-        cls = (a_p % ell, p % ell)
+        else:
+            good.append(p)
+    for p, n in zip(good, _point_counts(E, good)):
+        cls = ((p + 1 - n) % ell, p % ell)
         counts[cls] = counts.get(cls, 0) + 1
         first.setdefault(cls, p)
     return FrobSignature(ell, bound, dict(sorted(counts.items())),

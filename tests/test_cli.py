@@ -271,6 +271,11 @@ def test_curve_search_bad_model():
      "height must be <= 1000, got 1001"),
     (["verify-all", "--height", "100000000"],
      "height must be <= 1000, got 100000000"),
+    (["identify", "[0,0,1,-1,0]", "--prime-bound",
+      "100000000000000000000"],
+     "prime bound must be <= 100000, got 100000000000000000000"),
+    (["verify-all", "--prime-bound", "100001"],
+     "prime bound must be <= 100000, got 100001"),
     (["torsion", "[1/0,0,0,1,1]"], "zero denominator in '1/0'"),
     (["identify", "[1/0,0,0,1,1]"], "zero denominator in '1/0'"),
     (["torsion", "[1e100000000,0,0,0,1]"],
@@ -278,6 +283,7 @@ def test_curve_search_bad_model():
     (["jmap", "Et", "1e100000000"], "bad rational '1e100000000'"),
 ], ids=["fiber-search", "curve-search", "identify", "verify-all",
         "curve-search-huge", "fiber-search-cap", "verify-all-huge",
+        "identify-prime-bound-huge", "verify-all-prime-bound-cap",
         "torsion-zero-denominator", "identify-zero-denominator",
         "torsion-exponent", "jmap-exponent"])
 def test_bad_numbers_are_usage_errors(argv, message, capsys):

@@ -28,6 +28,15 @@ E37 = parse_curve("[0,0,1,-1,0]")
 E14A4 = parse_curve("[1,0,1,-1,0]")
 E14A6 = parse_curve("[1,0,1,-171,-874]")
 
+# A curve whose 2-division cubic G(x) = 4x^3 + 4x + 4 a6 is exact in
+# int64 for every x below EDGE_N, with its largest value within 10^8 of
+# 2^63, and one whose G(1) already exceeds 2^63.
+EDGE_N = 2003
+E_EDGE_IN = CurveQ(0, 0, 0, 1, 2 ** 61 - EDGE_N ** 3 - EDGE_N - 1)
+E_EDGE_OUT = CurveQ(0, 0, 0, 1, 2 ** 61 - 1)
+E_LARGE = CurveQ(Fraction(-7, 3), Fraction(98765, 11), Fraction(5, 2),
+                 Fraction(-123456789, 13), Fraction(987654321, 17))
+
 
 def test_parse_curve():
     assert E37.coefficients() == (0, 0, 1, -1, 0)
@@ -143,9 +152,72 @@ def test_count_points_matches_naive():
 def test_count_points_matches_naive_at_large_primes(p):
     # count_points reduces once after its first two Horner products; at
     # these primes the value before that reduction reaches 4.4p^2-4.6p^2.
-    E = CurveQ(Fraction(-7, 3), Fraction(98765, 11), Fraction(5, 2),
-               Fraction(-123456789, 13), Fraction(987654321, 17))
-    assert count_points(E, p) == count_points_naive(E, p)
+    assert count_points(E_LARGE, p) == count_points_naive(E_LARGE, p)
+
+
+def good_primes(E, primes):
+    u, _, _, disc = E._model
+    return [p for p in primes if u % p and disc % p]
+
+
+def primes_upto(n):
+    return [p for p in range(2, n + 1)
+            if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+def test_point_counts_table_matches_naive():
+    # Every prime below 200 and every eighth one up to 3000, in one call.
+    primes = good_primes(E37, sorted(set(primes_upto(200))
+                                     | set(primes_upto(3000)[::8])))
+    assert elliptic._cubic_fits_int64(E37, primes[-1])
+    assert elliptic._point_counts(E37, primes) == [
+        count_points_naive(E37, p)[0] for p in primes]
+
+
+def test_point_counts_at_the_int64_bound():
+    primes = good_primes(E_EDGE_IN, primes_upto(60) + [1999, EDGE_N])
+    assert primes[-1] == EDGE_N
+    assert elliptic._cubic_fits_int64(E_EDGE_IN, EDGE_N)
+    assert not elliptic._cubic_fits_int64(E_EDGE_IN, EDGE_N + 1)
+    assert elliptic._point_counts(E_EDGE_IN, primes) == [
+        count_points_naive(E_EDGE_IN, p)[0] for p in primes]
+    primes = good_primes(E_EDGE_OUT, primes_upto(60) + [1999, EDGE_N])
+    assert not elliptic._cubic_fits_int64(E_EDGE_OUT, 2)
+    assert elliptic._point_counts(E_EDGE_OUT, primes) == [
+        count_points_naive(E_EDGE_OUT, p)[0] for p in primes]
+
+
+def test_point_counts_horner_matches_naive():
+    primes = good_primes(E_LARGE, primes_upto(400) + [5003])
+    assert not elliptic._cubic_fits_int64(E_LARGE, 2)
+    assert elliptic._point_counts(E_LARGE, primes) == [
+        count_points_naive(E_LARGE, p)[0] for p in primes]
+
+
+def test_point_counts_horner_matches_table(monkeypatch):
+    # The per-prime Horner path, forced on a curve the table covers.
+    primes = good_primes(E14A4, primes_upto(3000))
+    table = elliptic._point_counts(E14A4, primes)
+    monkeypatch.setattr(elliptic, "_cubic_fits_int64", lambda E, N: False)
+    assert elliptic._point_counts(E14A4, primes) == table
+
+
+@pytest.mark.parametrize("E,bound", [(E37, 3000), (E_EDGE_IN, EDGE_N),
+                                     (E_EDGE_OUT, 2000), (E_LARGE, 2000)],
+                         ids=["table", "edge-in", "edge-out", "horner"])
+def test_frobenius_prior_on_both_sides_of_the_int64_bound(E, bound):
+    want = frobenius_signature(E, 3, bound)
+    sig = frobenius_signature(E, 3, 20)
+    for b in (100, 700, bound):
+        sig = frobenius_signature(E, 3, b, prior=sig)
+    assert sig == want
+    # Against the one-prime count, which goes through its own guard.
+    counts = {}
+    for p in good_primes(E, primes_upto(bound)):
+        if p != 3:
+            cls = (count_points(E, p)[1] % 3, p % 3)
+            counts[cls] = counts.get(cls, 0) + 1
+    assert want.counts == counts
 
 
 def test_count_points_guards():
@@ -259,12 +331,14 @@ def test_identify_image_matches_full_bound_signature(a, ell, bound):
 
 
 def test_identify_image_stops_once_every_class_is_seen(monkeypatch):
+    # Every prime handed to the point-count kernel, over all its calls.
     calls = []
+    point_counts = elliptic._point_counts
 
-    def counting(E, p):
-        calls.append(p)
-        return count_points(E, p)
-    monkeypatch.setattr(elliptic, "count_points", counting)
+    def counting(E, primes):
+        calls.extend(primes)
+        return point_counts(E, primes)
+    monkeypatch.setattr(elliptic, "_point_counts", counting)
     res = identify_image(E37, 3, identify_candidates(3), 10 ** 4)
     assert len(calls) < 150
     assert res.sampled < res.primes == 1227
