@@ -15,13 +15,17 @@ side and workload: the failed run's exit code and stderr tail go under
 run's place. A run that still printed no result is listed under
 `runs_without_result`, and its pair stays out of the summary. The
 summary gives, per end-to-end metric, the median and quartiles (numpy's
-linear interpolation) of each side and the number of pairs in which the
-change read lower. `--default-seed` adds one run of the change per
-workload at perfbench's default seed, where it checks the recorded
-digests, and one traced run (`--trace 1`) of the change per workload at
-that seed, whose exit code, `correct` and `# WRONG:` lines go under
-`traced_runs`; a traced run is incorrect when a layer counter reads zero
-on its home workload.
+linear interpolation) of each side, the number of pairs in which the
+change read lower, the metric's relative `bound` from BENCHMARK.json and
+a `verdict`: `worse` when the change's median is worse than the
+parent's by more than the bound, else `unresolved` when the parent's
+interquartile range is wider than the bound, else `ok`. Each workload
+also counts the runs of its pairs that were rerun. `--default-seed`
+adds one run of the change per workload at perfbench's default seed,
+where it checks the recorded digests, and one traced run (`--trace 1`)
+of the change per workload at that seed, whose exit code, `correct` and
+`# WRONG:` lines go under `traced_runs`; a traced run is incorrect when
+a layer counter reads zero on its home workload.
 """
 
 from __future__ import annotations
@@ -31,11 +35,13 @@ import json
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
 METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
 STDERR_LINES = 20
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run(checkout: str, workload: str, seed: int | None,
@@ -79,7 +85,22 @@ def run_or_rerun(doc: dict, side: str, checkout: str, workload: str,
     return r
 
 
-def summarize(pairs: list[dict]) -> dict:
+def end_to_end_metrics() -> dict:
+    """BENCHMARK.json's end-to-end metrics: name -> its entry."""
+    with open(BENCHMARK) as f:
+        return {m["name"]: m for m in json.load(f)["end_to_end"]}
+
+
+def verdict(qa: list[float], qb: list[float], metric: dict) -> str:
+    """`worse`, `unresolved` or `ok` for parent and change quartiles."""
+    bound = metric["bound"] * abs(qa[1])
+    worse = qb[1] - qa[1] if metric["better"] == "lower" else qa[1] - qb[1]
+    if worse > bound:
+        return "worse"
+    return "unresolved" if qa[2] - qa[0] > bound else "ok"
+
+
+def summarize(pairs: list[dict], metrics: dict) -> dict:
     done = [p for p in pairs
             if p["parent"]["result"] and p["change"]["result"]]
     out = {}
@@ -91,7 +112,9 @@ def summarize(pairs: list[dict]) -> dict:
         out[name] = {"parent_median": qa[1], "parent_q1": qa[0],
                      "parent_q3": qa[2], "change_median": qb[1],
                      "change_q1": qb[0], "change_q3": qb[2],
-                     "change_lower_in": sum(y < x for x, y in zip(a, b))}
+                     "change_lower_in": sum(y < x for x, y in zip(a, b)),
+                     "bound": metrics[name]["bound"],
+                     "verdict": verdict(qa, qb, metrics[name])}
     return out
 
 
@@ -112,6 +135,7 @@ def main() -> int:
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     sides = {"parent": args.parent, "change": args.change}
+    metrics = end_to_end_metrics()
     doc = {"command": "python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {args.seconds:g} --trace 0",
            "host": {"python": platform.python_version(),
@@ -137,7 +161,8 @@ def main() -> int:
             "failed_operations": {
                 s: sum(p[s]["result"]["failed"] for p in pairs
                        if p[s]["result"]) for s in sides},
-            "summary": summarize(pairs), "pairs": pairs}
+            "reruns": sum(r["workload"] == w for r in doc["reruns"]),
+            "summary": summarize(pairs, metrics), "pairs": pairs}
     if args.default_seed:
         doc["default_seed_runs"] = [
             {"side": "change", "workload": w,

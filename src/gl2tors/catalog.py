@@ -67,6 +67,25 @@ class CatalogError(ValueError):
     pass
 
 
+def parse_generator_rows(text: str, level: int) -> tuple[tuple, ...]:
+    """The rows of text, a JSON list of 4-entry int rows (not bool) such as
+    [[1,1,0,1]], checked as generators at this level; else ValueError."""
+    if level < 2:
+        raise CatalogError(f"level must be >= 2, got {level}")
+    try:
+        gens = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise CatalogError(f"bad generator list: {e}")
+    if not (isinstance(gens, list) and gens and all(
+            isinstance(g, list) and len(g) == 4
+            and all(type(v) is int for v in g) for g in gens)):
+        raise CatalogError(
+            "generators must be a nonempty list of 4-entry integer rows")
+    rows = tuple(map(tuple, gens))
+    GenGroup.from_generators(rows, level)
+    return rows
+
+
 def parse_catalog(text: str) -> list[CatalogEntry]:
     """Parse catalog text, validating labels, levels and generators."""
     entries = []
@@ -88,25 +107,11 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
         except ValueError:
             raise CatalogError(
                 f"line {lineno}: level {level_s!r} is not an integer")
-        if level < 2:
-            raise CatalogError(f"line {lineno}: level must be >= 2")
         try:
-            gens = json.loads(gens_s)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise CatalogError(f"line {lineno}: bad generator list: {e}")
-        if (not isinstance(gens, list) or not gens
-                or not all(isinstance(g, list) and len(g) == 4
-                           and all(isinstance(v, int) for v in g)
-                           for g in gens)):
-            raise CatalogError(
-                f"line {lineno}: generators must be a nonempty list of "
-                f"4-entry integer rows")
-        entry = CatalogEntry(label, level, tuple(tuple(g) for g in gens))
-        try:
-            GenGroup.from_generators(entry.generators, level)
+            rows = parse_generator_rows(gens_s, level)
         except ValueError as e:
             raise CatalogError(f"line {lineno}: {e}")
-        entries.append(entry)
+        entries.append(CatalogEntry(label, level, rows))
     return entries
 
 

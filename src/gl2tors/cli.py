@@ -70,8 +70,8 @@ def _int_at_least(low: int, what: str, high: int | None = None):
 
 
 # Grid searches need a height of at least 1. A search that hits every grid
-# point grows as H^2: by peak RSS, fiber-search 2B 2B takes about 1 KB per
-# H^2 (186 MB at H = 400) and curve-search 'y^2 = x^2' about 1.4 KB (1.36 GB
+# point grows as H^2: by peak RSS, fiber-search 2B 2B takes about 1.3 KB per
+# H^2 (212 MB at H = 400) and curve-search 'y^2 = x^2' about 1.4 KB (1.36 GB
 # at H = 1000), so the cap turns what would be a failed allocation into a
 # usage error.
 _height = _int_at_least(1, "height", 1000)
@@ -202,10 +202,10 @@ def _cmd_group(args, parser):
         if args.level is None:
             parser.error("inline generators require --level")
         try:
-            rows = json.loads(args.group)
-            G = closure([tuple(r) for r in rows], args.level, "inline")
-        except (ValueError, TypeError, RecursionError) as e:
-            parser.error(f"bad generator rows: {e}")
+            rows = _catalog.parse_generator_rows(args.group, args.level)
+        except ValueError as e:
+            parser.error(str(e))
+        G = closure(rows, args.level, "inline")
     app = is_applicable(G)
     facts = {
         "label": G.label,

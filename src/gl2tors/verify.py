@@ -28,8 +28,7 @@ from .jmaps import (classify_fiber_point, fiber_curve, jmap_eval,
                     zeta3_descent_search)
 from .modmat import (TorVec, code_det, code_inverse, code_mul, code_pack,
                      least_nonresidue)
-from .polynomial import (farey_fractions, parse_poly, rational_roots,
-                         resultant)
+from .polynomial import _grid_arrays, parse_poly, rational_roots, resultant
 
 
 @dataclass
@@ -360,8 +359,8 @@ def prop_search_monotonicity(instances: int = 100,
     for _ in range(instances):
         h1 = rng.randint(1, 20)
         h2 = rng.randint(h1, 40)
-        # Pairs compare as the normalized Fractions do and hash faster.
-        low, high = ({(x.numerator, x.denominator) for x in farey_fractions(h)}
+        # The grid that search_hyperelliptic sieves, as coprime pairs.
+        low, high = (set(zip(*(a.tolist() for a in _grid_arrays(h))))
                      for h in (h1, h2))
         _require(low <= high, f"farey_fractions({h1}) not inside height {h2}")
         _require(set(search_hyperelliptic(h, f, h1))

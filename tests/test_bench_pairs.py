@@ -1,8 +1,11 @@
 """scripts/bench_pairs.py runs a run that printed no result line once
 more, keeps the failed run under `reruns`, and uses the rerun only when
-it printed a result. `run` is replaced, so no benchmark runs here."""
+it printed a result; its summary gives each metric's bound and verdict,
+and each workload its rerun count. `run` is replaced, so no benchmark
+runs here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -69,6 +72,54 @@ def test_summary_skips_pairs_without_result():
     ok = {"result": {"metrics": metrics}}
     pairs = [{"parent": ok, "change": ok},
              {"parent": ok, "change": {"result": None}}]
-    summary = mod.summarize(pairs)
+    summary = mod.summarize(pairs, mod.end_to_end_metrics())
     assert summary["wall_s"]["parent_median"] == 1.0
     assert summary["wall_s"]["change_lower_in"] == 0
+
+
+def test_summary_reads_bounds_from_the_benchmark():
+    mod = load()
+    metrics = mod.end_to_end_metrics()
+    assert set(metrics) == set(mod.METRICS)
+    pairs = [{side: {"result": {"metrics": {
+        name: {"value": v} for name in mod.METRICS}}}
+        for side, v in (("parent", 1.0), ("change", 1.2))}] * 4
+    summary = mod.summarize(pairs, metrics)
+    assert summary["wall_s"]["bound"] == metrics["wall_s"]["bound"] == 0.25
+    assert summary["wall_s"]["verdict"] == "ok"
+    assert summary["peak_rss_mb"]["bound"] == 0.1
+    assert summary["peak_rss_mb"]["verdict"] == "worse"
+
+
+def test_verdicts():
+    mod = load()
+    lower = {"bound": 0.25, "better": "lower"}
+    higher = {"bound": 0.25, "better": "higher"}
+    assert mod.verdict([0.9, 1.0, 1.1], [0.9, 1.2, 1.3], lower) == "ok"
+    assert mod.verdict([0.9, 1.0, 1.1], [1.2, 1.3, 1.4], lower) == "worse"
+    assert mod.verdict([0.9, 1.0, 1.1], [0.6, 0.7, 0.8], higher) == "worse"
+    assert mod.verdict([0.9, 1.0, 1.1], [1.2, 1.3, 1.4], higher) == "ok"
+    # A parent spread wider than the bound cannot tell a change apart,
+    # unless the change is worse by more than the bound all the same.
+    assert mod.verdict([0.8, 1.0, 1.3], [0.9, 1.0, 1.1], lower) == (
+        "unresolved")
+    assert mod.verdict([0.8, 1.0, 1.3], [1.3, 1.4, 1.5], lower) == "worse"
+
+
+def test_each_workload_counts_its_reruns(monkeypatch, tmp_path):
+    mod = load()
+    metrics = {name: {"value": 1.0} for name in mod.METRICS}
+    ok = {"metrics": metrics, "correct": True, "failed": 0}
+    # grid: seed 1 runs parent then change; the change's first run
+    # prints nothing. groups: both runs print a result.
+    fake_runs(mod, monkeypatch, [ok, None, ok, ok, ok])
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "--parent", "P", "--change", "C",
+        "--workloads", "grid,groups", "--seeds", "1", "--out", str(out)])
+    assert mod.main() == 0
+    doc = json.loads(out.read_text())
+    assert doc["workloads"]["grid"]["reruns"] == 1
+    assert doc["workloads"]["groups"]["reruns"] == 0
+    assert [r["workload"] for r in doc["reruns"]] == ["grid"]
+    assert doc["workloads"]["grid"]["summary"]["wall_s"]["verdict"] == "ok"

@@ -8,7 +8,8 @@ from gl2tors import groups
 from gl2tors.catalog import (EMBEDDED_LEVEL9, NAMED_GROUP_GENERATORS,
                              CatalogEntry, CatalogError, TORSION_BY_DEGREE,
                              identify_candidates, is_admissible_torsion,
-                             named_group, parse_catalog, serialize_catalog)
+                             named_group, parse_catalog,
+                             parse_generator_rows, serialize_catalog)
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_catalog.txt"
 
@@ -73,6 +74,21 @@ def test_parse_catalog_errors():
         parse_catalog("g 3 [[1,1,0,3]]")
     with pytest.raises(CatalogError, match="line 3"):
         parse_catalog("# comment\n\nbadline")
+
+
+def test_parse_generator_rows():
+    assert parse_generator_rows("[[1,1,0,1],[2,0,0,1]]", 3) == (
+        (1, 1, 0, 1), (2, 0, 0, 1))
+    for text in ("[[true,1,0,1]]", "[[1,1,0,false]]", "[]", "[[1,1],[0,1]]",
+                 '[["a",1,0,1]]', "[[1.0,1,0,1]]", "{}"):
+        with pytest.raises(CatalogError, match="^generators must be"):
+            parse_generator_rows(text, 3)
+    with pytest.raises(CatalogError, match="^level must be >= 2, got 1"):
+        parse_generator_rows("[[1,1,0,1]]", 1)
+    with pytest.raises(ValueError, match="not invertible"):
+        parse_generator_rows("[[1,1,0,3]]", 3)
+    entry, = parse_catalog("g 3 [[1,1,0,1]]")
+    assert all(type(v) is int for row in entry.generators for v in row)
 
 
 def test_parse_catalog_rejects_level_above_table_cap(monkeypatch):

@@ -137,6 +137,18 @@ def test_group_inline(capsys):
     assert_usage_exit(["group", "nosuchgroup"])
 
 
+@pytest.mark.parametrize("rows", [
+    '[["a",1,0,1]]', "[[1,1],[0,1]]", "[]", "[[true,1,0,1]]"])
+def test_group_inline_rows_are_checked_as_in_a_catalog(rows, capsys):
+    assert_usage_exit(["group", rows, "--level", "3"])
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        "generators must be a nonempty list of 4-entry integer rows")
+    assert "Traceback" not in err
+    with pytest.raises(catalog.CatalogError, match="line 1: generators"):
+        catalog.parse_catalog(f"g 3 {rows}")
+
+
 def _closure_must_not_run(gen_codes, n):
     raise AssertionError(f"closure of {len(gen_codes)} generator(s) at "
                          f"level {n} was started")
@@ -281,11 +293,16 @@ def test_curve_search_bad_model():
     (["torsion", "[1e100000000,0,0,0,1]"],
      "expected an integer or p/q, got '1e100000000'"),
     (["jmap", "Et", "1e100000000"], "bad rational '1e100000000'"),
+    (["curve-search", "y^2 = 2^1000000000"],
+     "power ^1000000000 too large: 1 terms x 1000000001 bits > 65536"),
+    (["curve-search", "y^2 = (x+1)^3000"],
+     "power ^3000 too large: 3001 terms x 3001 bits > 65536"),
 ], ids=["fiber-search", "curve-search", "identify", "verify-all",
         "curve-search-huge", "fiber-search-cap", "verify-all-huge",
         "identify-prime-bound-huge", "verify-all-prime-bound-cap",
         "torsion-zero-denominator", "identify-zero-denominator",
-        "torsion-exponent", "jmap-exponent"])
+        "torsion-exponent", "jmap-exponent", "curve-search-power-bits",
+        "curve-search-power-terms"])
 def test_bad_numbers_are_usage_errors(argv, message, capsys):
     start = time.perf_counter()
     assert_usage_exit(argv)

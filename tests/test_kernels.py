@@ -2,12 +2,13 @@
 
 Each search reference evaluates with Fraction arithmetic at every grid
 point, the way the searches did before they moved to integers, and
-the grid of the shared Fraction table must equal the reference grid in
-any order of heights, from several threads too; the point-count
-references start from the rational invariants and count
-points on the long model directly. The root finder must return exactly
-the roots planted in a product of linear factors and those of the
-rational root theorem on division polynomials, and the resultant
+farey_fractions must equal the reference grid in any order of heights,
+from several threads too, with each value shared through its memo and
+each list the caller's own; the point-count references start from the
+rational invariants and count points on the long model directly. The
+root finder must return exactly the roots planted in a product of
+linear factors and those of the rational root theorem on division
+polynomials, and the resultant
 must agree with a Sylvester determinant taken by Fraction Gaussian
 elimination, at non-integer nodes and at integer nodes it uses itself;
 so must the node resultant in the cases of its recurrence that small
@@ -116,9 +117,9 @@ def matches_reference(grid, h, H):
 
 
 @pytest.fixture
-def empty_grid(monkeypatch):
-    """The shared Fraction table, emptied for this test only."""
-    monkeypatch.setattr(polynomial, "_grid", [[]])
+def empty_grid():
+    """The memo of grid Fractions, emptied before the test."""
+    polynomial._fraction.cache_clear()
 
 
 def test_farey_fractions_in_any_height_order(empty_grid):
@@ -131,16 +132,12 @@ def test_farey_fractions_in_any_height_order(empty_grid):
 
 def test_farey_fractions_shares_values_but_not_lists(empty_grid):
     first = farey_fractions(5)
-    rows = polynomial._grid
-    published = [list(row) for row in rows]
     first.reverse()
     first[0] = Fraction(7)
     second = farey_fractions(5)
     assert second == grid_reference(5) and second is not first
-    farey_fractions(30)
-    assert polynomial._grid is not rows
-    assert all(len(row) == len(old) and all(map(operator.is_, row, old))
-               for row, old in zip(rows, published))
+    larger = {x: x for x in farey_fractions(30)}
+    assert all(larger[x] is x for x in second)
     assert all(map(operator.is_, farey_fractions(5), second))
 
 
@@ -165,7 +162,6 @@ def test_farey_fractions_grows_safely_from_threads(empty_grid):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert bad == []
-    assert len(polynomial._grid) == 121
 
 
 @SETTINGS

@@ -1,12 +1,16 @@
 """Polynomial arithmetic, parsing, root finding, and resultants."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2tors.polynomial import (BiPoly, PolyParseError, UniPoly,
-                                farey_fractions, parse_bipoly, parse_poly,
-                                poly_gcd, rational_roots, resultant)
+                                _power_size, farey_fractions, parse_bipoly,
+                                parse_poly, poly_gcd, rational_roots,
+                                resultant)
 
 X = UniPoly.x()
 
@@ -47,6 +51,33 @@ def test_parse_poly_values():
     assert parse_poly("-x^2")(2) == -4
     assert parse_poly("2 - -3")(0) == 5
     assert parse_poly("t^2 + 1", var="t") == X ** 2 + 1
+
+
+def test_parse_refuses_powers_past_the_size_bound():
+    assert parse_poly("(x+1)^255").coeff(128) == comb(255, 128)
+    assert parse_poly("x^65535 + 2^65535").degree == 65535
+    assert parse_bipoly("(s+t+1)^31").degree(0) == 31
+    for text in ("(x+1)^256", "x^65536", "2^65536", "(1/2*x)^32768"):
+        with pytest.raises(PolyParseError, match="too large"):
+            parse_poly(text)
+    with pytest.raises(PolyParseError, match=r"\^32 too large"):
+        parse_bipoly("(s+t+1)^32")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.fractions(-40, 40, max_denominator=12),
+                       max_size=4),
+       st.integers(0, 6))
+def test_power_size_bounds_the_power(coeffs, e):
+    P = BiPoly(coeffs)
+    terms, bits = _power_size(P, e)
+    items = (P ** e).items()
+    assert len(items) <= terms
+    assert all(abs(v.numerator).bit_length() <= bits
+               and v.denominator.bit_length() <= bits for _, v in items)
+    uni = UniPoly({i: v for (i, j), v in P._c.items() if j == 0})
+    assert _power_size(uni, e) == _power_size(uni.to_bipoly(0), e)
 
 
 def test_parse_poly_errors():
