@@ -258,7 +258,8 @@ def standard_order(kind: str, n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def standard_subgroup(kind: str, n: int, phi: int | None = None) -> GenGroup:
-    """One of the named subgroups of GL2(Z/nZ), with explicit elements.
+    """One of the named subgroups of GL2(Z/nZ). The nonsplit kinds are
+    built from their element sets, the others from generators alone.
 
     Cartan kinds require n to be an odd prime power; nonsplit kinds
     additionally require a quadratic non-residue phi.
@@ -285,7 +286,6 @@ def standard_subgroup(kind: str, n: int, phi: int | None = None) -> GenGroup:
         return G
     if not _is_odd_prime_power(n):
         raise ValueError(f"cartan kinds need an odd prime power, got {n}")
-    units = _units(n)
     if kind in ("nonsplit-cartan", "nonsplit-cartan-normalizer"):
         if phi is None:
             raise ValueError(f"kind {kind!r} requires a non-residue phi")
@@ -300,21 +300,13 @@ def standard_subgroup(kind: str, n: int, phi: int | None = None) -> GenGroup:
             j = code_pack(1, 0, 0, -1, n)
             codes |= {code_mul(j, c, n) for c in set(codes)}
         return GenGroup.from_codes(codes, n, f"{kind}({n})")
-    if kind == "borel":
-        codes = {code_pack(a, b, 0, d, n)
-                 for a in units for d in units for b in range(n)}
-        g = _primitive_root(n)
-        gens = (code_pack(g, 0, 0, 1, n), code_pack(1, 0, 0, g, n),
-                code_pack(1, 1, 0, 1, n))
-        return GenGroup(n, gens, f"borel({n})", frozenset(codes))
     g = _primitive_root(n)
-    codes = {code_pack(a, 0, 0, d, n) for a in units for d in units}
     gens = (code_pack(g, 0, 0, 1, n), code_pack(1, 0, 0, g, n))
-    if kind == "split-cartan-normalizer":
-        t = code_pack(0, 1, 1, 0, n)
-        codes |= {code_mul(t, c, n) for c in set(codes)}
-        gens += (t,)
-    return GenGroup(n, gens, f"{kind}({n})", frozenset(codes))
+    if kind == "borel":
+        gens += (code_pack(1, 1, 0, 1, n),)
+    elif kind == "split-cartan-normalizer":
+        gens += (code_pack(0, 1, 1, 0, n),)
+    return GenGroup(n, gens, f"{kind}({n})")
 
 
 def pow_is_square(v: int, n: int) -> bool:

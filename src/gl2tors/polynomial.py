@@ -290,19 +290,36 @@ class PolyParseError(ValueError):
     pass
 
 
-# P^e parses only while terms * bits of _power_size(P, e) <= this: (x+1)^255
-# takes 0.2 s, (x+1)^3000 and 2^1000000000 over 10 s (2-core host, Py 3.11).
+# A product or power parses only while terms * bits of its _product_size
+# <= this: (x+1)^255 takes 0.2 s, (x+1)^3000 and 2^1000000000 over 10 s,
+# eight factors (x+1)^255 14 s (2-core host, Py 3.11).
 _MAX_POWER_SIZE = 1 << 16
 
 
-def _power_size(P: _Poly, e: int) -> tuple[int, int]:
-    """Bounds on the terms of P^e and on the bits of each numerator and
-    denominator in it: with P = Q / L, Q integral, |Q|_1^e and L^e."""
-    keys = [k if isinstance(k, tuple) else (k,) for k in P._c]
-    L = lcm(*(v.denominator for v in P._c.values()))
-    norm = sum(abs(v.numerator) * L // v.denominator for v in P._c.values())
-    return (prod(e * max(axis) + 1 for axis in zip(*keys)),
-            e * (max(norm, L) - 1).bit_length() + 1)
+def _product_size(*factors: tuple[_Poly, int]) -> tuple[int, int]:
+    """Bounds on the terms of the product of P^e over the (P, e) factors
+    and on the bits of each numerator and denominator in it: with
+    P = Q / L, Q integral, the product of |Q|_1^e and of L^e."""
+    degrees = {}
+    bits = 1
+    for P, e in factors:
+        keys = [k if isinstance(k, tuple) else (k,) for k in P._c]
+        for axis, d in enumerate(map(max, zip(*keys))):
+            degrees[axis] = degrees.get(axis, 0) + e * d
+        L = lcm(*(v.denominator for v in P._c.values()))
+        norm = sum(abs(v.numerator) * L // v.denominator
+                   for v in P._c.values())
+        bits += e * (max(norm, L) - 1).bit_length()
+    return prod(d + 1 for d in degrees.values()), bits
+
+
+def _check_size(what: str, *factors: tuple[_Poly, int]) -> None:
+    """Raise PolyParseError when the product of the factors is too large
+    to expand."""
+    terms, bits = _product_size(*factors)
+    if terms * bits > _MAX_POWER_SIZE:
+        raise PolyParseError(f"{what} too large: {terms} terms "
+                             f"x {bits} bits > {_MAX_POWER_SIZE}")
 
 
 def _tokenize(text: str):
@@ -388,7 +405,9 @@ class _Parser:
         out = self.factor()
         while self.peek() and self.peek()[0] == "*":
             self.take()
-            out = out * self.factor()
+            rhs = self.factor()
+            _check_size("product", (out, 1), (rhs, 1))
+            out = out * rhs
         return out
 
     def factor(self):
@@ -396,10 +415,7 @@ class _Parser:
         if self.peek() and self.peek()[0] == "^":
             self.take()
             e = self.take("num")[1]
-            terms, bits = _power_size(base, e)
-            if terms * bits > _MAX_POWER_SIZE:
-                raise PolyParseError(f"power ^{e} too large: {terms} terms "
-                                     f"x {bits} bits > {_MAX_POWER_SIZE}")
+            _check_size(f"power ^{e}", (base, e))
             base = base ** e
         return base
 

@@ -1,9 +1,14 @@
 """The full verification battery: every headline computation as a timed,
 self-describing check.
 
-Each check returns a VerificationReport. Exhaustive computations report
-pass/fail; bounded-height searches always report evidence-only on
-success, since a grid sweep can never prove completeness.
+A built-in check is a plain function that returns (status, details):
+status is "pass", "fail" or "evidence-only", details one line of what it
+found. `run_all` lists the checks once, as a table of (check_id, function)
+rows in report order, and wraps each row in `_run`, which times it and
+turns an exception into a fail line, so that one broken check never
+stops the battery. Exhaustive computations report pass/fail;
+bounded-height searches always report evidence-only on success, since a
+grid sweep can never prove completeness.
 """
 
 from __future__ import annotations
@@ -49,34 +54,30 @@ def _run(check_id: str, fn) -> VerificationReport:
                               time.monotonic() - t0)
 
 
-def check_group_orders() -> VerificationReport:
-    def fn():
-        full = standard_subgroup("full", 3)
-        B = _catalog.named_group("3B.1.1")
-        ok = (full.order == 48 and B.order == 6 and B.index == 8
-              and not contains_minus_identity(B))
-        det = (f"gl2_f3={full.order} borel_order={B.order} "
-               f"borel_index={B.index} minus_id={contains_minus_identity(B)}")
-        return ("pass" if ok else "fail"), det
-    return _run("group-orders", fn)
+def _group_orders():
+    full = standard_subgroup("full", 3)
+    B = _catalog.named_group("3B.1.1")
+    ok = (full.order == 48 and B.order == 6 and B.index == 8
+          and not contains_minus_identity(B))
+    det = (f"gl2_f3={full.order} borel_order={B.order} "
+           f"borel_index={B.index} minus_id={contains_minus_identity(B)}")
+    return ("pass" if ok else "fail"), det
 
 
-def check_standard_orders() -> VerificationReport:
-    def fn():
-        bad = []
-        for p in (3, 5, 7):
-            phi = least_nonresidue(p)
-            for kind in STANDARD_KINDS:
-                needs_phi = kind.startswith("nonsplit")
-                G = standard_subgroup(kind, p, phi if needs_phi else None)
-                expected = standard_order(kind, p)
-                reclosed = GenGroup(p, G.gen_codes)
-                if G.order != expected or reclosed.order != expected:
-                    bad.append((kind, p, G.order, reclosed.order, expected))
-        if bad:
-            return "fail", f"mismatches={bad}"
-        return "pass", "kinds=7 primes=3,5,7 all-match"
-    return _run("standard-orders", fn)
+def _standard_orders():
+    bad = []
+    for p in (3, 5, 7):
+        phi = least_nonresidue(p)
+        for kind in STANDARD_KINDS:
+            needs_phi = kind.startswith("nonsplit")
+            G = standard_subgroup(kind, p, phi if needs_phi else None)
+            expected = standard_order(kind, p)
+            reclosed = GenGroup(p, G.gen_codes)
+            if G.order != expected or reclosed.order != expected:
+                bad.append((kind, p, G.order, reclosed.order, expected))
+    if bad:
+        return "fail", f"mismatches={bad}"
+    return "pass", "kinds=7 primes=3,5,7 all-match"
 
 
 def index3_counts(G: GenGroup) -> list[int]:
@@ -93,117 +94,100 @@ def index3_bound_ok(counts: list[int]) -> bool:
     return all(c <= 2 for c in counts)
 
 
-def check_index3_bound() -> VerificationReport:
-    def fn():
-        rows = []
-        ok = True
-        for lab in _catalog.EMBEDDED_LEVEL9:
-            counts = index3_counts(_catalog.named_group(lab))
-            rows.append(f"{lab}:{','.join(map(str, counts))}")
-            ok = ok and index3_bound_ok(counts)
-        return ("pass" if ok else "fail"), " ".join(rows)
-    return _run("index3-bound", fn)
+def _index3_bound():
+    rows = []
+    ok = True
+    for lab in _catalog.EMBEDDED_LEVEL9:
+        counts = index3_counts(_catalog.named_group(lab))
+        rows.append(f"{lab}:{','.join(map(str, counts))}")
+        ok = ok and index3_bound_ok(counts)
+    return ("pass" if ok else "fail"), " ".join(rows)
 
 
-def check_index6_witnesses() -> VerificationReport:
-    def fn():
-        rows = []
-        ok = True
-        for lab in _catalog.EMBEDDED_LEVEL9:
-            H = _catalog.named_group(lab)
-            wits = index6_complement_search(H)
-            ok = ok and len(wits) > 0 and all(w.verify() for w in wits)
-            rows.append(f"{lab}:{len(wits)}")
-        full = standard_subgroup("full", 9)
-        wfull = index6_complement_search(full)
-        ok = ok and len(wfull) == 0
-        rows.append(f"GL2(Z/9):{len(wfull)}")
-        return ("pass" if ok else "fail"), " ".join(rows)
-    return _run("index6-witnesses", fn)
+def _index6_witnesses():
+    rows = []
+    ok = True
+    for lab in _catalog.EMBEDDED_LEVEL9:
+        H = _catalog.named_group(lab)
+        wits = index6_complement_search(H)
+        ok = ok and len(wits) > 0 and all(w.verify() for w in wits)
+        rows.append(f"{lab}:{len(wits)}")
+    full = standard_subgroup("full", 9)
+    wfull = index6_complement_search(full)
+    ok = ok and len(wfull) == 0
+    rows.append(f"GL2(Z/9):{len(wfull)}")
+    return ("pass" if ok else "fail"), " ".join(rows)
 
 
-def check_stable_lines() -> VerificationReport:
-    def fn():
-        n1 = stable_lines(_catalog.named_group("3B.1.1"))
-        n2 = stable_lines(_catalog.named_group("3B.1.2"))
-        ok = n1 == 1 and n2 == 1
-        return ("pass" if ok else "fail"), f"3B.1.1={n1} 3B.1.2={n2}"
-    return _run("stable-lines", fn)
+def _stable_lines():
+    n1 = stable_lines(_catalog.named_group("3B.1.1"))
+    n2 = stable_lines(_catalog.named_group("3B.1.2"))
+    ok = n1 == 1 and n2 == 1
+    return ("pass" if ok else "fail"), f"3B.1.1={n1} 3B.1.2={n2}"
 
 
-def check_hyperelliptic_cm(height: int = 100,
-                           fiber_height: int = 30) -> VerificationReport:
-    def fn():
-        h = parse_poly("x^3 + 1")
-        f = parse_poly("-9*x^3")
-        pts = search_hyperelliptic(h, f, height)
-        C = fiber_curve(named_jmap("no-9-isogeny"), named_jmap("2B"))
-        jvals = set()
-        for s, t in search_plane(C, fiber_height):
-            fp = classify_fiber_point(C, s, t)
-            if fp.kind == "finite":
-                jvals.add(fp.j)
-        ok = (jvals <= {Fraction(0), Fraction(54000)}
-              and all(is_cm_j(j) for j in jvals) and len(pts) > 0)
-        det = (f"model-points={len(pts)} j-values="
-               f"{sorted(map(str, jvals))} all-cm={ok}")
-        return ("evidence-only" if ok else "fail"), det
-    return _run("hyperelliptic-cm", fn)
+def _hyperelliptic_cm(fiber_height: int):
+    h = parse_poly("x^3 + 1")
+    f = parse_poly("-9*x^3")
+    pts = search_hyperelliptic(h, f, 100)
+    C = fiber_curve(named_jmap("no-9-isogeny"), named_jmap("2B"))
+    jvals = set()
+    for s, t in search_plane(C, fiber_height):
+        fp = classify_fiber_point(C, s, t)
+        if fp.kind == "finite":
+            jvals.add(fp.j)
+    ok = (jvals <= {Fraction(0), Fraction(54000)}
+          and all(is_cm_j(j) for j in jvals) and len(pts) > 0)
+    det = (f"model-points={len(pts)} j-values="
+           f"{sorted(map(str, jvals))} all-cm={ok}")
+    return ("evidence-only" if ok else "fail"), det
 
 
-def check_descent_cm(height: int = 200) -> VerificationReport:
-    def fn():
-        hits = zeta3_descent_search(height)
-        kept = sorted({h.t for h in hits if h.flag != "excluded-singular"})
-        ok = kept == [Fraction(-6), Fraction(0)]
-        flagged = sorted({str(h.t) for h in hits
-                          if h.flag == "excluded-singular"})
-        det = f"kept={[str(t) for t in kept]} excluded={flagged}"
-        return ("evidence-only" if ok else "fail"), det
-    return _run("descent-cm", fn)
+def _descent_cm():
+    hits = zeta3_descent_search(200)
+    kept = sorted({h.t for h in hits if h.flag != "excluded-singular"})
+    ok = kept == [Fraction(-6), Fraction(0)]
+    flagged = sorted({str(h.t) for h in hits
+                      if h.flag == "excluded-singular"})
+    det = f"kept={[str(t) for t in kept]} excluded={flagged}"
+    return ("evidence-only" if ok else "fail"), det
 
 
-def check_fiber_3cs_9b(height: int = 30) -> VerificationReport:
-    def fn():
-        C = fiber_curve(named_jmap("3Cs.1.1"), named_jmap("9B0-9a"))
-        pts = search_plane(C, height)
-        kinds = []
-        ok = True
-        for s, t in pts:
-            fp = classify_fiber_point(C, s, t)
-            kinds.append(f"({s},{t}):{fp.kind}"
-                         + (f":j={fp.j}" if fp.kind == "finite" else ""))
-            if fp.kind == "finite" and fp.j != 0:
-                ok = False
-        return ("evidence-only" if ok else "fail"), " ".join(kinds)
-    return _run("fiber-3cs-9b", fn)
+def _fiber_3cs_9b(height: int):
+    C = fiber_curve(named_jmap("3Cs.1.1"), named_jmap("9B0-9a"))
+    pts = search_plane(C, height)
+    kinds = []
+    ok = True
+    for s, t in pts:
+        fp = classify_fiber_point(C, s, t)
+        kinds.append(f"({s},{t}):{fp.kind}"
+                     + (f":j={fp.j}" if fp.kind == "finite" else ""))
+        if fp.kind == "finite" and fp.j != 0:
+            ok = False
+    return ("evidence-only" if ok else "fail"), " ".join(kinds)
 
 
-def check_fiber_2b_9h(height: int = 30) -> VerificationReport:
-    def fn():
-        C = fiber_curve(named_jmap("2B"), named_jmap("9H0-9b"))
-        pts = search_plane(C, height)
-        ok = all(s == 0 for s, _ in pts)
-        det = " ".join(f"({s},{t})" for s, t in pts) or "no-points"
-        return ("evidence-only" if ok else "fail"), det + f" all-s0={ok}"
-    return _run("fiber-2b-9h", fn)
+def _fiber_2b_9h(height: int):
+    C = fiber_curve(named_jmap("2B"), named_jmap("9H0-9b"))
+    pts = search_plane(C, height)
+    ok = all(s == 0 for s, _ in pts)
+    det = " ".join(f"({s},{t})" for s, t in pts) or "no-points"
+    return ("evidence-only" if ok else "fail"), det + f" all-s0={ok}"
 
 
-def check_identify_images(bound: int = 10000) -> VerificationReport:
-    def fn():
-        cands = _catalog.identify_candidates(3)
-        r37 = identify_image(parse_curve("[0,0,1,-1,0]"), 3, cands, bound)
-        r14a4 = identify_image(parse_curve("[1,0,1,-1,0]"), 3, cands, bound)
-        r14a6 = identify_image(parse_curve("[1,0,1,-171,-874]"), 3, cands,
-                               bound)
-        ok = (r37.survivors == ("GL2(F3)",)
-              and "3B.1.1" in r14a4.survivors
-              and "3B.1.2" in r14a6.survivors)
-        det = (f"37a1={list(r37.survivors)} "
-               f"14a4={list(r14a4.survivors)} "
-               f"14a6={list(r14a6.survivors)}")
-        return ("pass" if ok else "fail"), det
-    return _run("identify-images", fn)
+def _identify_images(bound: int):
+    cands = _catalog.identify_candidates(3)
+    r37 = identify_image(parse_curve("[0,0,1,-1,0]"), 3, cands, bound)
+    r14a4 = identify_image(parse_curve("[1,0,1,-1,0]"), 3, cands, bound)
+    r14a6 = identify_image(parse_curve("[1,0,1,-171,-874]"), 3, cands,
+                           bound)
+    ok = (r37.survivors == ("GL2(F3)",)
+          and "3B.1.1" in r14a4.survivors
+          and "3B.1.2" in r14a6.survivors)
+    det = (f"37a1={list(r37.survivors)} "
+           f"14a4={list(r14a4.survivors)} "
+           f"14a6={list(r14a6.survivors)}")
+    return ("pass" if ok else "fail"), det
 
 
 _ET_SAMPLES = (Fraction(1), Fraction(2), Fraction(4), Fraction(-1),
@@ -211,45 +195,45 @@ _ET_SAMPLES = (Fraction(1), Fraction(2), Fraction(4), Fraction(-1),
                Fraction(7, 3), Fraction(-10))
 
 
-def check_et_family() -> VerificationReport:
-    def fn():
-        jmap = named_jmap("Et")
-        scale = 2 ** 12 * 3 ** 6
-        for t in _ET_SAMPLES:
-            E = curve_Et(t)
-            inv = curve_invariants(E)
-            if inv.disc != scale * (t ** 3 - 27):
-                return "fail", f"disc mismatch at t={t}"
-            if inv.j != jmap_eval(jmap, t):
-                return "fail", f"j mismatch at t={t}"
-        try:
-            curve_Et(3)
-            return "fail", "t=3 not rejected"
-        except ValueError:
-            pass
-        return "pass", f"samples={len(_ET_SAMPLES)} disc-and-j-match"
-    return _run("et-family", fn)
+def _et_family():
+    jmap = named_jmap("Et")
+    scale = 2 ** 12 * 3 ** 6
+    for t in _ET_SAMPLES:
+        E = curve_Et(t)
+        inv = curve_invariants(E)
+        if inv.disc != scale * (t ** 3 - 27):
+            return "fail", f"disc mismatch at t={t}"
+        if inv.j != jmap_eval(jmap, t):
+            return "fail", f"j mismatch at t={t}"
+    try:
+        curve_Et(3)
+        return "fail", "t=3 not rejected"
+    except ValueError:
+        pass
+    return "pass", f"samples={len(_ET_SAMPLES)} disc-and-j-match"
 
 
-def check_resultant_evidence() -> VerificationReport:
+def _resultant_evidence():
     """Discriminant resultants of the two degree-3 fiber directions have
     rational roots only at already-known pole or CM parameters."""
-    def fn():
-        m2b = named_jmap("2B")
-        m9h = named_jmap("9H0-9b")
-        mno = named_jmap("no-9-isogeny")
-        F = fiber_curve(m2b, m9h).F
-        R1 = resultant(F, F.derivative(0), 0)
-        roots1 = rational_roots(R1)
-        G = fiber_curve(mno, m2b).F
-        R2 = resultant(G, G.derivative(1), 1)
-        roots2 = rational_roots(R2)
-        ok = (set(roots1) <= {Fraction(-1), Fraction(1)}
-              and set(roots2) <= {Fraction(-3), Fraction(0)})
-        det = (f"deg1={R1.degree} roots1={[str(r) for r in roots1]} "
-               f"deg2={R2.degree} roots2={[str(r) for r in roots2]}")
-        return ("evidence-only" if ok else "fail"), det
-    return _run("resultant-evidence", fn)
+    m2b = named_jmap("2B")
+    m9h = named_jmap("9H0-9b")
+    mno = named_jmap("no-9-isogeny")
+    F = fiber_curve(m2b, m9h).F
+    R1 = resultant(F, F.derivative(0), 0)
+    roots1 = rational_roots(R1)
+    G = fiber_curve(mno, m2b).F
+    R2 = resultant(G, G.derivative(1), 1)
+    roots2 = rational_roots(R2)
+    ok = (set(roots1) <= {Fraction(-1), Fraction(1)}
+          and set(roots2) <= {Fraction(-3), Fraction(0)})
+    det = (f"deg1={R1.degree} roots1={[str(r) for r in roots1]} "
+           f"deg2={R2.degree} roots2={[str(r) for r in roots2]}")
+    return ("evidence-only" if ok else "fail"), det
+
+
+# Every property suite draws its instances from this seed.
+_SEED = 20260815
 
 
 def _random_invertible(rng: random.Random, n: int) -> int:
@@ -267,10 +251,10 @@ def _require(ok: bool, what: str) -> None:
         raise AssertionError(what)
 
 
-def prop_orbit_stabilizer(instances: int = 100, seed: int = 20260815) -> int:
+def prop_orbit_stabilizer() -> int:
     """|orbit| * |stabilizer| = |G| for random groups and vectors."""
-    rng = random.Random(seed)
-    for _ in range(instances):
+    rng = random.Random(_SEED)
+    for _ in range(100):
         n = rng.choice((2, 3, 9))
         gens = tuple(_random_invertible(rng, n)
                      for _ in range(rng.randint(1, 2)))
@@ -279,14 +263,14 @@ def prop_orbit_stabilizer(instances: int = 100, seed: int = 20260815) -> int:
         rec = orbit_stabilizer(G, v)
         _require(rec.orbit_size * rec.stabilizer.order == G.order,
                  f"|orbit| * |stabilizer| != |G| for {v} under {gens}")
-    return instances
+    return 100
 
 
-def prop_hasse(instances: int = 100, seed: int = 20260815) -> int:
+def prop_hasse() -> int:
     """|a_p| <= 2 sqrt(p) on random curves at random good primes."""
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     done = 0
-    while done < instances:
+    while done < 100:
         E = _random_curve(rng)
         if E is None:
             continue
@@ -307,26 +291,24 @@ def _random_curve(rng: random.Random) -> CurveQ | None:
         return None
 
 
-def prop_det_multiplicative(instances: int = 200,
-                            seed: int = 20260815) -> int:
+def prop_det_multiplicative() -> int:
     """det(AB) = det(A) det(B) on packed codes for n in {9, 27}."""
-    rng = random.Random(seed)
-    for _ in range(instances):
+    rng = random.Random(_SEED)
+    for _ in range(200):
         n = rng.choice((9, 27))
         A = _random_invertible(rng, n)
         B = _random_invertible(rng, n)
         _require(code_det(code_mul(A, B, n), n)
                  == code_det(A, n) * code_det(B, n) % n,
                  f"det is not multiplicative on {A}, {B} mod {n}")
-    return instances
+    return 200
 
 
-def prop_conjugation_invariance(instances: int = 100,
-                                seed: int = 20260815) -> int:
+def prop_conjugation_invariance() -> int:
     """Classification tags, stable-line counts (level 3) and index-3
     fixing counts (level 9) are unchanged under conjugation."""
-    rng = random.Random(seed)
-    for i in range(instances):
+    rng = random.Random(_SEED)
+    for i in range(100):
         n = 3 if i % 2 == 0 else 9
         G = GenGroup(n, (_random_invertible(rng, n),))
         x = _random_invertible(rng, n)
@@ -339,7 +321,7 @@ def prop_conjugation_invariance(instances: int = 100,
         else:
             _require(index3_fixing_count(G) == index3_fixing_count(conj),
                      f"index-3 count changes under conjugation by {x}")
-    return instances
+    return 100
 
 
 def _conjugated(G: GenGroup, x: int) -> GenGroup:
@@ -350,31 +332,30 @@ def _conjugated(G: GenGroup, x: int) -> GenGroup:
                              for g in G.gen_codes))
 
 
-def prop_search_monotonicity(instances: int = 100,
-                             seed: int = 20260815) -> int:
+def prop_search_monotonicity() -> int:
     """Lower-height searches are subsets of higher-height searches."""
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     h = parse_poly("x^3 + 1")
     f = parse_poly("-9*x^3")
-    for _ in range(instances):
+    for _ in range(100):
         h1 = rng.randint(1, 20)
         h2 = rng.randint(h1, 40)
         # The grid that search_hyperelliptic sieves, as coprime pairs.
         low, high = (set(zip(*(a.tolist() for a in _grid_arrays(h))))
                      for h in (h1, h2))
-        _require(low <= high, f"farey_fractions({h1}) not inside height {h2}")
+        _require(low <= high,
+                 f"_grid_arrays({h1}) pairs not inside _grid_arrays({h2})")
         _require(set(search_hyperelliptic(h, f, h1))
                  <= set(search_hyperelliptic(h, f, h2)),
                  f"height-{h1} points not inside height {h2}")
-    return instances
+    return 100
 
 
-def prop_mazur_membership(instances: int = 100,
-                          seed: int = 20260815) -> int:
+def prop_mazur_membership() -> int:
     """Computed rational torsion always lies in the degree-1 table."""
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     done = 0
-    while done < instances:
+    while done < 100:
         E = _random_curve(rng)
         if E is None:
             continue
@@ -395,14 +376,8 @@ PROPERTY_SUITES = (
 )
 
 
-def check_property_suites() -> VerificationReport:
-    def fn():
-        ran = []
-        for name, fn_ in PROPERTY_SUITES:
-            count = fn_()
-            ran.append(f"{name}={count}")
-        return "pass", " ".join(ran)
-    return _run("property-suites", fn)
+def _property_suites():
+    return "pass", " ".join(f"{name}={fn()}" for name, fn in PROPERTY_SUITES)
 
 
 def check_catalog_entry(entry) -> list[VerificationReport]:
@@ -438,21 +413,22 @@ def run_all(height: int = 30, prime_bound: int = 10000,
     identification step the given prime bound. Each CatalogEntry in
     `catalog` (as catalog.parse_catalog returns them) adds its evidence
     checks."""
-    reports = [
-        check_group_orders(),
-        check_standard_orders(),
-        check_index3_bound(),
-        check_index6_witnesses(),
-        check_stable_lines(),
-        check_hyperelliptic_cm(fiber_height=height),
-        check_descent_cm(),
-        check_fiber_3cs_9b(height),
-        check_fiber_2b_9h(height),
-        check_identify_images(prime_bound),
-        check_et_family(),
-        check_property_suites(),
-        check_resultant_evidence(),
-    ]
+    checks = (
+        ("group-orders", _group_orders),
+        ("standard-orders", _standard_orders),
+        ("index3-bound", _index3_bound),
+        ("index6-witnesses", _index6_witnesses),
+        ("stable-lines", _stable_lines),
+        ("hyperelliptic-cm", functools.partial(_hyperelliptic_cm, height)),
+        ("descent-cm", _descent_cm),
+        ("fiber-3cs-9b", functools.partial(_fiber_3cs_9b, height)),
+        ("fiber-2b-9h", functools.partial(_fiber_2b_9h, height)),
+        ("identify-images", functools.partial(_identify_images, prime_bound)),
+        ("et-family", _et_family),
+        ("property-suites", _property_suites),
+        ("resultant-evidence", _resultant_evidence),
+    )
+    reports = [_run(check_id, fn) for check_id, fn in checks]
     for entry in catalog or ():
         reports.extend(check_catalog_entry(entry))
     return reports

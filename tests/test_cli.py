@@ -297,12 +297,14 @@ def test_curve_search_bad_model():
      "power ^1000000000 too large: 1 terms x 1000000001 bits > 65536"),
     (["curve-search", "y^2 = (x+1)^3000"],
      "power ^3000 too large: 3001 terms x 3001 bits > 65536"),
+    (["curve-search", "y^2 = " + "*".join(["(x+1)^255"] * 8)],
+     "product too large: 511 terms x 511 bits > 65536"),
 ], ids=["fiber-search", "curve-search", "identify", "verify-all",
         "curve-search-huge", "fiber-search-cap", "verify-all-huge",
         "identify-prime-bound-huge", "verify-all-prime-bound-cap",
         "torsion-zero-denominator", "identify-zero-denominator",
         "torsion-exponent", "jmap-exponent", "curve-search-power-bits",
-        "curve-search-power-terms"])
+        "curve-search-power-terms", "curve-search-product"])
 def test_bad_numbers_are_usage_errors(argv, message, capsys):
     start = time.perf_counter()
     assert_usage_exit(argv)

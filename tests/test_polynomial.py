@@ -1,14 +1,15 @@
 """Polynomial arithmetic, parsing, root finding, and resultants."""
 
+import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2tors.polynomial import (BiPoly, PolyParseError, UniPoly,
-                                _power_size, farey_fractions, parse_bipoly,
+                                _product_size, farey_fractions, parse_bipoly,
                                 parse_poly, poly_gcd, rational_roots,
                                 resultant)
 
@@ -71,13 +72,47 @@ def test_parse_refuses_powers_past_the_size_bound():
        st.integers(0, 6))
 def test_power_size_bounds_the_power(coeffs, e):
     P = BiPoly(coeffs)
-    terms, bits = _power_size(P, e)
+    terms, bits = _product_size((P, e))
     items = (P ** e).items()
     assert len(items) <= terms
     assert all(abs(v.numerator).bit_length() <= bits
                and v.denominator.bit_length() <= bits for _, v in items)
     uni = UniPoly({i: v for (i, j), v in P._c.items() if j == 0})
-    assert _power_size(uni, e) == _power_size(uni.to_bipoly(0), e)
+    assert _product_size((uni, e)) == _product_size((uni.to_bipoly(0), e))
+
+
+def test_parse_refuses_products_past_the_size_bound():
+    # A power is e equal factors: the same bound holds on each side of *.
+    assert parse_poly("(x+1)^127*(x+1)^128").coeff(128) == comb(255, 128)
+    assert parse_poly("x^32768*x^32767").degree == 65535
+    assert parse_bipoly("s^255*t^255").degree(1) == 255
+    for text in ("(x+1)^128*(x+1)^128", "x^32768*x^32768",
+                 "(1/2*x)^128*(x+1)^128"):
+        with pytest.raises(PolyParseError, match="product too large"):
+            parse_poly(text)
+    with pytest.raises(PolyParseError, match="product too large"):
+        parse_bipoly("s^256*t^255")
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError,
+                       match=r"^product too large: 511 terms x 511 bits"):
+        parse_poly("*".join(["(x+1)^255"] * 8))
+    assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+           st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           st.fractions(-40, 40, max_denominator=12),
+                           max_size=4),
+           st.integers(0, 3)), min_size=1, max_size=3))
+def test_product_size_bounds_the_product(factors):
+    factors = [(BiPoly(c), e) for c, e in factors]
+    terms, bits = _product_size(*factors)
+    items = prod((P ** e for P, e in factors),
+                 start=BiPoly.constant(1)).items()
+    assert len(items) <= terms
+    assert all(abs(v.numerator).bit_length() <= bits
+               and v.denominator.bit_length() <= bits for _, v in items)
 
 
 def test_parse_poly_errors():

@@ -25,5 +25,6 @@ def test_search_monotonicity_catches_a_shrinking_grid(monkeypatch):
         return p[keep], q[keep]
     monkeypatch.setattr(verify, "_grid_arrays", grid_arrays)
     with pytest.raises(AssertionError,
-                       match=r"^farey_fractions\(\d+\) not inside"):
+                       match=r"^_grid_arrays\(\d+\) pairs not inside "
+                             r"_grid_arrays\(\d+\)$"):
         verify.prop_search_monotonicity()
