@@ -170,6 +170,15 @@ def _read_catalog(path: str) -> list:
         raise SystemExit(2)
 
 
+def _text(v, parser) -> str:
+    """str(v), or a usage error past sys.get_int_max_str_digits()."""
+    try:
+        return str(v)
+    except ValueError:
+        parser.error(f"value has more than {sys.get_int_max_str_digits()} "
+                     f"digits; PYTHONINTMAXSTRDIGITS raises the limit")
+
+
 def _labeled_group(label: str, catalog_path: str | None):
     """The built-in group, else the catalog entry, with this label; None
     if there is neither."""
@@ -306,7 +315,7 @@ def _cmd_jmap(args, parser):
     except ValueError:
         parser.error(f"bad rational {args.x!r}")
     v = jmap_eval(m, x)
-    out = "pole" if v is POLE else str(v)
+    out = "pole" if v is POLE else _text(v, parser)
     return ({"label": args.label, "x": str(x), "value": out},
             [f"{args.label}({x}) = {out}",
              _check(f"jmap.{args.label}", "pass", f"x={x} value={out}")],
@@ -357,14 +366,15 @@ def _cmd_curve_search(args, parser):
         h, f = _parse_model(args.model)
     except PolyParseError as e:
         parser.error(str(e))
-    pts = search_hyperelliptic(h, f, args.height)
+    pts = [(str(x), _text(y, parser))
+           for x, y in search_hyperelliptic(h, f, args.height)]
     lines = [f"({x}, {y})" for x, y in pts]
     payload = " ".join(f"({x},{y})" for x, y in pts) or "no-points"
     lines.append(_check("curve-search", "evidence-only",
                         f"height={args.height} points={len(pts)} "
                         f"{payload}"))
     return ({"model": args.model, "height": args.height,
-             "points": [[str(x), str(y)] for x, y in pts]}, lines, False)
+             "points": [list(pt) for pt in pts]}, lines, False)
 
 
 def _cmd_torsion(args, parser):

@@ -257,12 +257,13 @@ def standard_order(kind: str, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def standard_subgroup(kind: str, n: int, phi: int | None = None) -> GenGroup:
+def standard_subgroup(kind: str, n: int) -> GenGroup:
     """One of the named subgroups of GL2(Z/nZ). The nonsplit kinds are
     built from their element sets, the others from generators alone.
 
-    Cartan kinds require n to be an odd prime power; nonsplit kinds
-    additionally require a quadratic non-residue phi.
+    Cartan kinds require n to be an odd prime power p^k. The nonsplit
+    kinds embed Z/n[sqrt(phi)] with phi the least non-residue mod p,
+    which is a non-residue mod n too.
     """
     if kind not in STANDARD_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of "
@@ -287,10 +288,7 @@ def standard_subgroup(kind: str, n: int, phi: int | None = None) -> GenGroup:
     if not _is_odd_prime_power(n):
         raise ValueError(f"cartan kinds need an odd prime power, got {n}")
     if kind in ("nonsplit-cartan", "nonsplit-cartan-normalizer"):
-        if phi is None:
-            raise ValueError(f"kind {kind!r} requires a non-residue phi")
-        if pow_is_square(phi, n):
-            raise ValueError(f"phi = {phi} is a square mod {n}")
+        phi = least_nonresidue(min(factorint(n)))
         codes = set()
         for a in range(n):
             for b in range(n):
@@ -307,11 +305,6 @@ def standard_subgroup(kind: str, n: int, phi: int | None = None) -> GenGroup:
     elif kind == "split-cartan-normalizer":
         gens += (code_pack(0, 1, 1, 0, n),)
     return GenGroup(n, gens, f"{kind}({n})")
-
-
-def pow_is_square(v: int, n: int) -> bool:
-    v %= n
-    return any((x * x) % n == v for x in range(n))
 
 
 def contains_minus_identity(G: GenGroup) -> bool:
@@ -479,11 +472,8 @@ def dickson_classify(G: GenGroup) -> SubgroupClass:
     sl2 = standard_subgroup("sl2", p).element_codes
     if sl2 <= G.element_codes:
         return SubgroupClass("contains-SL2", _projective_order(G))
-    phi = least_nonresidue(p)
     for kind in ("split-cartan-normalizer", "nonsplit-cartan-normalizer"):
-        N = standard_subgroup(kind, p,
-                              phi if kind.startswith("nonsplit") else None)
-        if is_conjugate_subgroup(G, N):
+        if is_conjugate_subgroup(G, standard_subgroup(kind, p)):
             return SubgroupClass(kind, _projective_order(G))
     po = _projective_order(G)
     if G.order % p != 0:

@@ -5,17 +5,18 @@ search sweeps the full grid of such rationals. Searches are exhaustive
 within the grid and are reported as evidence, never as completeness
 proofs.
 
-Searches evaluate in integers: a polynomial of degree d at x = p/q is
-taken as q^d * P(p/q) by homogenised Horner on its integer model, and a
-Fraction is built only for a hit (or, in `jmap_eval`, once for the
-value). Every square test (`search_hyperelliptic`, a zero discriminant
-included, and both forms of `zeta3_descent_search`) is `_square_points`:
-it sieves the whole grid at once, numpy evaluating the integer form
-modulo 64 * 63 * 65 * 11 and keeping the points whose value is a square
-modulo each of 64, 63, 65 and 11. A non-square modulo some m is not a
-square, so the sieve drops only points the exact test would reject; an
-`isqrt` on the exact integer decides every survivor, and the searches
-sort the hits by exact value.
+The square searches evaluate in integers: a polynomial of degree d at
+x = p/q is taken as q^d * P(p/q) by homogenised Horner on its integer
+model, and a Fraction is built only for a hit. `jmap_eval` builds one,
+the value; `search_plane` walks the Fraction grid of `farey_fractions`,
+sweeping plain curves by Horner in Fractions. Every square test
+(`search_hyperelliptic`, a zero discriminant included, and both forms of
+`zeta3_descent_search`) is `_square_points`: it sieves the whole grid at
+once, numpy evaluating the integer form modulo 64 * 63 * 65 * 11 and
+keeping the points whose value is a square modulo each of 64, 63, 65
+and 11. A non-square modulo some m is not a square, so the sieve drops
+only points the exact test would reject; an `isqrt` on the exact integer
+decides every survivor, and the hits are sorted by `_grid_key`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import isqrt
 import numpy as np
 
 from .polynomial import (BiPoly, UniPoly, _eval_int_at, _frac, _grid_arrays,
-                         farey_fractions, poly_gcd)
+                         _grid_key, farey_fractions, poly_gcd)
 
 
 class _Pole:
@@ -239,10 +240,9 @@ def search_hyperelliptic(h: UniPoly, f: UniPoly,
         P.append(0)  # odd degree d: evaluate at degree e = d + 1
     half = (len(P) - 1) // 2
     LP = [scale.numerator * b * c for c in P]
-    # Grid values differ by >= 1/height^2, so p*height^2 // q sorts exactly.
     out = []
     for p, q, r in sorted(_square_points(LP, height),
-                          key=lambda hit: hit[0] * height ** 2 // hit[1]):
+                          key=lambda hit: _grid_key(hit[0], hit[1], height)):
         # y = (-h(x) -+ r / E) / 2 with h(x) = A / D, as one Fraction each.
         A = ch.numerator * _eval_int_at(H, p, q)
         D = ch.denominator * q ** (len(H) - 1)
@@ -314,9 +314,9 @@ def zeta3_descent_search(height: int) -> list[DescentHit]:
     -3*(p^3 - 27q^3)*q, is an integer square."""
     # Low to high in p, with q making up degree 4.
     forms = (("a=0", [81, 0, 0, -3, 0]), ("b=0", [-27, 0, 0, 1, 0]))
-    hits = sorted((Fraction(p, q), case) for case, C in forms
+    hits = sorted((_grid_key(p, q, height), case, p, q) for case, C in forms
                   for p, q, _ in _square_points(C, height))
-    return [_flag_hit(t, case) for t, case in hits]
+    return [_flag_hit(Fraction(p, q), case) for _, case, p, q in hits]
 
 
 def _flag_hit(t: Fraction, case: str) -> DescentHit:

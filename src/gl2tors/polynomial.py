@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -334,7 +335,12 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            toks.append(("num", int(text[i:j]), i))
+            try:
+                toks.append(("num", int(text[i:j]), i))
+            except ValueError:  # past Python's limit on converted digits
+                raise PolyParseError(
+                    f"integer at position {i} too long: {j - i} digits > "
+                    f"{sys.get_int_max_str_digits()}") from None
             i = j
             continue
         if ch.isalpha():
@@ -512,31 +518,26 @@ _fraction = functools.lru_cache(maxsize=None)(Fraction)
 
 def farey_fractions(height: int) -> list[Fraction]:
     """All rationals p/q in lowest terms with |p| <= height and
-    1 <= q <= height, sorted ascending.
+    1 <= q <= height, sorted ascending: _grid_arrays(height) ordered by
+    _grid_key. Every call returns a new list, which the caller owns, but
+    the Fractions in it are shared: each is built once, by a
+    process-wide memo keyed on (p, q)."""
+    p, q = _grid_arrays(height)
+    order = np.argsort(_grid_key(p, q, height))
+    return list(map(_fraction, p[order].tolist(), q[order].tolist()))
 
-    The Farey sequence of order height on [0, 1] comes from the
-    next-term recurrence on ints; the values above 1 are the reciprocals
-    of its interior points, and the negative values mirror the positive
-    ones. Every call returns a new list, which the caller owns, but the
-    Fractions in it are shared: each is built once, by a process-wide
-    memo keyed on (p, q)."""
-    if height < 1:
-        raise ValueError(f"height must be >= 1, got {height}")
-    unit = [(0, 1)]
-    a, b, c, d = 0, 1, 1, height
-    while c <= d:
-        unit.append((c, d))
-        k = (height + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    positive = unit + [(q, p) for p, q in reversed(unit[1:-1])]
-    return ([_fraction(-p, q) for p, q in reversed(positive[1:])]
-            + [_fraction(p, q) for p, q in positive])
+
+def _grid_key(p, q, height: int):
+    """p * height^2 // q on ints or int64 arrays (exact while height^3 <
+    2^63): distinct grid values differ by at least 1/height^2, since
+    their denominators are at most height, so the key orders the grid."""
+    return p * height ** 2 // q
 
 
 def _grid_arrays(height: int) -> tuple[np.ndarray, np.ndarray]:
     """(p, q), two int64 arrays holding every coprime pair with |p| <=
-    height and 1 <= q <= height once, in no order: the points of
-    farey_fractions(height), with no Fraction built.
+    height and 1 <= q <= height once, in no order: the points of the
+    height grid, with no Fraction built.
 
     A boolean mask over the (2 * height + 1) * height rectangle drops the
     pairs that some r in 2..height divides, one strided slice per r."""

@@ -31,8 +31,7 @@ from .groups import (STANDARD_KINDS, GenGroup, contains_minus_identity,
 from .jmaps import (classify_fiber_point, fiber_curve, jmap_eval,
                     named_jmap, search_hyperelliptic, search_plane,
                     zeta3_descent_search)
-from .modmat import (TorVec, code_det, code_inverse, code_mul, code_pack,
-                     least_nonresidue)
+from .modmat import TorVec, code_det, code_inverse, code_mul, code_pack
 from .polynomial import _grid_arrays, parse_poly, rational_roots, resultant
 
 
@@ -67,10 +66,8 @@ def _group_orders():
 def _standard_orders():
     bad = []
     for p in (3, 5, 7):
-        phi = least_nonresidue(p)
         for kind in STANDARD_KINDS:
-            needs_phi = kind.startswith("nonsplit")
-            G = standard_subgroup(kind, p, phi if needs_phi else None)
+            G = standard_subgroup(kind, p)
             expected = standard_order(kind, p)
             reclosed = GenGroup(p, G.gen_codes)
             if G.order != expected or reclosed.order != expected:

@@ -1,5 +1,8 @@
-"""The public API: every exported name, and the interface the benchmark
-client (perfbench/client.py) reads."""
+"""The public API: every exported name, the README's list of them, and
+the interface the benchmark client (perfbench/client.py) reads."""
+
+import re
+from pathlib import Path
 
 import gl2tors
 import gl2tors.cli
@@ -50,3 +53,16 @@ def test_witness_vector_coordinates():
     w = gl2tors.index6_complement_search(gl2tors.named_group("9H0-9b"))[0]
     assert (w.vector.x, w.vector.y) == (1, 2)
     assert type(w.vector.x) is int and type(w.vector.y) is int
+
+
+def test_readme_lists_the_api():
+    """The bullet list after "The supported API is `gl2tors.__all__`" in
+    README.md names each exported name, and nothing else."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    start = readme.index("The supported API is `gl2tors.__all__`:")
+    bullets = readme[start:].split("\n\n")[1]
+    assert bullets.startswith("- ")
+    names = re.findall(r"`([^`]+)`", bullets)
+    assert len(names) == len(set(names))
+    assert set(names) == set(gl2tors.__all__)

@@ -269,6 +269,11 @@ def test_curve_search_bad_model():
     assert_usage_exit(["curve-search", "x^2"])
 
 
+MAX_DIGITS = sys.get_int_max_str_digits()
+TOO_MANY_DIGITS = (f"value has more than {MAX_DIGITS} digits; "
+                   f"PYTHONINTMAXSTRDIGITS raises the limit")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["fiber-search", "3Cs.1.1", "9B0-9a", "--height", "0"],
      "height must be >= 1, got 0"),
@@ -299,12 +304,22 @@ def test_curve_search_bad_model():
      "power ^3000 too large: 3001 terms x 3001 bits > 65536"),
     (["curve-search", "y^2 = " + "*".join(["(x+1)^255"] * 8)],
      "product too large: 511 terms x 511 bits > 65536"),
+    # Values and literals past Python's limit on the digits of an int
+    # converted to or from text.
+    (["jmap", "9H0-9b", "9" * 200], TOO_MANY_DIGITS),
+    (["curve-search", "y^2 = 4^32000", "--height", "1"], TOO_MANY_DIGITS),
+    (["curve-search", "y^2 = 4^32000", "--height", "1", "--json"],
+     TOO_MANY_DIGITS),
+    (["curve-search", "y^2 = x^3 + " + "9" * 5000],
+     f"integer at position 6 too long: 5000 digits > {MAX_DIGITS}"),
 ], ids=["fiber-search", "curve-search", "identify", "verify-all",
         "curve-search-huge", "fiber-search-cap", "verify-all-huge",
         "identify-prime-bound-huge", "verify-all-prime-bound-cap",
         "torsion-zero-denominator", "identify-zero-denominator",
         "torsion-exponent", "jmap-exponent", "curve-search-power-bits",
-        "curve-search-power-terms", "curve-search-product"])
+        "curve-search-power-terms", "curve-search-product",
+        "jmap-value-digits", "curve-search-value-digits",
+        "curve-search-value-digits-json", "curve-search-literal-digits"])
 def test_bad_numbers_are_usage_errors(argv, message, capsys):
     start = time.perf_counter()
     assert_usage_exit(argv)

@@ -11,11 +11,10 @@ from gl2tors.groups import (STANDARD_KINDS, GenGroup, _full_codes,
                             det_surjective, dickson_classify,
                             exact_order_vectors, gl2_order,
                             greedy_generators, is_applicable, is_conjugate,
-                            is_conjugate_subgroup, pow_is_square,
-                            reduce_level, stable_lines, standard_order,
-                            standard_subgroup)
+                            is_conjugate_subgroup, reduce_level,
+                            stable_lines, standard_order, standard_subgroup)
 from gl2tors.modmat import (GMat, code_act, code_entries, code_inverse,
-                            code_mul, code_pack, least_nonresidue)
+                            code_mul, code_pack)
 
 
 def test_gl2_order():
@@ -41,14 +40,21 @@ def test_full_group_closure():
 
 def test_standard_orders_match_formulas():
     for p in (3, 5, 7):
-        phi = least_nonresidue(p)
         for kind in STANDARD_KINDS:
-            needs_phi = kind.startswith("nonsplit")
-            G = standard_subgroup(kind, p, phi if needs_phi else None)
+            G = standard_subgroup(kind, p)
             assert G.order == standard_order(kind, p), (kind, p)
             # Attached generators must regenerate the element set.
             reclosed = closure([g.entries() for g in G.generators], p)
             assert reclosed.order == G.order, (kind, p)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_nonsplit_orders_at_prime_powers(p, k):
+    # The units of Z/p^k[sqrt(phi)], and the normalizer doubles them.
+    order = p ** (2 * k - 2) * (p * p - 1)
+    assert standard_subgroup("nonsplit-cartan", p ** k).order == order
+    assert standard_subgroup("nonsplit-cartan-normalizer",
+                             p ** k).order == 2 * order
 
 
 def test_standard_subgroup_errors():
@@ -56,10 +62,6 @@ def test_standard_subgroup_errors():
         standard_subgroup("weird", 5)
     with pytest.raises(ValueError, match="odd prime power"):
         standard_subgroup("split-cartan", 2)
-    with pytest.raises(ValueError, match="non-residue"):
-        standard_subgroup("nonsplit-cartan", 5)
-    with pytest.raises(ValueError, match="square"):
-        standard_subgroup("nonsplit-cartan", 5, 4)
     with pytest.raises(ValueError, match="prime power"):
         standard_subgroup("full", 6)
 
@@ -114,18 +116,12 @@ def test_equality_compares_generators_not_elements():
     assert G != GenGroup(9, (a, b), "other")
 
 
-def test_pow_is_square():
-    assert pow_is_square(4, 5)
-    assert not pow_is_square(2, 5)
-    assert not pow_is_square(2, 3)
-
-
 def test_applicability_reasons():
     assert is_applicable(standard_subgroup("full", 9)).reason == "not proper"
     assert is_applicable(named_group("3B.1.1")).reason == "-I not in subgroup"
     assert is_applicable(
         standard_subgroup("sl2", 3)).reason == "det not surjective"
-    r = is_applicable(standard_subgroup("nonsplit-cartan", 3, 2))
+    r = is_applicable(standard_subgroup("nonsplit-cartan", 3))
     assert not r.ok
     assert r.reason == "no trace-0 det--1 element fixes a full-order vector"
     ok = is_applicable(named_group("9B0-9a"))
@@ -202,7 +198,7 @@ def test_dickson_classify():
     assert cls.tag == "split-cartan-normalizer"
     assert cls.projective_order == 4
     assert dickson_classify(
-        standard_subgroup("nonsplit-cartan", 3, 2)
+        standard_subgroup("nonsplit-cartan", 3)
     ).tag == "nonsplit-cartan-normalizer"
     with pytest.raises(ValueError, match="odd prime"):
         dickson_classify(named_group("9B0-9a"))

@@ -15,7 +15,9 @@ so must the node resultant in the cases of its recurrence that small
 random inputs rarely reach. The square sieve of the searches must keep
 every grid point where a form with a planted square is a square, the
 exact square kernel after it must return exactly those squares, and
-its grid must be the points of farey_fractions."""
+its grid must hold the points of the reference grid; the integer key
+that orders the grid must strictly increase along the reference grid,
+and along the closest neighbours at height 1000."""
 
 import functools
 import operator
@@ -39,7 +41,7 @@ from gl2tors.jmaps import (JMAP_LABELS, POLE, PlaneCurve, fiber_curve,
                            jmap_eval, named_jmap, search_hyperelliptic,
                            search_plane, zeta3_descent_search)
 from gl2tors.polynomial import (BiPoly, UniPoly, _eval_int_at, _grid_arrays,
-                                _int_resultant, farey_fractions,
+                                _grid_key, _int_resultant, farey_fractions,
                                 rational_roots, resultant)
 from test_elliptic import E37, count_points_naive
 
@@ -199,16 +201,40 @@ def test_sieve_residue_tables():
             x * x % m for x in range(m)}
 
 
-def test_grid_arrays_match_farey_fractions():
+def test_grid_arrays_match_grid_reference():
     for H in range(1, 61):
         p, q = _grid_arrays(H)
         assert p.dtype == q.dtype == np.int64
         pairs = list(zip(p.tolist(), q.tolist()))
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == {(x.numerator, x.denominator)
-                              for x in farey_fractions(H)}
+                              for x in grid_reference(H)}
     with pytest.raises(ValueError, match="height"):
         _grid_arrays(0)
+
+
+def test_grid_key_increases_along_the_grid():
+    for H in range(1, 61):
+        keys = [_grid_key(x.numerator, x.denominator, H)
+                for x in grid_reference(H)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), H
+    # At H = 1000 the closest grid neighbours are a/(H - 1) and c/H with
+    # c(H - 1) - aH = +-1, 1/(H(H - 1)) apart; the ends, +-H and
+    # +-(H - 1), give the keys of largest size. int64 keys must agree.
+    H = 1000
+    closest = [tuple(sorted((Fraction(a, H - 1), Fraction(c, H))))
+               for a in range(-H, H + 1) for sign in (1, -1)
+               for c, r in [divmod(a * H + sign, H - 1)]
+               if r == 0 and abs(c) <= H]
+    assert len(closest) == 4
+    assert all(hi - lo == Fraction(1, H * (H - 1)) for lo, hi in closest)
+    ends = [(Fraction(-H), Fraction(1 - H)), (Fraction(H - 1), Fraction(H))]
+    for lo, hi in closest + ends:
+        keys = [_grid_key(x.numerator, x.denominator, H) for x in (lo, hi)]
+        p = np.array([lo.numerator, hi.numerator], dtype=np.int64)
+        q = np.array([lo.denominator, hi.denominator], dtype=np.int64)
+        assert keys[0] < keys[1], (lo, hi)
+        assert _grid_key(p, q, H).tolist() == keys
 
 
 def _form_mul(a, b):

@@ -412,9 +412,7 @@ def test_s3_representatives(k, count):
 def _level9_groups():
     """The standard subgroups at level 9 and the catalog level-9 groups,
     each followed by its -I complements."""
-    groups_ = [standard_subgroup(kind, 9,
-                                 2 if kind.startswith("nonsplit") else None)
-               for kind in STANDARD_KINDS]
+    groups_ = [standard_subgroup(kind, 9) for kind in STANDARD_KINDS]
     groups_ += [named_group(label) for label in EMBEDDED_LEVEL9]
     out = []
     for G in groups_:
