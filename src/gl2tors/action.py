@@ -4,22 +4,21 @@ Work is on packed codes and (x, y) int pairs; TorVec appears only in the
 results (OrbitRecord, ComplementWitness) and the orbit_stabilizer
 argument.
 
-Index-2 and index-3 subgroups are enumerated through homomorphisms onto
-C2 and S3: images of the generators are chosen, then propagated along
-the tree edges of the group's cached Cayley table (GenGroup.table, built
-once by the closure BFS) and kept only when every check edge agrees.
-The search works on element indices and the small target group's
-multiplication table, so it does no matrix arithmetic. By the coset
-action this finds every subgroup of those indices.
+Index-2 subgroups and the classes of index-3 subgroups are found through
+homomorphisms onto C2 and S3: images of the generators are chosen, then
+propagated along the tree edges of the group's cached Cayley table
+(GenGroup.table, built once by the closure BFS) and kept only when every
+check edge agrees. The search works on element indices and the small
+target group's multiplication table, so it does no matrix arithmetic. By
+the coset action every such subgroup is a kernel or a point stabilizer.
 
 For index 3 only assignments that generate a transitive subgroup of S3
 are tried (one with a 3-cycle, or two distinct transpositions), and of
-those only the least of each orbit under conjugation by S3. Conjugating
-a homomorphism by s permutes the three points, so the three point
-stabilizers of each homomorphism found are the index-3 subgroups of its
-whole conjugacy orbit. Two index-3 subgroups are conjugate in G exactly
-when their coset actions are conjugate by S3, so the homomorphisms found
-are one per G-conjugacy class of index-3 subgroups.
+those only the least of each orbit under conjugation by S3. Two index-3
+subgroups are conjugate in G exactly when their coset actions are
+conjugate by S3, so the homomorphisms found are one per G-conjugacy
+class of index-3 subgroups; `index3_fixing_count` reads the point-0
+stabilizer of each.
 """
 
 from __future__ import annotations
@@ -68,19 +67,14 @@ def orbit_stabilizer(G: GenGroup, v: TorVec) -> OrbitRecord:
     return OrbitRecord(v, frozenset(TorVec(x, y, n) for x, y in orbit), S)
 
 
-def orbit_of_vector(codes, v: tuple[int, int], n: int) -> frozenset:
-    """Orbit of the pair v under an explicit element-code set."""
-    return frozenset(code_act(v, c, n) for c in codes)
-
-
 _S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 # Target groups as 0-based multiplication tables, identity 0. In S3,
 # (p*q)(i) = q(p(i)), matching left-to-right matrix products.
 _C2_MUL = ((0, 1), (1, 0))
 _S3_MUL = tuple(tuple(_S3.index((q[p[0]], q[p[1]], q[p[2]])) for q in _S3)
                 for p in _S3)
-# _S3_FIXES[i][v]: whether S3 element v fixes the point i.
-_S3_FIXES = tuple(tuple(p[i] == i for p in _S3) for i in range(3))
+# _S3_FIXES[v]: whether S3 element v fixes the point 0.
+_S3_FIXES = tuple(p[0] == 0 for p in _S3)
 # _S3_CONJ[s][v] = s^-1 * v * s.
 _S3_CONJ = tuple(tuple(_S3_MUL[_S3_MUL[s].index(0)][_S3_MUL[v][s]]
                        for v in range(len(_S3))) for s in range(len(_S3)))
@@ -143,21 +137,6 @@ def index2_subgroups(G: GenGroup) -> list[frozenset[int]]:
     return sorted(subs, key=sorted)
 
 
-def index3_subgroups(G: GenGroup) -> list[frozenset[int]]:
-    """All index-3 subgroups: point stabilizers of transitive actions on
-    three cosets, i.e. of homomorphisms to S3 with transitive image.
-
-    Only the conjugacy representatives of _s3_representatives are
-    walked; each homomorphism found gives all three point stabilizers,
-    which are the point-0 stabilizers of its S3-conjugates."""
-    images = _s3_representatives(len(G.gen_codes))
-    codes = G.table.codes
-    subs = {frozenset(itertools.compress(codes, map(fixes.__getitem__, phi)))
-            for phi in _homomorphisms(G, _S3_MUL, images)
-            for fixes in _S3_FIXES}
-    return sorted(subs, key=sorted)
-
-
 def index3_fixing_count(G: GenGroup) -> int:
     """Number of conjugacy classes of index-3 subgroups of G fixing some
     vector of exact order 9 pointwise: the homomorphisms found whose
@@ -167,10 +146,10 @@ def index3_fixing_count(G: GenGroup) -> int:
         raise ValueError(f"expected level 9, got {G.modulus}")
     images = _s3_representatives(len(G.gen_codes))
     codes = G.table.codes
-    fixes = _S3_FIXES[0]
     # Lists: fixes_full_order_vector walks the codes once per vector.
-    stabilizers = (list(itertools.compress(codes, map(fixes.__getitem__, phi)))
-                   for phi in _homomorphisms(G, _S3_MUL, images))
+    stabilizers = (
+        list(itertools.compress(codes, map(_S3_FIXES.__getitem__, phi)))
+        for phi in _homomorphisms(G, _S3_MUL, images))
     return sum(fixes_full_order_vector(H, 9) for H in stabilizers)
 
 

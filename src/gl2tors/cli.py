@@ -345,20 +345,22 @@ def _cmd_fiber_search(args, parser):
 
 
 def _parse_model(text: str):
-    """'y^2 = f' or 'y^2 + (h)*y = f', polynomials in x."""
+    """'y^2 = f' or 'y^2 + (h)*y = f', polynomials in x. Each part is
+    parsed with the rest blanked, so error positions are those in text."""
     if "=" not in text:
         raise PolyParseError("model needs '='")
     lhs, rhs = text.split("=", 1)
-    f = parse_poly(rhs.strip())
-    lhs = lhs.strip()
-    if lhs == "y^2":
+    f = parse_poly(" " * (len(lhs) + 1) + rhs)
+    head = lhs.strip()
+    if head == "y^2":
         return parse_poly("0"), f
-    if not (lhs.startswith("y^2") and lhs[3:].strip().startswith("+")):
-        raise PolyParseError(f"left side must be y^2 [+ (h)*y], got {lhs!r}")
-    mid = lhs[3:].strip()[1:].strip()
+    if not (head.startswith("y^2") and head[3:].strip().startswith("+")):
+        raise PolyParseError(f"left side must be y^2 [+ (h)*y], got {head!r}")
+    plus = lhs.index("+") + 1
+    mid = lhs.rstrip()[plus:]
     if not mid.endswith("*y"):
-        raise PolyParseError(f"h-term must end with '*y', got {mid!r}")
-    return parse_poly(mid[:-2].strip()), f
+        raise PolyParseError(f"h-term must end with '*y', got {mid.strip()!r}")
+    return parse_poly(" " * plus + mid[:-2]), f
 
 
 def _cmd_curve_search(args, parser):

@@ -65,12 +65,6 @@ class CurveQ:
         object.__setattr__(self, "_model", (u, (A1, A2, A3, A4, A6),
                                             (b2, b4, b6, b8), disc))
 
-    @classmethod
-    def from_list(cls, a) -> "CurveQ":
-        if len(a) != 5:
-            raise ValueError(f"expected [a1,a2,a3,a4,a6], got {len(a)} values")
-        return cls(*a)
-
     def coefficients(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 

@@ -8,8 +8,8 @@ proofs.
 The square searches evaluate in integers: a polynomial of degree d at
 x = p/q is taken as q^d * P(p/q) by homogenised Horner on its integer
 model, and a Fraction is built only for a hit. `jmap_eval` builds one,
-the value; `search_plane` walks the Fraction grid of `farey_fractions`,
-sweeping plain curves by Horner in Fractions. Every square test
+the value; `search_plane` walks the Fraction grid of `farey_fractions`
+and matches the two maps' values there. Every square test
 (`search_hyperelliptic`, a zero discriminant included, and both forms of
 `zeta3_descent_search`) is `_square_points`: it sieves the whole grid at
 once, numpy evaluating the integer form modulo 64 * 63 * 65 * 11 and
@@ -139,21 +139,16 @@ def named_jmap(label: str) -> JMap:
 
 @dataclass(frozen=True)
 class PlaneCurve:
-    """An affine plane curve F(s, t) = 0, with optional fiber provenance.
-
-    When the curve came from equating two j-maps, jmap_s and jmap_t hold
-    them and the pole loci (denominator zero sets) are part of the curve.
-    """
+    """The fiber curve F(s, t) = 0 of two j-maps jmap_s and jmap_t; the
+    pole loci (denominator zero sets) are part of the curve."""
 
     F: BiPoly
-    jmap_s: JMap | None = None
-    jmap_t: JMap | None = None
+    jmap_s: JMap
+    jmap_t: JMap
 
     @property
     def label(self) -> str:
-        if self.jmap_s is not None and self.jmap_t is not None:
-            return f"fiber({self.jmap_s.label},{self.jmap_t.label})"
-        return "plane-curve"
+        return f"fiber({self.jmap_s.label},{self.jmap_t.label})"
 
 
 def fiber_curve(a: JMap, b: JMap) -> PlaneCurve:
@@ -177,44 +172,33 @@ class FiberPoint:
 def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
     """All grid points (s, t) with F(s, t) = 0, sorted.
 
-    Fiber curves are searched by j-value matching: evaluate both maps on
-    the grid, intersect by value, and pair up pole parameters; this is
-    exactly the zero set of F on the grid. Values are matched by their
-    (numerator, denominator) pairs, which hash faster. Other curves are swept
-    directly in Fractions: F's coefficients in t are evaluated once per
-    s, then F(s, t) by Horner in t."""
+    The search matches j-values: evaluate both maps on the grid,
+    intersect by value, and pair up pole parameters; this is exactly the
+    zero set of F on the grid. Values are matched by their (numerator,
+    denominator) pairs, which hash faster."""
     grid = farey_fractions(height)
-    if curve.jmap_s is not None and curve.jmap_t is not None:
-        by_j: dict[tuple[int, int], list[Fraction]] = {}
-        s_poles = []
-        for s in grid:
-            v = jmap_eval(curve.jmap_s, s)
-            if v is POLE:
-                s_poles.append(s)
-            else:
-                by_j.setdefault((v.numerator, v.denominator), []).append(s)
-        out = []
-        t_poles = []
-        for t in grid:
-            v = jmap_eval(curve.jmap_t, t)
-            if v is POLE:
-                t_poles.append(t)
-            elif (v.numerator, v.denominator) in by_j:
-                out.extend((s, t) for s in by_j[v.numerator, v.denominator])
-        out.extend((s, t) for s in s_poles for t in t_poles)
-        return sorted(out)
-    in_t = curve.F.coeffs_in(1)
-    out = []
+    by_j: dict[tuple[int, int], list[Fraction]] = {}
+    s_poles = []
     for s in grid:
-        row = UniPoly.from_coeffs([c(s) for c in in_t])
-        out.extend((s, t) for t in grid if row(t) == 0)
+        v = jmap_eval(curve.jmap_s, s)
+        if v is POLE:
+            s_poles.append(s)
+        else:
+            by_j.setdefault((v.numerator, v.denominator), []).append(s)
+    out = []
+    t_poles = []
+    for t in grid:
+        v = jmap_eval(curve.jmap_t, t)
+        if v is POLE:
+            t_poles.append(t)
+        elif (v.numerator, v.denominator) in by_j:
+            out.extend((s, t) for s in by_j[v.numerator, v.denominator])
+    out.extend((s, t) for s in s_poles for t in t_poles)
     return sorted(out)
 
 
 def classify_fiber_point(curve: PlaneCurve, s, t) -> FiberPoint:
     """Tag a point of a fiber curve as a pole pair or a finite j-match."""
-    if curve.jmap_s is None or curve.jmap_t is None:
-        raise ValueError("curve has no fiber provenance")
     vs = jmap_eval(curve.jmap_s, s)
     vt = jmap_eval(curve.jmap_t, t)
     if vs is POLE or vt is POLE:

@@ -311,7 +311,11 @@ TOO_MANY_DIGITS = (f"value has more than {MAX_DIGITS} digits; "
     (["curve-search", "y^2 = 4^32000", "--height", "1", "--json"],
      TOO_MANY_DIGITS),
     (["curve-search", "y^2 = x^3 + " + "9" * 5000],
-     f"integer at position 6 too long: 5000 digits > {MAX_DIGITS}"),
+     f"integer at position 12 too long: 5000 digits > {MAX_DIGITS}"),
+    # Positions are in the model as typed, not in the part parsed.
+    (["curve-search", "y^2 = x^3 + z"], "unknown variable 'z' at position 12"),
+    (["curve-search", "y^2 + (x+?)*y = x^3"],
+     "unexpected character '?' at position 9"),
 ], ids=["fiber-search", "curve-search", "identify", "verify-all",
         "curve-search-huge", "fiber-search-cap", "verify-all-huge",
         "identify-prime-bound-huge", "verify-all-prime-bound-cap",
@@ -319,7 +323,8 @@ TOO_MANY_DIGITS = (f"value has more than {MAX_DIGITS} digits; "
         "torsion-exponent", "jmap-exponent", "curve-search-power-bits",
         "curve-search-power-terms", "curve-search-product",
         "jmap-value-digits", "curve-search-value-digits",
-        "curve-search-value-digits-json", "curve-search-literal-digits"])
+        "curve-search-value-digits-json", "curve-search-literal-digits",
+        "curve-search-right-side-position", "curve-search-h-term-position"])
 def test_bad_numbers_are_usage_errors(argv, message, capsys):
     start = time.perf_counter()
     assert_usage_exit(argv)

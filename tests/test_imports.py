@@ -1,6 +1,6 @@
 """Every name a gl2tors module imports is used in that module, every
 top-level function of the package is named somewhere outside its own
-def, and the package holds no assert statement."""
+def and the tests, and the package holds no assert statement."""
 
 import ast
 import re
@@ -43,7 +43,7 @@ def test_unused_import_is_reported():
 def names(tree: ast.AST) -> Counter:
     """How often tree names each identifier: as a name, an attribute, an
     imported name or a word of a string literal other than a docstring
-    (the benchmark's tracer names its targets in strings)."""
+    (the benchmark's runner names measured functions in strings)."""
     out = Counter()
     stack = [tree]
     while stack:
@@ -62,6 +62,19 @@ def names(tree: ast.AST) -> Counter:
     return out
 
 
+def callers(root: Path) -> Counter:
+    """The names that count as uses outside the package: the words of
+    pyproject.toml (its script entry point) and the names in the
+    benchmark's programs. Tests do not count, since a function that only
+    tests call is dead code, and neither does the benchmark's tracer,
+    which skips a target that is missing."""
+    out = Counter(re.findall(r"\w+", (root / "pyproject.toml").read_text()))
+    for p in (root / "perfbench").rglob("*.py"):
+        if p.name != "tracer.py":
+            out += names(ast.parse(p.read_text()))
+    return out
+
+
 def unused_functions(modules: dict[str, str], elsewhere: Counter) -> list[str]:
     """'module.function' for each top-level function of modules (name to
     source) that neither the modules outside its own def nor elsewhere
@@ -76,23 +89,28 @@ def unused_functions(modules: dict[str, str], elsewhere: Counter) -> list[str]:
 
 def test_no_unused_functions():
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    elsewhere = Counter(re.findall(r"\w+",
-                                   (ROOT / "pyproject.toml").read_text()))
-    for folder in ("tests", "perfbench"):
-        for p in (ROOT / folder).rglob("*.py"):
-            elsewhere += names(ast.parse(p.read_text()))
-    assert unused_functions(modules, elsewhere) == []
+    assert unused_functions(modules, callers(ROOT)) == []
 
 
-def test_unused_function_is_reported():
+def test_unused_function_is_reported(tmp_path):
     modules = {
         "a": ('def used():\n    """dead() is named only here."""\n'
               "def dead():\n    return dead()\n"
-              "def traced():\n    pass\n"
-              "def scripted():\n    pass\n"),
-        "b": "from a import used\nTARGETS = [('a', 'traced')]\n",
+              "def named():\n    pass\n"
+              "def scripted():\n    pass\n"
+              "def benched():\n    pass\n"
+              "def tested():\n    pass\n"
+              "def traced():\n    pass\n"),
+        "b": "from a import used\nTARGETS = [('a', 'named')]\n",
     }
-    assert unused_functions(modules, Counter(["scripted"])) == ["a.dead"]
+    (tmp_path / "pyproject.toml").write_text('x = "a:scripted"\n')
+    for path, text in [("perfbench/client.py", "a.benched()\n"),
+                       ("perfbench/tracer.py", "T = [('a', 'traced')]\n"),
+                       ("tests/test_a.py", "from a import tested\n")]:
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_text(text)
+    assert unused_functions(modules, callers(tmp_path)) == [
+        "a.dead", "a.tested", "a.traced"]
 
 
 def assert_statements(source: str) -> list[int]:

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from gl2tors.jmaps import (JMAP_LABELS, POLE, JMap, PlaneCurve,
-                           classify_fiber_point, fiber_curve, jmap_eval,
-                           named_jmap, search_hyperelliptic, search_plane,
+from gl2tors.jmaps import (JMAP_LABELS, POLE, JMap, classify_fiber_point,
+                           fiber_curve, jmap_eval, named_jmap,
+                           search_hyperelliptic, search_plane,
                            zeta3_descent_search)
 from gl2tors.polynomial import UniPoly, parse_poly
 
@@ -48,7 +48,6 @@ def test_jmap_validation():
 def test_fiber_curve_labels():
     C = fiber_curve(named_jmap("3Cs.1.1"), named_jmap("9B0-9a"))
     assert C.label == "fiber(3Cs.1.1,9B0-9a)"
-    assert PlaneCurve(C.F).label == "plane-curve"
     assert C.F == C.F.primitive()
 
 
@@ -77,17 +76,8 @@ def test_fiber_no9_2b_j_values():
     assert finite_j == {Fraction(0), Fraction(54000)}
 
 
-def test_search_plane_fast_path_matches_direct():
-    C = fiber_curve(named_jmap("3Cs.1.1"), named_jmap("9B0-9a"))
-    stripped = PlaneCurve(C.F)
-    assert search_plane(stripped, 6) == search_plane(C, 6)
-    assert search_plane(C, 6) == [(-3, -3), (-1, -3), (0, 0)]
-
-
 def test_classify_fiber_point_errors():
     C = fiber_curve(named_jmap("3Cs.1.1"), named_jmap("9B0-9a"))
-    with pytest.raises(ValueError, match="provenance"):
-        classify_fiber_point(PlaneCurve(C.F), 0, 0)
     with pytest.raises(ValueError, match="not on the fiber curve"):
         classify_fiber_point(C, 1, 1)
 

@@ -1,15 +1,16 @@
 """The integer kernels against Fraction references.
 
 Each search reference evaluates with Fraction arithmetic at every grid
-point, the way the searches did before they moved to integers, and
-farey_fractions must equal the reference grid in any order of heights,
-from several threads too, with each value shared through its memo and
-each list the caller's own; the point-count references start from the
-rational invariants and count points on the long model directly. The
-root finder must return exactly the roots planted in a product of
-linear factors and those of the rational root theorem on division
-polynomials, and the resultant
-must agree with a Sylvester determinant taken by Fraction Gaussian
+point, the way the searches did before they moved to integers; the
+fiber search must return exactly the zero set of F on the grid, and the
+pairs of a j-value match keyed by Fractions. farey_fractions must equal
+the reference grid in any order of heights, from several threads too,
+with each value shared through its memo and each list the caller's own;
+the point-count references start from the rational invariants and count
+points on the long model directly. The root finder must return exactly
+the roots planted in a product of linear factors and those of the
+rational root theorem on division polynomials, and the resultant must
+agree with a Sylvester determinant taken by Fraction Gaussian
 elimination, at non-integer nodes and at integer nodes it uses itself;
 so must the node resultant in the cases of its recurrence that small
 random inputs rarely reach. The square sieve of the searches must keep
@@ -37,9 +38,9 @@ from gl2tors import elliptic, jmaps, polynomial
 from gl2tors.arith import is_square
 from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
                               frobenius_signature, two_torsion_cubic)
-from gl2tors.jmaps import (JMAP_LABELS, POLE, PlaneCurve, fiber_curve,
-                           jmap_eval, named_jmap, search_hyperelliptic,
-                           search_plane, zeta3_descent_search)
+from gl2tors.jmaps import (JMAP_LABELS, POLE, fiber_curve, jmap_eval,
+                           named_jmap, search_hyperelliptic, search_plane,
+                           zeta3_descent_search)
 from gl2tors.polynomial import (BiPoly, UniPoly, _eval_int_at, _grid_arrays,
                                 _grid_key, _int_resultant, farey_fractions,
                                 rational_roots, resultant)
@@ -119,12 +120,12 @@ def matches_reference(grid, h, H):
 
 
 @pytest.fixture
-def empty_grid():
+def empty_memo():
     """The memo of grid Fractions, emptied before the test."""
     polynomial._fraction.cache_clear()
 
 
-def test_farey_fractions_in_any_height_order(empty_grid):
+def test_farey_fractions_in_any_height_order(empty_memo):
     farey_fractions(200)
     heights = list(range(60, 0, -1)) + random.Random(17).sample(
         range(1, 221), 220)
@@ -132,7 +133,7 @@ def test_farey_fractions_in_any_height_order(empty_grid):
         assert matches_reference(farey_fractions(h), h, 220), h
 
 
-def test_farey_fractions_shares_values_but_not_lists(empty_grid):
+def test_farey_fractions_shares_values_but_not_lists(empty_memo):
     first = farey_fractions(5)
     first.reverse()
     first[0] = Fraction(7)
@@ -143,7 +144,7 @@ def test_farey_fractions_shares_values_but_not_lists(empty_grid):
     assert all(map(operator.is_, farey_fractions(5), second))
 
 
-def test_farey_fractions_grows_safely_from_threads(empty_grid):
+def test_farey_fractions_is_safe_from_threads(empty_memo):
     reference_arrays(220)
     bad = []
 
@@ -320,19 +321,12 @@ def plane_reference(F, H):
     return sorted((s, t) for s in grid for t in grid if F(s, t) == 0)
 
 
-small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(small, small, small), min_size=1, max_size=3),
-       st.integers(min_value=1, max_value=4))
-def test_search_plane_direct_sweep_matches_reference(lines, H):
-    # A product of lines a*s + b*t + c, so the curve meets the grid.
-    s, t = BiPoly.variable(0), BiPoly.variable(1)
-    F = BiPoly.constant(1)
-    for a, b, c in lines:
-        F = F * (s * a + t * b + c)
-    assert search_plane(PlaneCurve(F), H) == plane_reference(F, H)
+@pytest.mark.parametrize("a, b", [("3Cs.1.1", "9B0-9a"),
+                                  ("no-9-isogeny", "2B"),
+                                  ("2B", "3Cs.1.1")])
+def test_search_plane_is_the_zero_set_of_F(a, b):
+    C = fiber_curve(named_jmap(a), named_jmap(b))
+    assert search_plane(C, 4) == plane_reference(C.F, 4)
 
 
 def fiber_reference(curve, H):

@@ -7,13 +7,15 @@ BFS as it ran before its products came from row tables: one code_mul per
 edge. The homomorphism reference propagates
 each assignment of generator images over the Cayley graph with code_mul
 and a dict, the way `action` did before it kept a Cayley table on the
-group; the index-6 reference takes every orbit with `orbit_of_vector`
-over the whole element set. Random generator lists include the identity
-and repeated generators, which give the table self-loops and duplicate
-check edges. The index-3 reference walks every assignment in S3^k and
-keeps the point-0 stabilizer of each transitive homomorphism, and the
-index-3 fixing-count reference sorts the fixing subgroups into
-G-conjugacy classes by a BFS that conjugates them by the generators."""
+group; the index-6 reference takes every orbit over the whole element
+set. Random generator lists include the identity and repeated
+generators, which give the table self-loops and duplicate check edges.
+The index-3 reference walks every assignment in S3^k and keeps the
+point-0 stabilizer of each transitive homomorphism, and a BFS that
+conjugates subgroups by the generators sorts them into G-conjugacy
+classes: the S3 search must find one homomorphism per class of the
+reference's subgroups, and the index-3 fixing count must count the
+classes of those that fix a vector of exact order 9."""
 
 import itertools
 import random
@@ -26,9 +28,8 @@ from hypothesis import strategies as st
 from gl2tors import groups
 from gl2tors.action import (_S3, _S3_MUL, ComplementWitness, _homomorphisms,
                             _s3_representatives, index2_subgroups,
-                            index3_fixing_count, index3_subgroups,
-                            index6_complement_search, minus_one_complements,
-                            orbit_of_vector)
+                            index3_fixing_count, index6_complement_search,
+                            minus_one_complements)
 from gl2tors.catalog import (EMBEDDED_LEVEL9, NAMED_GROUP_GENERATORS,
                              named_group)
 from gl2tors.elliptic import group_class_set
@@ -36,8 +37,8 @@ from gl2tors.groups import (STANDARD_KINDS, GenGroup, closure,
                             closure_codes, contains_minus_identity,
                             det_image, exact_order_vectors,
                             fixes_full_order_vector, standard_subgroup)
-from gl2tors.modmat import (TorVec, code_det, code_inverse, code_mul,
-                            code_pack, code_trace)
+from gl2tors.modmat import (TorVec, code_act, code_det, code_inverse,
+                            code_mul, code_pack, code_trace)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -167,6 +168,20 @@ def _conjugacy_classes(G: GenGroup, subs) -> list[list[frozenset[int]]]:
     return classes
 
 
+def assert_one_homomorphism_per_class(G):
+    """The S3 search finds one homomorphism per G-conjugacy class of the
+    reference's index-3 subgroups: their point-0 stabilizers lie in
+    distinct classes and meet every class."""
+    codes = G.table.codes
+    images = _s3_representatives(len(G.gen_codes))
+    found = [frozenset(c for c, v in zip(codes, phi) if _S3[v][0] == 0)
+             for phi in _homomorphisms(G, _S3_MUL, images)]
+    classes = _conjugacy_classes(G, index3_reference(G))
+    hit = sorted(i for s in found for i, cls in enumerate(classes)
+                 if s in cls)
+    assert hit == list(range(len(classes)))
+
+
 def index3_fixing_count_reference(G):
     subs = [s for s in index3_reference(G) if fixes_full_order_vector(s, 9)]
     return len(_conjugacy_classes(G, subs)) if subs else 0
@@ -180,10 +195,13 @@ def index6_reference(H):
         if minus not in s:
             label = f"{H.label}-comp{len(candidates)}" if H.label else ""
             candidates.append(GenGroup.from_codes(s, n, label))
+    def orbit(C, v):
+        return {code_act(v, c, n) for c in C.element_codes}
+
     out = []
     for C in candidates:
         for x, y in exact_order_vectors(n):
-            if len(orbit_of_vector(C.element_codes, (x, y), n)) == 6:
+            if len(orbit(C, (x, y))) == 6:
                 out.append(ComplementWitness(C, TorVec(x, y, n), 6))
     return out
 
@@ -281,7 +299,7 @@ def test_one_walk_per_group(monkeypatch):
     monkeypatch.setattr(groups, "_closure_table", counting_closure_table)
     G = closure([(1, 1, 0, 1), (2, 0, 0, 5), (1, 0, 3, 1)], 9)
     index2_subgroups(G)
-    index3_subgroups(G)
+    index3_fixing_count(G)
     assert len(tables) == 1
     assert len(tables[0].edges) == G.order * len(G.gen_codes)
 
@@ -301,7 +319,7 @@ def test_index2_and_index3_match_reference(case):
     n, gens = case
     G = GenGroup.from_generators(gens, n)
     assert index2_subgroups(G) == index2_reference(G)
-    assert index3_subgroups(G) == index3_reference(G)
+    assert_one_homomorphism_per_class(G)
 
 
 @SETTINGS
@@ -354,14 +372,15 @@ def test_table_raises_when_generators_miss_elements():
     with pytest.raises(ValueError):
         index2_subgroups(G)
     with pytest.raises(ValueError):
-        index3_subgroups(G)
+        index3_fixing_count(G)
 
 
 def test_trivial_group_without_generators():
     G = GenGroup.from_codes([code_pack(1, 0, 0, 1, 5)], 5)
     assert G.gen_codes == ()
     assert index2_subgroups(G) == index2_reference(G) == []
-    assert index3_subgroups(G) == index3_reference(G) == []
+    assert index3_reference(G) == []
+    assert_one_homomorphism_per_class(G)
 
 
 @settings(SETTINGS, max_examples=60)
@@ -448,7 +467,7 @@ def test_complements_carry_projected_generators(H):
 @pytest.mark.parametrize("G", LEVEL9_GROUPS,
                          ids=[G.label for G in LEVEL9_GROUPS])
 def test_index3_matches_reference_on_level9_groups(G):
-    assert index3_subgroups(G) == index3_reference(G)
+    assert_one_homomorphism_per_class(G)
     assert index3_fixing_count(G) == index3_fixing_count_reference(G)
 
 
@@ -461,7 +480,7 @@ def test_index3_matches_reference_on_level9_groups(G):
 def test_index3_class_counts(G, nsubs, nclasses):
     # One homomorphism per class: the S3 search over conjugacy
     # representatives finds as many as the conjugation BFS finds classes.
-    subs = index3_subgroups(G)
+    subs = index3_reference(G)
     assert len(subs) == nsubs
     assert len(_conjugacy_classes(G, subs)) == nclasses
     images = _s3_representatives(len(G.gen_codes))
@@ -478,17 +497,17 @@ def test_index3_from_c3_images_only():
     # An abelian group maps onto C3, never onto S3: every index-3
     # subgroup is normal.
     G = standard_subgroup("split-cartan", 9)
-    subs = index3_subgroups(G)
+    subs = index3_reference(G)
     assert len(subs) == 4
     assert all(_is_normal(G, s) for s in subs)
-    assert subs == index3_reference(G)
+    assert_one_homomorphism_per_class(G)
 
 
 def test_index3_from_s3_images():
     # 9H0-9b maps onto S3: besides the one normal index-3 subgroup (a C3
     # image), the point stabilizers of S3 images are not normal.
     G = named_group("9H0-9b")
-    subs = index3_subgroups(G)
+    subs = index3_reference(G)
     assert len(subs) == 13
     assert sum(_is_normal(G, s) for s in subs) == 1
-    assert subs == index3_reference(G)
+    assert_one_homomorphism_per_class(G)
