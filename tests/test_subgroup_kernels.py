@@ -170,8 +170,8 @@ def _conjugacy_classes(G: GenGroup, subs) -> list[list[frozenset[int]]]:
 
 def assert_one_homomorphism_per_class(G):
     """The S3 search finds one homomorphism per G-conjugacy class of the
-    reference's index-3 subgroups: their point-0 stabilizers lie in
-    distinct classes and meet every class."""
+    reference's index-3 subgroups: each point-0 stabilizer lies in one
+    class, no two in the same class, and every class is met."""
     codes = G.table.codes
     images = _s3_representatives(len(G.gen_codes))
     found = [frozenset(c for c, v in zip(codes, phi) if _S3[v][0] == 0)
@@ -179,6 +179,7 @@ def assert_one_homomorphism_per_class(G):
     classes = _conjugacy_classes(G, index3_reference(G))
     hit = sorted(i for s in found for i, cls in enumerate(classes)
                  if s in cls)
+    assert len(found) == len(classes)
     assert hit == list(range(len(classes)))
 
 
