@@ -71,7 +71,7 @@ def _int_at_least(low: int, what: str, high: int | None = None):
 
 # Grid searches need a height of at least 1. A search that hits every grid
 # point grows as H^2: by peak RSS, fiber-search 2B 2B takes about 1.3 KB per
-# H^2 (212 MB at H = 400) and curve-search 'y^2 = x^2' about 1.4 KB (1.36 GB
+# H^2 (214 MB at H = 400) and curve-search 'y^2 = x^2' about 1.4 KB (1.36 GB
 # at H = 1000), so the cap turns what would be a failed allocation into a
 # usage error.
 _height = _int_at_least(1, "height", 1000)

@@ -5,11 +5,13 @@ search sweeps the full grid of such rationals. Searches are exhaustive
 within the grid and are reported as evidence, never as completeness
 proofs.
 
-The square searches evaluate in integers: a polynomial of degree d at
-x = p/q is taken as q^d * P(p/q) by homogenised Horner on its integer
-model, and a Fraction is built only for a hit. `jmap_eval` builds one,
-the value; `search_plane` walks the Fraction grid of `farey_fractions`
-and matches the two maps' values there. Every square test
+The searches evaluate in integers: a polynomial of degree d at x = p/q
+is taken as q^d * P(p/q) by homogenised Horner on its integer model.
+`jmap_eval` builds one Fraction, the value. `search_plane` keys both
+maps' values on the `farey_fractions` grid modulo a prime, by numpy
+Horner on the (p, q) arrays, and joins the keys; it calls `jmap_eval`
+only where a denominator vanishes modulo the prime and to confirm each
+match, and its docstring says why no point is missed. Every square test
 (`search_hyperelliptic`, a zero discriminant included, and both forms of
 `zeta3_descent_search`) is `_square_points`: it sieves the whole grid at
 once, numpy evaluating the integer form modulo 64 * 63 * 65 * 11 and
@@ -21,6 +23,7 @@ decides every survivor, and the hits are sorted by `_grid_key`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -28,7 +31,8 @@ from math import isqrt
 import numpy as np
 
 from .polynomial import (BiPoly, UniPoly, _eval_int_at, _frac, _grid_arrays,
-                         _grid_key, farey_fractions, poly_gcd)
+                         _grid_key, _sorted_grid_arrays, farey_fractions,
+                         poly_gcd)
 
 
 class _Pole:
@@ -142,7 +146,6 @@ class PlaneCurve:
     """The fiber curve F(s, t) = 0 of two j-maps jmap_s and jmap_t; the
     pole loci (denominator zero sets) are part of the curve."""
 
-    F: BiPoly
     jmap_s: JMap
     jmap_t: JMap
 
@@ -150,13 +153,19 @@ class PlaneCurve:
     def label(self) -> str:
         return f"fiber({self.jmap_s.label},{self.jmap_t.label})"
 
+    @functools.cached_property
+    def F(self) -> BiPoly:
+        """num_s(s)*den_t(t) - num_t(t)*den_s(s), primitive; built on the
+        first read, since the search reads only the maps."""
+        a, b = self.jmap_s, self.jmap_t
+        return (a.num.to_bipoly(0) * b.den.to_bipoly(1)
+                - b.num.to_bipoly(1) * a.den.to_bipoly(0)).primitive()
+
 
 def fiber_curve(a: JMap, b: JMap) -> PlaneCurve:
     """The curve num_a(s)*den_b(t) - num_b(t)*den_a(s) = 0 whose points
     off the pole loci are pairs with equal j-value."""
-    F = (a.num.to_bipoly(0) * b.den.to_bipoly(1)
-         - b.num.to_bipoly(1) * a.den.to_bipoly(0))
-    return PlaneCurve(F.primitive(), a, b)
+    return PlaneCurve(a, b)
 
 
 @dataclass(frozen=True)
@@ -169,32 +178,84 @@ class FiberPoint:
     j: Fraction | None
 
 
-def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
-    """All grid points (s, t) with F(s, t) = 0, sorted.
+# The prime of search_plane's residue keys. It is below 2^30, so each
+# product of two residues is below 2^60 and int64 never overflows.
+_PRIME = 1_000_000_007
 
-    The search matches j-values: evaluate both maps on the grid,
-    intersect by value, and pair up pole parameters; this is exactly the
-    zero set of F on the grid. Values are matched by their (numerator,
-    denominator) pairs, which hash faster."""
+
+def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
+    """All grid points (s, t) with F(s, t) = 0, sorted: the pairs with
+    j_s(s) = j_t(t), and every pair of poles.
+
+    Each map is keyed on the grid modulo the prime P = _PRIME, and the
+    keys are joined. Where b*D(p, q) is a unit mod P, the key is
+    a*N(p, q) / (b*D(p, q)) mod P; elsewhere `jmap_eval` gives the exact
+    value v, keyed v mod P when P does not divide den v and (num v,
+    den v) when it does, or a pole. Every match of residue keys is
+    confirmed by exact `jmap_eval` equality, so a residue collision adds
+    no point.
+
+    No point is missed. Let j(s) = j(t) = v. If P does not divide den v,
+    both keys are v mod P, whichever branch gave them. If P divides
+    den v, then P divides b*D at both points, since den v divides it, so
+    both take the exact branch and are keyed by v itself."""
     grid = farey_fractions(height)
-    by_j: dict[tuple[int, int], list[Fraction]] = {}
-    s_poles = []
-    for s in grid:
-        v = jmap_eval(curve.jmap_s, s)
+    p, q = _sorted_grid_arrays(height)
+    ks, s_exact, s_poles = _residue_keys(curve.jmap_s, grid, p, q)
+    kt, t_exact, t_poles = _residue_keys(curve.jmap_t, grid, p, q)
+    pairs = [(i, j) for v, js in t_exact.items()
+             for i in s_exact.get(v, ()) for j in js]
+    pairs += [(i, j) for i in s_poles for j in t_poles]
+    j_s = functools.cache(lambda i: jmap_eval(curve.jmap_s, grid[i]))
+    j_t = functools.cache(lambda j: jmap_eval(curve.jmap_t, grid[j]))
+    pairs += [(i, j) for i, j in _key_matches(ks, kt) if j_s(i) == j_t(j)]
+    # The grid ascends, so index order is value order.
+    return [(grid[i], grid[j]) for i, j in sorted(pairs)]
+
+
+def _residue_keys(m: JMap, grid: list[Fraction], p: np.ndarray,
+                  q: np.ndarray) -> tuple[np.ndarray, dict, list]:
+    """(keys, exact, poles) for m on the grid points p/q: keys[i] is the
+    residue key of grid[i], or -1 where the key is the exact value pair
+    (exact maps each pair to its indices) or grid[i] is a pole (listed in
+    poles)."""
+    P = _PRIME
+    a, N, b, D = m._model
+    n = _form_mod([a * c for c in N], p, q, P)
+    d = _form_mod([b * c for c in D], p, q, P)
+    inv, base, e = np.ones_like(d), d, P - 2  # d^(P - 2) = 1/d (Fermat)
+    while e:
+        if e & 1:
+            inv = inv * base % P
+        base = base * base % P
+        e >>= 1
+    keys = n * inv % P
+    exact: dict[tuple[int, int], list[int]] = {}
+    poles = []
+    for i in np.flatnonzero(d == 0).tolist():
+        v = jmap_eval(m, grid[i])
+        keys[i] = -1
         if v is POLE:
-            s_poles.append(s)
+            poles.append(i)
+        elif v.denominator % P:
+            keys[i] = v.numerator * pow(v.denominator, -1, P) % P
         else:
-            by_j.setdefault((v.numerator, v.denominator), []).append(s)
-    out = []
-    t_poles = []
-    for t in grid:
-        v = jmap_eval(curve.jmap_t, t)
-        if v is POLE:
-            t_poles.append(t)
-        elif (v.numerator, v.denominator) in by_j:
-            out.extend((s, t) for s in by_j[v.numerator, v.denominator])
-    out.extend((s, t) for s in s_poles for t in t_poles)
-    return sorted(out)
+            exact.setdefault((v.numerator, v.denominator), []).append(i)
+    return keys, exact, poles
+
+
+def _key_matches(ks: np.ndarray, kt: np.ndarray) -> list[tuple[int, int]]:
+    """Every index pair (i, j) with ks[i] == kt[j] >= 0."""
+    si = np.flatnonzero(ks >= 0)
+    order = si[np.argsort(ks[si])]
+    sorted_ks = ks[order]
+    tj = np.flatnonzero(kt >= 0)
+    lo = np.searchsorted(sorted_ks, kt[tj], "left")
+    count = np.searchsorted(sorted_ks, kt[tj], "right") - lo
+    # Run k of the output holds s-positions lo[k], ..., lo[k] + count[k] - 1.
+    start = np.repeat(lo - (np.cumsum(count) - count), count)
+    i = order[start + np.arange(count.sum())]
+    return list(zip(i.tolist(), np.repeat(tj, count).tolist()))
 
 
 def classify_fiber_point(curve: PlaneCurve, s, t) -> FiberPoint:
@@ -251,20 +312,28 @@ def _sieved_points(C: list[int], height: int) -> list[tuple[int, int]]:
     form sum C[i] p^i q^(e - i), e = len(C) - 1, is a square modulo each
     of 64, 63, 65 and 11; every point where it is a square is among them.
 
-    Horner runs on int64 modulo M = 64 * 63 * 65 * 11: the coefficients
-    and p are reduced first, so each step's two products of residues sum
-    to less than 2 * M^2 < 1.7 * 10^13 and no step can overflow."""
+    Horner runs modulo M = 64 * 63 * 65 * 11 (see _form_mod)."""
     p, q = _grid_arrays(height)
-    pm, qm = p % _SIEVE_M, q % _SIEVE_M
-    acc = np.full(p.shape, C[-1] % _SIEVE_M, dtype=np.int64)
-    qpow = np.ones_like(qm)
-    for c in reversed(C[:-1]):
-        qpow = qpow * qm % _SIEVE_M
-        acc = (acc * pm + c % _SIEVE_M * qpow) % _SIEVE_M
+    acc = _form_mod(C, p, q, _SIEVE_M)
     keep = np.ones(p.shape, dtype=bool)
     for m, square in _SQUARES.items():
         keep &= square[acc % m]
     return list(zip(p[keep].tolist(), q[keep].tolist()))
+
+
+def _form_mod(C: list[int], p: np.ndarray, q: np.ndarray,
+              m: int) -> np.ndarray:
+    """sum C[i] p^i q^(e - i) mod m, e = len(C) - 1, at every (p, q), by
+    Horner on int64. The coefficients and p are reduced first, so each
+    step's two products of residues sum to less than 2 * m^2, which
+    fits in int64 for every m < 2^31."""
+    pm, qm = p % m, q % m
+    acc = np.full(p.shape, C[-1] % m, dtype=np.int64)
+    qpow = np.ones_like(qm)
+    for c in reversed(C[:-1]):
+        qpow = qpow * qm % m
+        acc = (acc * pm + c % m * qpow) % m
+    return acc
 
 
 def _square_points(C: list[int], height: int) -> list[tuple[int, int, int]]:

@@ -522,9 +522,15 @@ def farey_fractions(height: int) -> list[Fraction]:
     _grid_key. Every call returns a new list, which the caller owns, but
     the Fractions in it are shared: each is built once, by a
     process-wide memo keyed on (p, q)."""
+    p, q = _sorted_grid_arrays(height)
+    return list(map(_fraction, p.tolist(), q.tolist()))
+
+
+def _sorted_grid_arrays(height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (p, q) of farey_fractions(height), in its order, as int64."""
     p, q = _grid_arrays(height)
     order = np.argsort(_grid_key(p, q, height))
-    return list(map(_fraction, p[order].tolist(), q[order].tolist()))
+    return p[order], q[order]
 
 
 def _grid_key(p, q, height: int):

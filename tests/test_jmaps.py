@@ -1,6 +1,7 @@
 """Named j-maps, fiber curves, and the exact bounded searches."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,7 @@ from gl2tors.jmaps import (JMAP_LABELS, POLE, JMap, classify_fiber_point,
                            fiber_curve, jmap_eval, named_jmap,
                            search_hyperelliptic, search_plane,
                            zeta3_descent_search)
-from gl2tors.polynomial import UniPoly, parse_poly
+from gl2tors.polynomial import BiPoly, UniPoly, parse_poly
 
 X = UniPoly.x()
 
@@ -49,6 +50,34 @@ def test_fiber_curve_labels():
     C = fiber_curve(named_jmap("3Cs.1.1"), named_jmap("9B0-9a"))
     assert C.label == "fiber(3Cs.1.1,9B0-9a)"
     assert C.F == C.F.primitive()
+
+
+def eager_F(ma, mb):
+    """num_a(s)*den_b(t) - num_b(t)*den_a(s), primitive, assembled from
+    the coefficients: the F that fiber_curve built before F was lazy."""
+    c = {}
+    for i in range(max(ma.num.degree, ma.den.degree) + 1):
+        for j in range(max(mb.num.degree, mb.den.degree) + 1):
+            c[i, j] = (ma.num.coeff(i) * mb.den.coeff(j)
+                       - mb.num.coeff(j) * ma.den.coeff(i))
+    return BiPoly(c).primitive()
+
+
+def test_fiber_curve_builds_F_on_first_read():
+    for a, b in product(JMAP_LABELS, repeat=2):
+        ma, mb = named_jmap(a), named_jmap(b)
+        C = fiber_curve(ma, mb)
+        assert "F" not in vars(C)
+        assert C.F == eager_F(ma, mb), (a, b)
+        assert C.F is C.F
+
+
+def test_fiber_curves_of_the_same_maps_are_equal():
+    C = fiber_curve(named_jmap("2B"), named_jmap("9H0-9b"))
+    D = fiber_curve(named_jmap("2B"), named_jmap("9H0-9b"))
+    assert not C.F.is_zero()  # C has built F and D has not
+    assert C == D and hash(C) == hash(D)
+    assert C != fiber_curve(named_jmap("9H0-9b"), named_jmap("2B"))
 
 
 def test_fiber_3cs_9b_points():

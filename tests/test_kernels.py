@@ -3,7 +3,8 @@
 Each search reference evaluates with Fraction arithmetic at every grid
 point, the way the searches did before they moved to integers; the
 fiber search must return exactly the zero set of F on the grid, and the
-pairs of a j-value match keyed by Fractions. farey_fractions must equal
+pairs of a j-value match keyed by Fractions, also when its residue keys
+are taken modulo primes small enough to collide. farey_fractions must equal
 the reference grid in any order of heights, from several threads too,
 with each value shared through its memo and each list the caller's own;
 the point-count references start from the rational invariants and count
@@ -26,7 +27,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import isqrt, lcm, prod
 
 import numpy as np
@@ -344,6 +345,63 @@ def test_search_plane_fiber_matches_fraction_keyed_reference():
     for a, b in permutations(JMAP_LABELS, 2):
         curve = fiber_curve(named_jmap(a), named_jmap(b))
         assert search_plane(curve, 8) == fiber_reference(curve, 8), (a, b)
+
+
+@functools.cache
+def labelled_fiber_reference(a, b, H):
+    return fiber_reference(fiber_curve(named_jmap(a), named_jmap(b)), H)
+
+
+@pytest.mark.parametrize("a, b, H", [
+    ("3Cs.1.1", "9B0-9a", 30), ("2B", "9H0-9b", 30),
+    ("no-9-isogeny", "2B", 30), ("2B", "2B", 20), ("Et", "9B0-9a", 20)])
+def test_search_plane_matches_fraction_keyed_reference_higher(a, b, H):
+    curve = fiber_curve(named_jmap(a), named_jmap(b))
+    assert search_plane(curve, H) == labelled_fiber_reference(a, b, H)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 101)
+
+
+@pytest.mark.parametrize("prime", SMALL_PRIMES)
+def test_search_plane_keyed_modulo_a_small_prime(monkeypatch, prime):
+    """The residue keys modulo a small prime collide often and vanish
+    where no denominator does; the search must still be exact, on the
+    diagonal fibers too."""
+    monkeypatch.setattr(jmaps, "_PRIME", prime)
+    for a, b in product(JMAP_LABELS, repeat=2):
+        curve = fiber_curve(named_jmap(a), named_jmap(b))
+        assert search_plane(curve, 8) == labelled_fiber_reference(a, b, 8), \
+            (a, b)
+
+
+def test_small_primes_reach_every_key_branch():
+    """At height 8 the primes above give: a prime dividing a model
+    constant (9H0-9b has b = 8); a D(p, q) that vanishes modulo the prime
+    but not in Q; finite values keyed by their residue and by their exact
+    pair after exact evaluation; and two distinct values sharing a
+    residue."""
+    assert named_jmap("9H0-9b")._model[2] == 8
+    seen = set()
+    for P in SMALL_PRIMES:
+        by_residue = {}
+        for label in JMAP_LABELS:
+            m = named_jmap(label)
+            _, _, b, D = m._model
+            for x in grid_reference(8):
+                d = _eval_int_at(D, x.numerator, x.denominator)
+                v = jmap_reference(m, x)
+                if d != 0 and d % P == 0:
+                    seen.add("D vanishes mod P only")
+                if v is POLE:
+                    continue
+                if b * d % P == 0:
+                    seen.add("residue" if v.denominator % P else "pair")
+                if v.denominator % P:
+                    r = v.numerator * pow(v.denominator, -1, P) % P
+                    if by_residue.setdefault(r, v) != v:
+                        seen.add("collision")
+    assert seen == {"D vanishes mod P only", "residue", "pair", "collision"}
 
 
 def _is_prime(n):
