@@ -18,7 +18,9 @@ those only the least of each orbit under conjugation by S3. Two index-3
 subgroups are conjugate in G exactly when their coset actions are
 conjugate by S3, so the homomorphisms found are one per G-conjugacy
 class of index-3 subgroups; `index3_fixing_count` reads the point-0
-stabilizer of each.
+stabilizer of each. An index-3 subgroup fixing a vector v lies in the
+stabilizer of v, so the orbit of v has size 1 or 3: the count tests only
+such vectors, and skips the search when the group has none.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .groups import GenGroup, exact_order_vectors, fixes_full_order_vector
+from .groups import GenGroup, exact_order_vectors
 from .modmat import TorVec, code_act, code_mul, code_pack
 
 
@@ -141,16 +143,28 @@ def index3_fixing_count(G: GenGroup) -> int:
     """Number of conjugacy classes of index-3 subgroups of G fixing some
     vector of exact order 9 pointwise: the homomorphisms found whose
     point-0 stabilizer H fixes such a v (then x^-1 H x fixes v*x). Level
-    must be 9."""
+    must be 9.
+
+    An index-3 H fixing v lies in Stab_G(v), so the orbit of v under G
+    has size dividing 3. Only vectors with orbit size 1 or 3 (from a
+    generator BFS, `_orbit_sizes`) are tried, and when there are none the
+    count is 0 with no homomorphism search. The table is read first, so
+    generators that miss a given element set still raise ValueError."""
     if G.modulus != 9:
         raise ValueError(f"expected level 9, got {G.modulus}")
-    images = _s3_representatives(len(G.gen_codes))
     codes = G.table.codes
-    # Lists: fixes_full_order_vector walks the codes once per vector.
+    vectors = exact_order_vectors(9)
+    size = _orbit_sizes(G, vectors)
+    candidates = [v for v in vectors if size[v] in (1, 3)]
+    if not candidates:
+        return 0
+    images = _s3_representatives(len(G.gen_codes))
+    # Lists: each candidate walks the codes once.
     stabilizers = (
         list(itertools.compress(codes, map(_S3_FIXES.__getitem__, phi)))
         for phi in _homomorphisms(G, _S3_MUL, images))
-    return sum(fixes_full_order_vector(H, 9) for H in stabilizers)
+    return sum(any(all(code_act(v, c, 9) == v for c in H)
+                   for v in candidates) for H in stabilizers)
 
 
 def minus_one_complements(H: GenGroup) -> list[GenGroup]:

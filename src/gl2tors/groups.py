@@ -3,6 +3,9 @@
 A group is a list of generator codes plus a lazily computed element set
 and right Cayley table, both from one BFS over the generators (see
 `_closure_table`); the subgroup searches in `action` run over the table.
+The BFS walks level by level in Python; once a level holds
+_LEVEL_SWITCH (256) elements, at levels n with n^4 <= 2^20, numpy runs
+the remaining levels and gives the same codes, edges and element set.
 Matrices are packed integer codes (see modmat), vectors (x, y) int pairs.
 GMat appears only where matrices enter or leave: generator input, the
 `generators` view and membership tests. All iteration is in sorted code
@@ -16,6 +19,8 @@ from array import array
 from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple
+
+import numpy as np
 
 from .arith import factorint, is_probable_prime
 from .modmat import (GMat, code_act, code_det, code_entries, code_inverse,
@@ -55,6 +60,13 @@ class CayleyTable(NamedTuple):
     edges: array
 
 
+# The closure BFS hands its remaining levels to numpy once a level holds
+# _LEVEL_SWITCH elements, at levels n with n^4 <= _TAIL_MAX_CODES: the tail
+# keeps two dense int32 arrays of n^4 entries, at most 4 MB each (n <= 32).
+_LEVEL_SWITCH = 256
+_TAIL_MAX_CODES = 2 ** 20
+
+
 def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
     """Element set and Cayley table of the group the packed generators
     generate, from the one closure BFS; raises ValueError when a
@@ -62,7 +74,10 @@ def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
 
     Each of the |G|*k products x*g is two lookups in g's row tables
     (modmat.code_mul_tables, k*n^2 entries in all), after one divmod of
-    x into its rows; the BFS makes no code_mul call."""
+    x into its rows; the BFS makes no code_mul call. It walks level by
+    level, and once a level holds _LEVEL_SWITCH elements and
+    n^4 <= _TAIL_MAX_CODES, `_closure_tail` runs the remaining levels
+    in numpy with the same result."""
     for g in gen_codes:
         _check_invertible(g, n)
     tables = [code_mul_tables(g, n) for g in gen_codes]
@@ -71,18 +86,70 @@ def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
     codes = [ident]
     index = {ident: 0}
     edges = []
-    for x in codes:  # grows while it is walked: BFS order
-        r1, r2 = divmod(x, n2)
-        for hi, lo in tables:
-            y = hi[r1] + lo[r2]
-            i = index.get(y)
-            if i is None:
-                i = index[y] = len(codes)
-                codes.append(y)
-                edges.append(~i)
-            else:
-                edges.append(i)
+    tail = n2 * n2 <= _TAIL_MAX_CODES
+    start = 0
+    while start < len(codes):
+        level = codes[start:]
+        if tail and len(level) >= _LEVEL_SWITCH:
+            return _closure_tail(tables, n, codes, edges, start)
+        start = len(codes)
+        for x in level:
+            r1, r2 = divmod(x, n2)
+            for hi, lo in tables:
+                y = hi[r1] + lo[r2]
+                i = index.get(y)
+                if i is None:
+                    i = index[y] = len(codes)
+                    codes.append(y)
+                    edges.append(~i)
+                else:
+                    edges.append(i)
     return frozenset(index), CayleyTable(array("q", codes), array("i", edges))
+
+
+def _closure_tail(tables, n: int, codes: list, edges: list,
+                  start: int) -> tuple[frozenset[int], CayleyTable]:
+    """Finish the closure BFS in numpy from the level codes[start:], given
+    the codes and edges found so far; the result equals the Python BFS.
+
+    Each level's products come from the row tables as arrays, in edge
+    order, and a dense code -> index array (-1 when absent) gives their
+    indices. A product not yet indexed takes its first position in the
+    level: positions scattered in reverse leave the first one written
+    last. New elements are numbered in first-occurrence order, and the
+    first occurrence is the tree edge (~index), as in the Python BFS."""
+    n2 = n * n
+    k = len(tables)
+    his = np.array([t[0] for t in tables], dtype=np.int64).reshape(k, n2)
+    los = np.array([t[1] for t in tables], dtype=np.int64).reshape(k, n2)
+    where = np.full(n2 * n2, -1, dtype=np.int32)
+    first = np.empty(n2 * n2, dtype=np.int32)
+    level = np.array(codes[start:], dtype=np.int64)
+    found = [np.array(codes, dtype=np.int64)]
+    where[found[0]] = np.arange(len(codes), dtype=np.int32)
+    size = len(codes)
+    out = [np.array(edges, dtype=np.int32)]
+    while level.size:
+        r1, r2 = np.divmod(level, n2)
+        prod = (his[:, r1] + los[:, r2]).T.ravel()  # edge order
+        e = where[prod]
+        new = np.flatnonzero(e < 0)
+        ys = prod[new]
+        order = np.arange(ys.size, dtype=np.int32)
+        first[ys[::-1]] = order[::-1]
+        is_first = first[ys] == order
+        level = ys[is_first]
+        where[level] = np.arange(size, size + level.size, dtype=np.int32)
+        size += level.size
+        e[new] = where[ys]
+        e[new[is_first]] = ~e[new[is_first]]
+        found.append(level)
+        out.append(e)
+    codes_out = np.concatenate(found)
+    # From a dict, as the Python BFS builds it: the same iteration order.
+    return (frozenset(dict.fromkeys(codes_out.tolist())),
+            CayleyTable(array("q", codes_out.tobytes()),
+                        array("i", np.concatenate(out).tobytes())))
 
 
 # The most row-table entries (k*n^2, k generators at level n) a group may

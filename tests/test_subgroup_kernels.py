@@ -15,7 +15,10 @@ point-0 stabilizer of each transitive homomorphism, and a BFS that
 conjugates subgroups by the generators sorts them into G-conjugacy
 classes: the S3 search must find one homomorphism per class of the
 reference's subgroups, and the index-3 fixing count must count the
-classes of those that fix a vector of exact order 9."""
+classes of those that fix a vector of exact order 9. The closure's numpy
+tail is checked against the table reference with `_LEVEL_SWITCH` moved,
+and the orbit-size pruning of the index-3 count on seeded groups with no
+orbit of size 1 or 3, with orbits of size 3 and with a fixed vector."""
 
 import itertools
 import random
@@ -25,11 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2tors import groups
+from gl2tors import action, groups
 from gl2tors.action import (_S3, _S3_MUL, ComplementWitness, _homomorphisms,
-                            _s3_representatives, index2_subgroups,
-                            index3_fixing_count, index6_complement_search,
-                            minus_one_complements)
+                            _orbit_sizes, _s3_representatives,
+                            index2_subgroups, index3_fixing_count,
+                            index6_complement_search, minus_one_complements)
 from gl2tors.catalog import (EMBEDDED_LEVEL9, NAMED_GROUP_GENERATORS,
                              named_group)
 from gl2tors.elliptic import group_class_set
@@ -260,6 +263,68 @@ def test_table_matches_reference(case):
     assert list(G.table.edges) == edges
 
 
+def _closed_with_switch(switch, gen_codes, n):
+    """groups._closure_table with the numpy tail taking over at the first
+    level of `switch` elements: 1 runs every level in numpy, 10**9 none."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_LEVEL_SWITCH", switch)
+        return groups._closure_table(gen_codes, n)
+
+
+def assert_tail_matches_reference(switch, gen_codes, n):
+    # The same BFS order, edges and element set; the set also iterates in
+    # the order of the one the Python BFS builds from its dict.
+    codes, edges = table_reference(gen_codes, n)
+    elements, table = _closed_with_switch(switch, gen_codes, n)
+    assert list(table.codes) == codes
+    assert list(table.edges) == edges
+    assert elements == closure_reference(gen_codes, n)
+    assert list(elements) == list(frozenset(dict.fromkeys(codes)))
+
+
+@pytest.mark.parametrize("switch", [1, 7, 10 ** 9])
+@settings(SETTINGS, max_examples=25)
+@given(st.sampled_from((2, 3, 9, 11)).flatmap(
+    lambda n: st.tuples(st.just(n), generator_lists(n))))
+def test_closure_tail_matches_reference(switch, case):
+    # 1: numpy from the identity on; 7: handed over mid-BFS on small
+    # groups; 10**9: the Python BFS throughout.
+    n, gens = case
+    G = GenGroup.from_generators(gens, n)
+    assert_tail_matches_reference(switch, G.gen_codes, n)
+
+
+LEVEL27_GENERATORS = {
+    "borel": [(2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1)],
+    "split-cartan-normalizer": [(2, 0, 0, 1), (1, 0, 0, 2), (0, 1, 1, 0)],
+    "sl2": [(1, 1, 0, 1), (1, 0, 1, 1)],
+    "upper-repeat": [(4, 5, 0, 7), (1, 3, 0, 1), (4, 5, 0, 7)],
+}
+
+
+@pytest.mark.parametrize("switch", [1, groups._LEVEL_SWITCH, 10 ** 9])
+@pytest.mark.parametrize("name", sorted(LEVEL27_GENERATORS))
+def test_closure_tail_matches_reference_at_27(name, switch):
+    G = GenGroup.from_generators(LEVEL27_GENERATORS[name], 27)
+    assert_tail_matches_reference(switch, G.gen_codes, 27)
+
+
+def test_tail_raises_on_singular_generator():
+    singular = (code_pack(1, 1, 0, 3, 3),)
+    with pytest.raises(ValueError, match="not invertible"):
+        _closed_with_switch(1, singular, 3)
+
+
+def test_tail_raises_when_generators_miss_elements(monkeypatch):
+    monkeypatch.setattr(groups, "_LEVEL_SWITCH", 1)
+    full = standard_subgroup("full", 9)
+    G = GenGroup(9, full.gen_codes[:1], "", full.element_codes)
+    with pytest.raises(ValueError, match="not the given element set"):
+        G.table
+    with pytest.raises(ValueError):
+        index3_fixing_count(G)
+
+
 def _classes_reference(H):
     n = H.modulus
     codes = closure_reference(H.gen_codes + (code_pack(-1, 0, 0, -1, n),),
@@ -333,6 +398,65 @@ def test_level9_searches_match_reference(gens, with_minus_one):
     if contains_minus_identity(G):
         assert (witness_key(index6_complement_search(G))
                 == witness_key(index6_reference(G)))
+
+
+def _no_homomorphisms(*args):
+    raise AssertionError("homomorphism search run")
+
+
+def _pruning_group(seed):
+    """A seeded level-9 group on 1-2 generators: uniformly random ones, or
+    upper-triangular ones with lower-right entry 4 or 7 (the orbit of
+    (0, 1) is then {(0, 1), (0, 4), (0, 7)}) or 1 (they fix (0, 1))."""
+    rng = random.Random(seed)
+    kind = ("random", "orbit3", "fixed")[seed % 3]
+    gens = []
+    while len(gens) < 1 + seed // 3 % 2:
+        a, b, c, d = (rng.randrange(9) for _ in range(4))
+        if kind != "random":
+            c, d = 0, rng.choice((4, 7)) if kind == "orbit3" else 1
+        if gcd(a * d - b * c, 9) == 1:
+            gens.append((a, b, c, d))
+    return GenGroup.from_generators(gens, 9)
+
+
+def test_index3_pruning_by_orbit_size():
+    # An index-3 subgroup fixing v lies in Stab_G(v), so only vectors with
+    # orbit size 1 or 3 are tried. The seeds cover all three cases: no
+    # such vector (the count is 0 without a homomorphism search), orbit-3
+    # vectors only, and a fixed vector (every class then counts).
+    seen = set()
+    for seed in range(24):
+        G = _pruning_group(seed)
+        sizes = set(_orbit_sizes(G, exact_order_vectors(9)).values())
+        count = index3_fixing_count(G)
+        assert count == index3_fixing_count_reference(G), seed
+        if 1 in sizes:
+            seen.add("fixed")
+            images = _s3_representatives(len(G.gen_codes))
+            assert count == len(list(_homomorphisms(G, _S3_MUL, images)))
+        elif 3 in sizes:
+            seen.add("orbit3")
+        else:
+            seen.add("none")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(action, "_homomorphisms", _no_homomorphisms)
+                assert index3_fixing_count(G) == 0
+    assert seen == {"none", "orbit3", "fixed"}
+
+
+def test_index3_pruned_complement_still_raises(monkeypatch):
+    # Two of the three generators of a -I complement reach 54 of its 162
+    # elements, with no orbit of size 1 or 3: the count would be 0 without
+    # a homomorphism search, but the table is read first and raises.
+    C = minus_one_complements(standard_subgroup("borel", 9))[0]
+    G = GenGroup(9, C.gen_codes[1:], "", C.element_codes)
+    sizes = set(_orbit_sizes(G, exact_order_vectors(9)).values())
+    assert not sizes & {1, 3}
+    assert len(closure_codes(G.gen_codes, 9)) < C.order
+    monkeypatch.setattr(action, "_homomorphisms", _no_homomorphisms)
+    with pytest.raises(ValueError, match="not the given element set"):
+        index3_fixing_count(G)
 
 
 def test_table_layout():
