@@ -55,7 +55,7 @@ def orbit_stabilizer(G: GenGroup, v: TorVec) -> OrbitRecord:
     p = (v.x, v.y)
     orbit = set()
     stab = []
-    for c in sorted(G.element_codes):
+    for c in G.element_codes:
         w = code_act(p, c, n)
         orbit.add(w)
         if w == p:

@@ -8,14 +8,17 @@ _LEVEL_SWITCH (256) elements, at levels n with n^4 <= 2^20, numpy runs
 the remaining levels and gives the same codes, edges and element set.
 Matrices are packed integer codes (see modmat), vectors (x, y) int pairs.
 GMat appears only where matrices enter or leave: generator input, the
-`generators` view and membership tests. All iteration is in sorted code
-or (x, y) order so results are deterministic.
+`generators` view and membership tests. Every walk whose order can reach
+a result is in sorted code or (x, y) order, so results are deterministic.
+Conjugacy is decided by a search over GL2(Z/nZ), after one invariant:
+the (trace, det) class counts of `_class_counts`.
 """
 
 from __future__ import annotations
 
 import functools
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple
@@ -431,7 +434,7 @@ def is_applicable(G: GenGroup) -> Applicability:
     if not det_surjective(G):
         return Applicability(False, "det not surjective")
     minus_one = (n - 1) % n
-    for c in sorted(G.element_codes):
+    for c in G.element_codes:
         if code_trace(c, n) == 0 and code_det(c, n) == minus_one \
                 and fixes_full_order_vector((c,), n):
             return Applicability(True, "applicable")
@@ -443,18 +446,32 @@ def is_applicable(G: GenGroup) -> Applicability:
 def _full_codes(n: int) -> tuple[int, ...]:
     """GL2(Z/nZ) in increasing code order, at any level: the codes below
     n^4 whose determinant is a unit."""
-    return tuple(x for x in range(n ** 4) if gcd(code_det(x, n), n) == 1)
+    x = np.arange(n ** 4, dtype=np.int64)
+    return tuple(x[np.gcd(code_det(x, n), n) == 1].tolist())
+
+
+def _class_counts(G: GenGroup) -> Counter:
+    """How many elements of G have each (trace, det), from one numpy pass
+    over the element codes. Conjugation keeps both, so x^-1 G x <= H
+    needs each count of G to be at most that of H."""
+    n = G.modulus
+    x = np.fromiter(G.element_codes, dtype=np.int64, count=G.order)
+    keys, counts = np.unique(code_trace(x, n) * n + code_det(x, n),
+                             return_counts=True)
+    return Counter({divmod(k, n): c
+                    for k, c in zip(keys.tolist(), counts.tolist())})
 
 
 def is_conjugate_subgroup(G: GenGroup, H: GenGroup) -> bool:
-    """True iff some x in GL2(Z/nZ) has x^-1 G x contained in H."""
+    """True iff some x in GL2(Z/nZ) has x^-1 G x contained in H.
+
+    Lagrange's test and `_class_counts` containment are necessary
+    conditions; the search over `_full_codes` decides."""
     if G.modulus != H.modulus:
         raise ValueError(
             f"modulus mismatch: {G.modulus} vs {H.modulus}")
     n = G.modulus
-    if G.order > H.order or H.order % G.order != 0:
-        return False
-    if not det_image(G) <= det_image(H):
+    if H.order % G.order != 0 or not _class_counts(G) <= _class_counts(H):
         return False
     hc = H.element_codes
     for x in _full_codes(n):
@@ -466,19 +483,12 @@ def is_conjugate_subgroup(G: GenGroup, H: GenGroup) -> bool:
 
 
 def is_conjugate(G: GenGroup, H: GenGroup) -> bool:
-    """True iff G and H are conjugate in GL2(Z/nZ)."""
+    """True iff G and H are conjugate in GL2(Z/nZ): of equal order, with
+    x^-1 G x contained in H for some x."""
     if G.modulus != H.modulus:
         raise ValueError(
             f"modulus mismatch: {G.modulus} vs {H.modulus}")
-    if G.order != H.order:
-        return False
-    if det_image(G) != det_image(H):
-        return False
-    n = G.modulus
-    if sorted(code_trace(c, n) for c in G.element_codes) != \
-            sorted(code_trace(c, n) for c in H.element_codes):
-        return False
-    return is_conjugate_subgroup(G, H)
+    return G.order == H.order and is_conjugate_subgroup(G, H)
 
 
 def reduce_level(G: GenGroup, m: int) -> GenGroup:
@@ -511,11 +521,6 @@ class SubgroupClass:
 
     tag: str
     projective_order: int
-
-
-DICKSON_TAGS = ("borel-contained", "contains-SL2", "split-cartan-normalizer",
-                "nonsplit-cartan-normalizer", "exceptional-A4",
-                "exceptional-S4", "exceptional-A5", "other")
 
 
 def _projective_order(G: GenGroup) -> int:

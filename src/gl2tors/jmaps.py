@@ -190,10 +190,11 @@ def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
     Each map is keyed on the grid modulo the prime P = _PRIME, and the
     keys are joined. Where b*D(p, q) is a unit mod P, the key is
     a*N(p, q) / (b*D(p, q)) mod P; elsewhere `jmap_eval` gives the exact
-    value v, keyed v mod P when P does not divide den v and (num v,
-    den v) when it does, or a pole. Every match of residue keys is
-    confirmed by exact `jmap_eval` equality, so a residue collision adds
-    no point.
+    value v, keyed v mod P when P does not divide den v, and exactly by
+    v when it does, or by POLE at a pole. Equal exact keys pair with no
+    check, so every pair of poles is a point. Every match of residue keys
+    is confirmed by exact `jmap_eval` equality, so a residue collision
+    adds no point.
 
     No point is missed. Let j(s) = j(t) = v. If P does not divide den v,
     both keys are v mod P, whichever branch gave them. If P divides
@@ -201,11 +202,10 @@ def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
     both take the exact branch and are keyed by v itself."""
     grid = farey_fractions(height)
     p, q = _sorted_grid_arrays(height)
-    ks, s_exact, s_poles = _residue_keys(curve.jmap_s, grid, p, q)
-    kt, t_exact, t_poles = _residue_keys(curve.jmap_t, grid, p, q)
+    ks, s_exact = _residue_keys(curve.jmap_s, grid, p, q)
+    kt, t_exact = _residue_keys(curve.jmap_t, grid, p, q)
     pairs = [(i, j) for v, js in t_exact.items()
              for i in s_exact.get(v, ()) for j in js]
-    pairs += [(i, j) for i in s_poles for j in t_poles]
     j_s = functools.cache(lambda i: jmap_eval(curve.jmap_s, grid[i]))
     j_t = functools.cache(lambda j: jmap_eval(curve.jmap_t, grid[j]))
     pairs += [(i, j) for i, j in _key_matches(ks, kt) if j_s(i) == j_t(j)]
@@ -214,11 +214,11 @@ def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
 
 
 def _residue_keys(m: JMap, grid: list[Fraction], p: np.ndarray,
-                  q: np.ndarray) -> tuple[np.ndarray, dict, list]:
-    """(keys, exact, poles) for m on the grid points p/q: keys[i] is the
-    residue key of grid[i], or -1 where the key is the exact value pair
-    (exact maps each pair to its indices) or grid[i] is a pole (listed in
-    poles)."""
+                  q: np.ndarray) -> tuple[np.ndarray, dict]:
+    """(keys, exact) for m on the grid points p/q: keys[i] is the residue
+    key of grid[i], or -1 where grid[i] is keyed exactly, by its value v
+    when the prime divides den v or by POLE at a pole; exact maps each
+    exact key to its indices."""
     P = _PRIME
     a, N, b, D = m._model
     n = _form_mod([a * c for c in N], p, q, P)
@@ -230,18 +230,15 @@ def _residue_keys(m: JMap, grid: list[Fraction], p: np.ndarray,
         base = base * base % P
         e >>= 1
     keys = n * inv % P
-    exact: dict[tuple[int, int], list[int]] = {}
-    poles = []
+    exact: dict = {}
     for i in np.flatnonzero(d == 0).tolist():
         v = jmap_eval(m, grid[i])
         keys[i] = -1
-        if v is POLE:
-            poles.append(i)
-        elif v.denominator % P:
+        if v is not POLE and v.denominator % P:
             keys[i] = v.numerator * pow(v.denominator, -1, P) % P
         else:
-            exact.setdefault((v.numerator, v.denominator), []).append(i)
-    return keys, exact, poles
+            exact.setdefault(v, []).append(i)
+    return keys, exact
 
 
 def _key_matches(ks: np.ndarray, kt: np.ndarray) -> list[tuple[int, int]]:

@@ -10,7 +10,9 @@ matrices act on them as row vectors from the right:
 A code splits into its rows: x = r1*n^2 + r2 with r1 = x // n^2 the
 packed first row a*n + b and r2 = x % n^2 the packed second row c*n + d.
 Each row of x*g is that row of x times g, so for a fixed g the product
-is two lookups in row tables (see code_mul_tables).
+is two lookups in row tables (see code_mul_tables). code_trace and
+code_det use only integer arithmetic, so they also work elementwise on
+numpy int64 arrays of codes.
 
 GMat and TorVec are input and output types only: GMat parses and prints
 a matrix and converts to and from its code; TorVec is an (x, y, modulus)

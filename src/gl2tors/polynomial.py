@@ -394,13 +394,8 @@ class _Parser:
         return out
 
     def expr(self):
-        neg = False
-        if self.peek() and self.peek()[0] == "-":
-            self.take()
-            neg = True
+        # A leading '-' is the unary minus of the first atom.
         out = self.term()
-        if neg:
-            out = -out
         while self.peek() and self.peek()[0] in "+-":
             op = self.take()[0]
             rhs = self.term()

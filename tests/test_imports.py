@@ -1,6 +1,7 @@
 """Every name a gl2tors module imports is used in that module, every
-top-level function of the package is named somewhere outside its own
-def and the tests, and the package holds no assert statement."""
+top-level function and module-level constant of the package is named
+somewhere outside its own def or assignment and the tests, and the
+package holds no assert statement."""
 
 import ast
 import re
@@ -111,6 +112,53 @@ def test_unused_function_is_reported(tmp_path):
         (tmp_path / path).write_text(text)
     assert unused_functions(modules, callers(tmp_path)) == [
         "a.dead", "a.tested", "a.traced"]
+
+
+def bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level assignment binds, dunders excepted."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name)
+            and not (t.id.startswith("__") and t.id.endswith("__"))]
+
+
+def unused_constants(modules: dict[str, str], elsewhere: Counter) -> list[str]:
+    """'module.NAME' for each module-level constant of modules (name to
+    source) that neither the modules outside its own assignment nor
+    elsewhere name."""
+    trees = {m: ast.parse(src) for m, src in modules.items()}
+    total = sum((names(t) for t in trees.values()), Counter(elsewhere))
+    return sorted(
+        f"{m}.{name}" for m, tree in trees.items() for node in tree.body
+        for name in bound_names(node) if total[name] == names(node)[name])
+
+
+def test_no_unused_constants():
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unused_constants(modules, callers(ROOT)) == []
+
+
+def test_unused_constant_is_reported(tmp_path):
+    modules = {
+        "a": ('__all__ = ["USED"]\nUSED = 1\nDEAD = (1, 2)\n'
+              "TYPED: int = 3\nLOCAL = 4\nOTHER = LOCAL + 1\n"
+              "A, B = 5, 6\nTESTED = 7\nBENCHED = 8\n"
+              'def f():\n    """DEAD is named only here."""\n'
+              "    return B\n"),
+        "b": "from a import USED\n",
+    }
+    (tmp_path / "pyproject.toml").write_text("")
+    for path, text in [("perfbench/client.py", "a.BENCHED\n"),
+                       ("tests/test_a.py", "from a import TESTED\n")]:
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_text(text)
+    assert unused_constants(modules, callers(tmp_path)) == [
+        "a.A", "a.DEAD", "a.OTHER", "a.TESTED", "a.TYPED"]
 
 
 def assert_statements(source: str) -> list[int]:

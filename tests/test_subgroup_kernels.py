@@ -18,10 +18,14 @@ reference's subgroups, and the index-3 fixing count must count the
 classes of those that fix a vector of exact order 9. The closure's numpy
 tail is checked against the table reference with `_LEVEL_SWITCH` moved,
 and the orbit-size pruning of the index-3 count on seeded groups with no
-orbit of size 1 or 3, with orbits of size 3 and with a fixed vector."""
+orbit of size 1 or 3, with orbits of size 3 and with a fixed vector.
+The conjugacy reference tries every invertible x below n^4 on the whole
+element set, against `is_conjugate` and `is_conjugate_subgroup` on
+seeded conjugate, equal-order and subgroup pairs."""
 
 import itertools
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -636,3 +640,96 @@ def test_index3_from_s3_images():
     assert len(subs) == 13
     assert sum(_is_normal(G, s) for s in subs) == 1
     assert_one_homomorphism_per_class(G)
+
+
+def conjugate_into_reference(G, H):
+    """Whether some invertible x below n^4 maps the whole element set of
+    G into H by x^-1 g x."""
+    n = G.modulus
+    hc = H.element_codes
+    for x in range(n ** 4):
+        if gcd(code_det(x, n), n) == 1:
+            xi = code_inverse(x, n)
+            if all(code_mul(code_mul(xi, g, n), x, n) in hc
+                   for g in G.element_codes):
+                return True
+    return False
+
+
+def _conjugate_by(G, x):
+    n = G.modulus
+    xi = code_inverse(x, n)
+    return GenGroup(n, tuple(code_mul(code_mul(xi, g, n), x, n)
+                             for g in G.gen_codes))
+
+
+def _conjugacy_pairs(n):
+    """Seeded pairs at level n, by kind: ("conjugate", G, x^-1 G x),
+    ("subgroup", S, G) for S = x^-1 <g1> x a proper subgroup of a
+    conjugate of G = <g1, g2>, and, among all the groups, ("same order",
+    A, B) for distinct groups of equal order and ("divides", A, B) when
+    |A| properly divides |B|. Groups take 1-2 random or upper-triangular
+    generators; the reflection diag(-1, 1), -I and the swap join them
+    (at even n > 2 the reflection and the swap share their trace and det
+    classes but are not conjugate)."""
+    rng = random.Random(n)
+    full = groups._full_codes(n)
+    family = [closure([g], n) for g in
+              ((-1, 0, 0, 1), (-1, 0, 0, -1), (0, 1, 1, 0))]
+    pairs = []
+    for i in range(12):
+        kind = ("random", "upper")[i % 2]
+        gens = [_matrix(kind, rng.randrange(2 ** 32), n)
+                for _ in range(1 + i // 2 % 2)]
+        G = closure(gens, n)
+        if n == 9 and G.order > 216:
+            continue  # keeps the reference's searches short
+        family.append(G)
+        pairs.append(("conjugate", G, _conjugate_by(G, rng.choice(full))))
+        S = closure(gens[:1], n)
+        if S.order < G.order:
+            pairs.append(("subgroup", _conjugate_by(S, rng.choice(full)), G))
+    for A, B in itertools.combinations(family, 2):
+        A, B = sorted((A, B), key=lambda K: K.order)
+        if A.element_codes == B.element_codes or B.order % A.order:
+            continue
+        pairs.append(("same order" if A.order == B.order else "divides",
+                      A, B))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_conjugacy_matches_reference(n):
+    seen = Counter()
+    for kind, G, H in _conjugacy_pairs(n):
+        into = conjugate_into_reference(G, H)
+        assert groups.is_conjugate_subgroup(G, H) == into, (kind, G, H)
+        assert groups.is_conjugate(G, H) == (G.order == H.order and into)
+        seen[kind, into] += 1
+    assert seen["conjugate", True] >= 6 and seen["subgroup", True] >= 2
+    assert seen["divides", True] >= 1
+    if n != 2:  # In GL2(F2) = S3, subgroups of equal order are conjugate.
+        assert seen["same order", False] >= 1 and seen["divides", False] >= 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_class_counts_count_trace_det_classes(n):
+    for kind, G, H in _conjugacy_pairs(n):
+        for K in (G, H):
+            assert groups._class_counts(K) == Counter(
+                (code_trace(c, n), code_det(c, n)) for c in K.element_codes)
+        if kind == "conjugate":
+            assert groups._class_counts(G) == groups._class_counts(H)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_full_codes_match_scan(n):
+    assert groups._full_codes(n) == tuple(
+        x for x in range(n ** 4) if gcd(code_det(x, n), n) == 1)
+
+
+def test_conjugacy_rejects_mismatched_levels():
+    G, H = closure([(1, 1, 0, 1)], 3), closure([(1, 1, 0, 1)], 9)
+    for f in (groups.is_conjugate, groups.is_conjugate_subgroup):
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            f(G, H)
