@@ -18,9 +18,9 @@ from .groups import (Applicability, GenGroup, SubgroupClass, closure,
                      is_conjugate_subgroup, reduce_level, stable_lines,
                      standard_subgroup)
 from .jmaps import (JMAP_LABELS, JMap, POLE, PlaneCurve, DescentHit,
-                    FiberPoint, classify_fiber_point, fiber_curve,
-                    jmap_eval, named_jmap, search_hyperelliptic,
-                    search_plane, zeta3_descent_search)
+                    FiberPoint, fiber_curve, fiber_points, jmap_eval,
+                    named_jmap, search_hyperelliptic, search_plane,
+                    zeta3_descent_search)
 from .modmat import GMat, TorVec, least_nonresidue, vector_exact_order
 from .polynomial import (BiPoly, UniPoly, farey_fractions, parse_bipoly,
                          parse_poly, poly_gcd, rational_roots, resultant)
@@ -36,12 +36,12 @@ __all__ = [
     "SubgroupClass", "TorVec", "UniPoly", "VerificationReport", "closure",
     "contains_minus_identity", "count_points", "curve_Et", "curve_invariants",
     "det_image", "dickson_classify", "farey_fractions", "fiber_curve",
-    "frobenius_signature", "gl2_order", "identify_candidates",
+    "fiber_points", "frobenius_signature", "gl2_order", "identify_candidates",
     "identify_image", "index3_fixing_count", "index6_complement_search",
     "is_admissible_torsion", "is_applicable", "is_cm_j", "is_conjugate",
-    "is_conjugate_subgroup", "classify_fiber_point", "jmap_eval",
-    "least_nonresidue", "minus_one_complements", "named_group", "named_jmap",
-    "orbit_stabilizer", "parse_bipoly", "parse_catalog", "parse_curve",
+    "is_conjugate_subgroup", "jmap_eval", "least_nonresidue",
+    "minus_one_complements", "named_group", "named_jmap", "orbit_stabilizer",
+    "parse_bipoly", "parse_catalog", "parse_curve",
     "parse_poly", "poly_gcd", "rational_3isogeny_kernel", "rational_roots",
     "reduce_level", "resultant", "run_all", "search_hyperelliptic",
     "search_plane", "serialize_catalog", "stable_lines", "standard_subgroup",

@@ -25,9 +25,8 @@ from .elliptic import (identify_image, parse_curve, parse_rational,
                        torsion_over_Q)
 from .groups import (closure, contains_minus_identity, det_image,
                      dickson_classify, is_applicable, stable_lines)
-from .jmaps import (JMAP_LABELS, POLE, classify_fiber_point, fiber_curve,
-                    jmap_eval, named_jmap, search_hyperelliptic,
-                    search_plane)
+from .jmaps import (JMAP_LABELS, POLE, fiber_curve, fiber_points, jmap_eval,
+                    named_jmap, search_hyperelliptic)
 from .polynomial import PolyParseError, parse_poly
 from .verify import index3_bound_ok, index3_counts, run_all
 
@@ -70,8 +69,8 @@ def _int_at_least(low: int, what: str, high: int | None = None):
 
 
 # Grid searches need a height of at least 1. A search that hits every grid
-# point grows as H^2: by peak RSS, fiber-search 2B 2B takes about 1.3 KB per
-# H^2 (214 MB at H = 400) and curve-search 'y^2 = x^2' about 1.4 KB (1.36 GB
+# point grows as H^2: by peak RSS, fiber-search 2B 2B takes about 1.4 KB per
+# H^2 (218 MB at H = 400) and curve-search 'y^2 = x^2' about 1.4 KB (1.36 GB
 # at H = 1000), so the cap turns what would be a failed allocation into a
 # usage error.
 _height = _int_at_least(1, "height", 1000)
@@ -329,11 +328,9 @@ def _cmd_fiber_search(args, parser):
     except ValueError as e:
         parser.error(str(e))
     C = fiber_curve(ma, mb)
-    rows = []
-    for s, t in search_plane(C, args.height):
-        fp = classify_fiber_point(C, s, t)
-        rows.append({"s": str(s), "t": str(t), "kind": fp.kind,
-                     "j": None if fp.j is None else str(fp.j)})
+    rows = [{"s": str(fp.s), "t": str(fp.t), "kind": fp.kind,
+             "j": None if fp.j is None else str(fp.j)}
+            for fp in fiber_points(C, args.height)]
     lines = [f"({r['s']}, {r['t']}) {r['kind']}"
              + (f" j={r['j']}" if r["j"] is not None else "") for r in rows]
     payload = " ".join(f"({r['s']},{r['t']}):{r['kind']}" for r in rows) \

@@ -253,9 +253,6 @@ class GenGroup:
             return False
         return M.code() in self.element_codes
 
-    def __len__(self) -> int:
-        return self.order
-
     def __repr__(self) -> str:
         name = self.label or "subgroup"
         return (f"<{name} mod {self.modulus}, "
@@ -503,16 +500,20 @@ def reduce_level(G: GenGroup, m: int) -> GenGroup:
 
 
 def stable_lines(G: GenGroup) -> int:
-    """Number of free rank-1 submodules of (Z/n)^2 fixed setwise by G."""
+    """Number of free rank-1 submodules of (Z/n)^2 fixed setwise by G.
+
+    The line of a vector v of exact order n maps into itself under g
+    exactly when det(v; v*g) = 0 mod n: completing v to a basis (v, u),
+    v*g = c*v + e*u has det(v; v*g) = e*det(v; u) with det(v; u) a unit.
+    Each line has phi(n) such generators v, so the stable lines are the
+    stable generators counted over phi(n)."""
     n = G.modulus
-    lines = {}
-    for x, y in exact_order_vectors(n):
-        key = frozenset((k * x % n, k * y % n) for k in range(n))
-        lines.setdefault(key, (x, y))
-    # v generates its line, so v*g in the line for each generator means
-    # the line maps into itself; invertibility gives equality.
-    return sum(1 for key, v in lines.items()
-               if all(code_act(v, g, n) in key for g in G.gen_codes))
+    x, y = np.array(exact_order_vectors(n), dtype=np.int64).T
+    stable = np.ones(x.shape, dtype=bool)
+    for g in G.gen_codes:
+        gx, gy = code_act((x, y), g, n)
+        stable &= (x * gy - y * gx) % n == 0
+    return int(stable.sum()) // len(_units(n))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,13 @@ proofs.
 
 The searches evaluate in integers: a polynomial of degree d at x = p/q
 is taken as q^d * P(p/q) by homogenised Horner on its integer model.
-`jmap_eval` builds one Fraction, the value. `search_plane` keys both
-maps' values on the `farey_fractions` grid modulo a prime, by numpy
-Horner on the (p, q) arrays, and joins the keys; it calls `jmap_eval`
-only where a denominator vanishes modulo the prime and to confirm each
-match, and its docstring says why no point is missed. Every square test
+`jmap_eval` builds one Fraction, the value. `search_plane` gives each
+point of the `farey_fractions` grid one key per map, its value modulo a
+prime (or the prime itself for "infinity"), by numpy Horner on the
+(p, q) arrays, and joins the keys; it calls `jmap_eval` only where a
+denominator vanishes modulo the prime and to confirm each match, and its
+docstring says why no point is missed. `fiber_points` returns the same
+points with the j-values that confirmation found. Every square test
 (`search_hyperelliptic`, a zero discriminant included, and both forms of
 `zeta3_descent_search`) is `_square_points`: it sieves the whole grid at
 once, numpy evaluating the integer form modulo 64 * 63 * 65 * 11 and
@@ -170,7 +172,7 @@ def fiber_curve(a: JMap, b: JMap) -> PlaneCurve:
 
 @dataclass(frozen=True)
 class FiberPoint:
-    """A rational point on a fiber curve, classified."""
+    """A rational point on a fiber curve, classified (see fiber_points)."""
 
     s: Fraction
     t: Fraction
@@ -187,38 +189,49 @@ def search_plane(curve: PlaneCurve, height: int) -> list[tuple]:
     """All grid points (s, t) with F(s, t) = 0, sorted: the pairs with
     j_s(s) = j_t(t), and every pair of poles.
 
-    Each map is keyed on the grid modulo the prime P = _PRIME, and the
-    keys are joined. Where b*D(p, q) is a unit mod P, the key is
-    a*N(p, q) / (b*D(p, q)) mod P; elsewhere `jmap_eval` gives the exact
-    value v, keyed v mod P when P does not divide den v, and exactly by
-    v when it does, or by POLE at a pole. Equal exact keys pair with no
-    check, so every pair of poles is a point. Every match of residue keys
-    is confirmed by exact `jmap_eval` equality, so a residue collision
-    adds no point.
+    Each map is keyed on the grid modulo the prime P = _PRIME, each grid
+    point by one key in [0, P], and the keys are joined. Where b*D(p, q)
+    is a unit mod P, the key is a*N(p, q) / (b*D(p, q)) mod P; elsewhere
+    `jmap_eval` gives the exact value v, keyed v mod P when P does not
+    divide den v, and P ("infinity mod P") when it does, or at a pole.
+    Every match of keys is confirmed by exact `jmap_eval` equality, so a
+    collision adds no point; POLE equals itself and no Fraction.
 
     No point is missed. Let j(s) = j(t) = v. If P does not divide den v,
     both keys are v mod P, whichever branch gave them. If P divides
     den v, then P divides b*D at both points, since den v divides it, so
-    both take the exact branch and are keyed by v itself."""
+    both are keyed P, as two poles are. A grid point on F = 0 with a pole
+    on one side has a pole on the other too, since num and den are
+    coprime."""
+    return [(s, t) for s, t, _ in _fiber_matches(curve, height)]
+
+
+def fiber_points(curve: PlaneCurve, height: int) -> list[FiberPoint]:
+    """The points of search_plane, in its order, each with the j-value
+    the search confirmed: kind "finite" with j, or "pole" with j None."""
+    return [FiberPoint(s, t, "pole", None) if v is POLE
+            else FiberPoint(s, t, "finite", v)
+            for s, t, v in _fiber_matches(curve, height)]
+
+
+def _fiber_matches(curve: PlaneCurve, height: int) -> list[tuple]:
+    """The sorted (s, t, v) of search_plane, v = j_s(s) = j_t(t) or POLE."""
     grid = farey_fractions(height)
     p, q = _sorted_grid_arrays(height)
-    ks, s_exact = _residue_keys(curve.jmap_s, grid, p, q)
-    kt, t_exact = _residue_keys(curve.jmap_t, grid, p, q)
-    pairs = [(i, j) for v, js in t_exact.items()
-             for i in s_exact.get(v, ()) for j in js]
+    ks = _residue_keys(curve.jmap_s, grid, p, q)
+    kt = _residue_keys(curve.jmap_t, grid, p, q)
     j_s = functools.cache(lambda i: jmap_eval(curve.jmap_s, grid[i]))
     j_t = functools.cache(lambda j: jmap_eval(curve.jmap_t, grid[j]))
-    pairs += [(i, j) for i, j in _key_matches(ks, kt) if j_s(i) == j_t(j)]
     # The grid ascends, so index order is value order.
-    return [(grid[i], grid[j]) for i, j in sorted(pairs)]
+    pairs = sorted((i, j) for i, j in _key_matches(ks, kt)
+                   if j_s(i) == j_t(j))
+    return [(grid[i], grid[j], j_s(i)) for i, j in pairs]
 
 
 def _residue_keys(m: JMap, grid: list[Fraction], p: np.ndarray,
-                  q: np.ndarray) -> tuple[np.ndarray, dict]:
-    """(keys, exact) for m on the grid points p/q: keys[i] is the residue
-    key of grid[i], or -1 where grid[i] is keyed exactly, by its value v
-    when the prime divides den v or by POLE at a pole; exact maps each
-    exact key to its indices."""
+                  q: np.ndarray) -> np.ndarray:
+    """The key in [0, P], P = _PRIME, of m at each grid point p/q (see
+    search_plane)."""
     P = _PRIME
     a, N, b, D = m._model
     n = _form_mod([a * c for c in N], p, q, P)
@@ -230,40 +243,24 @@ def _residue_keys(m: JMap, grid: list[Fraction], p: np.ndarray,
         base = base * base % P
         e >>= 1
     keys = n * inv % P
-    exact: dict = {}
     for i in np.flatnonzero(d == 0).tolist():
         v = jmap_eval(m, grid[i])
-        keys[i] = -1
+        keys[i] = P
         if v is not POLE and v.denominator % P:
             keys[i] = v.numerator * pow(v.denominator, -1, P) % P
-        else:
-            exact.setdefault(v, []).append(i)
-    return keys, exact
+    return keys
 
 
 def _key_matches(ks: np.ndarray, kt: np.ndarray) -> list[tuple[int, int]]:
-    """Every index pair (i, j) with ks[i] == kt[j] >= 0."""
-    si = np.flatnonzero(ks >= 0)
-    order = si[np.argsort(ks[si])]
+    """Every index pair (i, j) with ks[i] == kt[j]."""
+    order = np.argsort(ks)
     sorted_ks = ks[order]
-    tj = np.flatnonzero(kt >= 0)
-    lo = np.searchsorted(sorted_ks, kt[tj], "left")
-    count = np.searchsorted(sorted_ks, kt[tj], "right") - lo
+    lo = np.searchsorted(sorted_ks, kt, "left")
+    count = np.searchsorted(sorted_ks, kt, "right") - lo
     # Run k of the output holds s-positions lo[k], ..., lo[k] + count[k] - 1.
     start = np.repeat(lo - (np.cumsum(count) - count), count)
     i = order[start + np.arange(count.sum())]
-    return list(zip(i.tolist(), np.repeat(tj, count).tolist()))
-
-
-def classify_fiber_point(curve: PlaneCurve, s, t) -> FiberPoint:
-    """Tag a point of a fiber curve as a pole pair or a finite j-match."""
-    vs = jmap_eval(curve.jmap_s, s)
-    vt = jmap_eval(curve.jmap_t, t)
-    if vs is POLE or vt is POLE:
-        return FiberPoint(Fraction(s), Fraction(t), "pole", None)
-    if vs != vt:
-        raise ValueError(f"({s},{t}) is not on the fiber curve")
-    return FiberPoint(Fraction(s), Fraction(t), "finite", vs)
+    return list(zip(i.tolist(), np.repeat(np.arange(kt.size), count).tolist()))
 
 
 def search_hyperelliptic(h: UniPoly, f: UniPoly,

@@ -12,7 +12,7 @@ packed first row a*n + b and r2 = x % n^2 the packed second row c*n + d.
 Each row of x*g is that row of x times g, so for a fixed g the product
 is two lookups in row tables (see code_mul_tables). code_trace and
 code_det use only integer arithmetic, so they also work elementwise on
-numpy int64 arrays of codes.
+numpy int64 arrays of codes, as code_act does on a pair of int64 arrays.
 
 GMat and TorVec are input and output types only: GMat parses and prints
 a matrix and converts to and from its code; TorVec is an (x, y, modulus)
@@ -122,9 +122,6 @@ class GMat:
     @classmethod
     def from_code(cls, code: int, n: int) -> "GMat":
         return cls(*code_entries(code, n), n)
-
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.modulus
 
     def __repr__(self) -> str:
         return (f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

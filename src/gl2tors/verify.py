@@ -28,9 +28,8 @@ from .elliptic import (CurveQ, count_points, curve_Et, curve_invariants,
 from .groups import (STANDARD_KINDS, GenGroup, contains_minus_identity,
                      dickson_classify, is_applicable, stable_lines,
                      standard_order, standard_subgroup)
-from .jmaps import (classify_fiber_point, fiber_curve, jmap_eval,
-                    named_jmap, search_hyperelliptic, search_plane,
-                    zeta3_descent_search)
+from .jmaps import (fiber_curve, fiber_points, jmap_eval, named_jmap,
+                    search_hyperelliptic, search_plane, zeta3_descent_search)
 from .modmat import TorVec, code_det, code_inverse, code_mul, code_pack
 from .polynomial import _grid_arrays, parse_poly, rational_roots, resultant
 
@@ -128,11 +127,8 @@ def _hyperelliptic_cm(fiber_height: int):
     f = parse_poly("-9*x^3")
     pts = search_hyperelliptic(h, f, 100)
     C = fiber_curve(named_jmap("no-9-isogeny"), named_jmap("2B"))
-    jvals = set()
-    for s, t in search_plane(C, fiber_height):
-        fp = classify_fiber_point(C, s, t)
-        if fp.kind == "finite":
-            jvals.add(fp.j)
+    jvals = {fp.j for fp in fiber_points(C, fiber_height)
+             if fp.kind == "finite"}
     ok = (jvals <= {Fraction(0), Fraction(54000)}
           and all(is_cm_j(j) for j in jvals) and len(pts) > 0)
     det = (f"model-points={len(pts)} j-values="
@@ -152,12 +148,10 @@ def _descent_cm():
 
 def _fiber_3cs_9b(height: int):
     C = fiber_curve(named_jmap("3Cs.1.1"), named_jmap("9B0-9a"))
-    pts = search_plane(C, height)
     kinds = []
     ok = True
-    for s, t in pts:
-        fp = classify_fiber_point(C, s, t)
-        kinds.append(f"({s},{t}):{fp.kind}"
+    for fp in fiber_points(C, height):
+        kinds.append(f"({fp.s},{fp.t}):{fp.kind}"
                      + (f":j={fp.j}" if fp.kind == "finite" else ""))
         if fp.kind == "finite" and fp.j != 0:
             ok = False

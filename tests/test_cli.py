@@ -1,5 +1,6 @@
 """CLI subcommands: CHECK line grammar, exit codes, and JSON output."""
 
+import hashlib
 import json
 import re
 import sys
@@ -252,6 +253,28 @@ def test_fiber_search_json(capsys):
     assert data["curve"] == "fiber(3Cs.1.1,9B0-9a)"
     assert data["points"][0] == {"s": "-3", "t": "-3", "kind": "finite",
                                  "j": "0"}
+
+
+# sha256 of the fiber-search output at height 30, text and then --json.
+FIBER_SEARCH_SHA256 = {
+    ("2B", "2B"): (
+        "d251d2fe5a12e32f0181217fc3415d1081a420fa7d55eba1524e600b8047a591",
+        "84158263447d09e59051f00f005ca2935fdbe50ef6358ac00363212d64751515"),
+    ("3Cs.1.1", "9B0-9a"): (
+        "01a1cae202b4dff29f517aa2ccc880b9fe01fcb2430f47d739d729f2a557bc2e",
+        "7b6f71463c0d07d5de76330d0fb98b626bd196879e64499b8febd0bdf7da6e7e"),
+    ("no-9-isogeny", "2B"): (
+        "0394de75a5aef09d202f1bc2cd017cba78cbd88b69efc91120b6932a20636480",
+        "c3c9fdc0620d8ab319db7b07a02ee1403329b8dc41573753b2385e9e9b40d445"),
+}
+
+
+@pytest.mark.parametrize("a, b", list(FIBER_SEARCH_SHA256))
+def test_fiber_search_output_pinned(capsys, a, b):
+    for flags, want in zip(([], ["--json"]), FIBER_SEARCH_SHA256[a, b]):
+        assert main(["fiber-search", a, b, "--height", "30", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, flags
 
 
 def test_curve_search(capsys):

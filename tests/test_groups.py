@@ -1,5 +1,6 @@
 """Group closure, standard subgroups, applicability, classification."""
 
+import math
 import random
 
 import pytest
@@ -183,6 +184,47 @@ def test_stable_lines():
     assert stable_lines(standard_subgroup("full", 3)) == 0
     assert stable_lines(standard_subgroup("sl2", 3)) == 0
     assert stable_lines(standard_subgroup("split-cartan", 3)) == 2
+
+
+def stable_lines_reference(G):
+    """Each line of (Z/n)^2 as the frozenset of multiples of one vector of
+    exact order n; a line is stable when each generator maps that vector
+    into it."""
+    n = G.modulus
+    lines = {}
+    for x, y in exact_order_vectors(n):
+        key = frozenset((k * x % n, k * y % n) for k in range(n))
+        lines.setdefault(key, (x, y))
+    return sum(1 for key, v in lines.items()
+               if all(code_act(v, g, n) in key for g in G.gen_codes))
+
+
+def _random_unit_code(rng, n, upper):
+    """A random invertible packed matrix mod n, upper triangular when
+    upper is set (so that some lines are stable)."""
+    while True:
+        a, b, c, d = (rng.randrange(n) for _ in range(4))
+        c = 0 if upper else c
+        if math.gcd(a * d - b * c, n) == 1:
+            return code_pack(a, b, c, d, n)
+
+
+@pytest.mark.parametrize("n", range(3, 28))
+def test_stable_lines_matches_line_sets(n):
+    groups = []
+    for kind in STANDARD_KINDS:
+        try:
+            groups.append(standard_subgroup(kind, n))
+        except ValueError:
+            pass
+    rng = random.Random(n)
+    for _ in range(8):
+        k = rng.randint(1, 3)
+        upper = rng.random() < 0.5
+        groups.append(GenGroup(n, tuple(_random_unit_code(rng, n, upper)
+                                        for _ in range(k))))
+    for G in groups:
+        assert stable_lines(G) == stable_lines_reference(G), (n, G)
 
 
 def test_dickson_classify():

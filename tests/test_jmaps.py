@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from gl2tors.jmaps import (JMAP_LABELS, POLE, JMap, classify_fiber_point,
-                           fiber_curve, jmap_eval, named_jmap,
+from gl2tors.jmaps import (JMAP_LABELS, POLE, JMap, fiber_curve,
+                           fiber_points, jmap_eval, named_jmap,
                            search_hyperelliptic, search_plane,
                            zeta3_descent_search)
 from gl2tors.polynomial import BiPoly, UniPoly, parse_poly
@@ -84,7 +84,8 @@ def test_fiber_3cs_9b_points():
     C = fiber_curve(named_jmap("3Cs.1.1"), named_jmap("9B0-9a"))
     pts = search_plane(C, 30)
     assert pts == [(-3, -3), (-1, -3), (0, 0)]
-    kinds = [classify_fiber_point(C, s, t) for s, t in pts]
+    kinds = fiber_points(C, 30)
+    assert [(fp.s, fp.t) for fp in kinds] == pts
     assert [fp.kind for fp in kinds] == ["finite", "finite", "pole"]
     assert kinds[0].j == 0 and kinds[1].j == 0 and kinds[2].j is None
 
@@ -93,22 +94,16 @@ def test_fiber_2b_9h_points():
     C = fiber_curve(named_jmap("2B"), named_jmap("9H0-9b"))
     pts = search_plane(C, 30)
     assert pts == [(0, -1), (0, 1)]
-    assert all(classify_fiber_point(C, s, t).kind == "pole" for s, t in pts)
+    assert [(fp.s, fp.t, fp.kind) for fp in fiber_points(C, 30)] == [
+        (s, t, "pole") for s, t in pts]
 
 
 def test_fiber_no9_2b_j_values():
     C = fiber_curve(named_jmap("no-9-isogeny"), named_jmap("2B"))
     pts = search_plane(C, 30)
     assert (Fraction(0), Fraction(0)) in pts
-    finite_j = {classify_fiber_point(C, s, t).j for s, t in pts
-                if classify_fiber_point(C, s, t).kind == "finite"}
+    finite_j = {fp.j for fp in fiber_points(C, 30) if fp.kind == "finite"}
     assert finite_j == {Fraction(0), Fraction(54000)}
-
-
-def test_classify_fiber_point_errors():
-    C = fiber_curve(named_jmap("3Cs.1.1"), named_jmap("9B0-9a"))
-    with pytest.raises(ValueError, match="not on the fiber curve"):
-        classify_fiber_point(C, 1, 1)
 
 
 def test_search_hyperelliptic():

@@ -3,12 +3,13 @@
 Each search reference evaluates with Fraction arithmetic at every grid
 point, the way the searches did before they moved to integers; the
 fiber search must return exactly the zero set of F on the grid, and the
-pairs of a j-value match keyed by Fractions, also when its residue keys
-are taken modulo primes small enough to collide. farey_fractions must equal
-the reference grid in any order of heights, from several threads too,
-with each value shared through its memo and each list the caller's own;
-the point-count references start from the rational invariants and count
-points on the long model directly. The root finder must return exactly
+pairs of a j-value match keyed by Fractions with each point's kind and
+j-value, also when its keys are taken modulo primes small enough to
+collide. farey_fractions must equal the reference grid in any order of
+heights, from several threads too, with each value shared through its
+memo and each list the caller's own; the point-count references start
+from the rational invariants and count points on the long model
+directly. The root finder must return exactly
 the roots planted in a product of linear factors and those of the
 rational root theorem on division polynomials, and the resultant must
 agree with a Sylvester determinant taken by Fraction Gaussian
@@ -39,9 +40,9 @@ from gl2tors import elliptic, jmaps, polynomial
 from gl2tors.arith import is_square
 from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
                               frobenius_signature, two_torsion_cubic)
-from gl2tors.jmaps import (JMAP_LABELS, POLE, fiber_curve, jmap_eval,
-                           named_jmap, search_hyperelliptic, search_plane,
-                           zeta3_descent_search)
+from gl2tors.jmaps import (JMAP_LABELS, POLE, fiber_curve, fiber_points,
+                           jmap_eval, named_jmap, search_hyperelliptic,
+                           search_plane, zeta3_descent_search)
 from gl2tors.polynomial import (BiPoly, UniPoly, _eval_int_at, _grid_arrays,
                                 _grid_key, _int_resultant, farey_fractions,
                                 rational_roots, resultant)
@@ -360,27 +361,43 @@ def test_search_plane_matches_fraction_keyed_reference_higher(a, b, H):
     assert search_plane(curve, H) == labelled_fiber_reference(a, b, H)
 
 
+@functools.cache
+def labelled_fiber_points_reference(a, b, H):
+    """(s, t, kind, j) for each point of the reference fiber search, with
+    j from Fraction evaluation of the s-map."""
+    curve = fiber_curve(named_jmap(a), named_jmap(b))
+    out = []
+    for s, t in labelled_fiber_reference(a, b, H):
+        v = jmap_reference(curve.jmap_s, s)
+        out.append((s, t, "pole", None) if v is POLE
+                   else (s, t, "finite", v))
+    return out
+
+
 SMALL_PRIMES = (2, 3, 5, 7, 101)
 
 
-@pytest.mark.parametrize("prime", SMALL_PRIMES)
+@pytest.mark.parametrize("prime", SMALL_PRIMES + (jmaps._PRIME,))
 def test_search_plane_keyed_modulo_a_small_prime(monkeypatch, prime):
     """The residue keys modulo a small prime collide often and vanish
     where no denominator does; the search must still be exact, on the
-    diagonal fibers too."""
+    diagonal fibers too, and so must each point's kind and j-value."""
     monkeypatch.setattr(jmaps, "_PRIME", prime)
     for a, b in product(JMAP_LABELS, repeat=2):
         curve = fiber_curve(named_jmap(a), named_jmap(b))
-        assert search_plane(curve, 8) == labelled_fiber_reference(a, b, 8), \
+        want = labelled_fiber_points_reference(a, b, 8)
+        assert search_plane(curve, 8) == [(s, t) for s, t, _, _ in want], \
             (a, b)
+        assert [(fp.s, fp.t, fp.kind, fp.j)
+                for fp in fiber_points(curve, 8)] == want, (a, b)
 
 
 def test_small_primes_reach_every_key_branch():
     """At height 8 the primes above give: a prime dividing a model
     constant (9H0-9b has b = 8); a D(p, q) that vanishes modulo the prime
-    but not in Q; finite values keyed by their residue and by their exact
-    pair after exact evaluation; and two distinct values sharing a
-    residue."""
+    but not in Q; finite values keyed after exact evaluation by their
+    residue and by the key P, where the prime divides their denominator;
+    and two distinct values sharing a residue."""
     assert named_jmap("9H0-9b")._model[2] == 8
     seen = set()
     for P in SMALL_PRIMES:
@@ -396,12 +413,13 @@ def test_small_primes_reach_every_key_branch():
                 if v is POLE:
                     continue
                 if b * d % P == 0:
-                    seen.add("residue" if v.denominator % P else "pair")
+                    seen.add("residue" if v.denominator % P else "key P")
                 if v.denominator % P:
                     r = v.numerator * pow(v.denominator, -1, P) % P
                     if by_residue.setdefault(r, v) != v:
                         seen.add("collision")
-    assert seen == {"D vanishes mod P only", "residue", "pair", "collision"}
+    assert seen == {"D vanishes mod P only", "residue", "key P",
+                    "collision"}
 
 
 def _is_prime(n):
