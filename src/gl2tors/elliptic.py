@@ -6,10 +6,10 @@ coefficients. Each curve computes its integral model once, when it is
 built: the scale u (lcm of the denominators), the integers u^i * a_i,
 their b2, b4, b6, b8 and the integer discriminant u^12 * disc.
 curve_invariants divides these by powers of u; point counts sum a
-quadratic character over the 2-division cubic mod p in int and numpy
-arithmetic. Torsion is bounded by the gcd of a few point counts and then
-read off the division polynomials of the given model, built from its
-b-invariants, so every x-coordinate found lies on that model.
+quadratic character over the 2-division cubic mod p, evaluated by
+polynomial's Horners. Torsion is bounded by the gcd of a few point
+counts and then read off the division polynomials of the given model,
+built from its b-invariants, so every x-coordinate found lies on it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .arith import is_probable_prime, is_square, next_prime
 from .catalog import is_admissible_torsion
 from .groups import GenGroup
 from .modmat import code_det, code_trace
-from .polynomial import UniPoly, rational_roots
+from .polynomial import UniPoly, _eval_int_at, _form_mod, rational_roots
 
 
 @dataclass(frozen=True)
@@ -152,38 +152,38 @@ def count_points(E: CurveQ, p: int) -> tuple[int, int]:
     return n, p + 1 - n
 
 
-def _cubic_fits_int64(E: CurveQ, N: int) -> bool:
-    """Whether G(x) = ((4x + b2) x + 2 b4) x + b6 is exact in int64 at
-    every x < N: each Horner partial value there is below 4N^3 +
-    |b2|N^2 + 2|b4|N + |b6|, and this asks that bound to be below 2^63
-    (N < 1.3 * 10^6 when the b_i are small)."""
+def _two_division_cubic(E: CurveQ) -> list[int]:
+    """G(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 of the integral model, low to
+    high: (2y + a1 x + a3)^2 = G(x) on it."""
     _, _, (b2, b4, b6, _), _ = E._model
-    return (4 * N ** 3 + abs(b2) * N ** 2 + 2 * abs(b4) * N + abs(b6)
-            < 2 ** 63)
+    return [b6, 2 * b4, b2, 4]
+
+
+def _cubic_fits_int64(E: CurveQ, N: int) -> bool:
+    """Whether the 2-division cubic G is exact in int64 at every x < N:
+    each Horner partial value there is below G at N with its coefficients
+    made absolute, 4N^3 + |b2|N^2 + 2|b4|N + |b6|, and this asks that
+    bound to be below 2^63 (N < 1.3 * 10^6 when the b_i are small)."""
+    bound = [abs(c) for c in _two_division_cubic(E)]
+    return _eval_int_at(bound, N, 1) < 2 ** 63
 
 
 def _point_counts(E: CurveQ, primes) -> list[int]:
     """#E(F_p), the point at infinity included, for each prime p in
     primes, every one of them good for E."""
-    _, (a1, a2, a3, a4, a6), (b2, b4, b6, _), _ = E._model
-    # #E = p + 1 + sum over x of chi(G(x)), G(x) = 4x^3 + b2 x^2 + 2 b4 x
-    # + b6. chi is 1 on the nonzero squares, which the h^2 with h <= p/2
-    # already give, and -1 on the other nonzero values, so the sum is
-    # twice the number of nonzero square values less the number of
-    # nonzero values.
-    # Where G is exact in int64 up to the largest prime N, G and h^2 are
-    # evaluated once up to N, and each p reduces a prefix of them.
-    # Otherwise each p runs Horner on the b_i reduced mod p: the first two
-    # steps share one reduction, and with x, b2 % p and 2 b4 % p below p,
-    # (4x + b2 % p) x + 2 b4 % p stays below 5p^2, exact in int64 for
-    # p < 1.3 * 10^9 (far beyond any array of p entries that could be
-    # allocated); the last step stays below p^2.
+    _, (a1, a2, a3, a4, a6), _, _ = E._model
+    # #E = p + 1 + sum over x of chi(G(x)), G the 2-division cubic. chi is
+    # 1 on the nonzero squares, which the h^2 with h <= p/2 already give,
+    # and -1 on the other nonzero values, so the sum is twice the number
+    # of nonzero square values less the number of nonzero values.
+    # The x and their squares h^2 are built once, up to the largest prime
+    # N. Where _cubic_fits_int64, G is tabulated there too and each p
+    # reduces a prefix of it; otherwise _form_mod evaluates G modulo p.
+    cubic = _two_division_cubic(E)
     N = max(primes, default=0)
-    table = _cubic_fits_int64(E, N)
-    if table:
-        x = np.arange(N, dtype=np.int64)
-        G = ((4 * x + b2) * x + 2 * b4) * x + b6
-        H = x[:N // 2 + 1] ** 2
+    xs = np.arange(N, dtype=np.int64)
+    H = xs[:N // 2 + 1] ** 2
+    G = _eval_int_at(cubic, xs, 1) if _cubic_fits_int64(E, N) else None
     counts = []
     for p in primes:
         if p == 2:
@@ -196,16 +196,9 @@ def _point_counts(E: CurveQ, primes) -> list[int]:
                         n += 1
             counts.append(n)
             continue
-        if table:
-            g = G[:p] % p
-            h2 = H[:p // 2 + 1] % p
-        else:
-            x = np.arange(p, dtype=np.int64)
-            g = ((4 * x + b2 % p) * x + 2 * b4 % p) % p
-            g = (g * x + b6 % p) % p
-            h2 = x[:p // 2 + 1] ** 2 % p
+        g = _form_mod(cubic, xs[:p], 1, p) if G is None else G[:p] % p
         square = np.zeros(p, dtype=bool)
-        square[h2] = True
+        square[H[:p // 2 + 1] % p] = True
         square[0] = False
         counts.append(p + 1 + 2 * int(np.count_nonzero(square[g]))
                       - int(np.count_nonzero(g)))

@@ -9,14 +9,14 @@ The searches evaluate in integers: a polynomial of degree d at x = p/q
 is taken as q^d * P(p/q) by homogenised Horner on its integer model.
 `jmap_eval` builds one Fraction, the value. `search_plane` gives each
 point of the `farey_fractions` grid one key per map, its value modulo a
-prime (or the prime itself for "infinity"), by numpy Horner on the
-(p, q) arrays, and joins the keys; it calls `jmap_eval` only where a
+prime (or the prime itself for "infinity"), by polynomial._form_mod on
+the (p, q) arrays, and joins the keys; it calls `jmap_eval` only where a
 denominator vanishes modulo the prime and to confirm each match, and its
 docstring says why no point is missed. `fiber_points` returns the same
 points with the j-values that confirmation found. Every square test
 (`search_hyperelliptic`, a zero discriminant included, and both forms of
 `zeta3_descent_search`) is `_square_points`: it sieves the whole grid at
-once, numpy evaluating the integer form modulo 64 * 63 * 65 * 11 and
+once, _form_mod evaluating the integer form modulo 64 * 63 * 65 * 11 and
 keeping the points whose value is a square modulo each of 64, 63, 65
 and 11. A non-square modulo some m is not a square, so the sieve drops
 only points the exact test would reject; an `isqrt` on the exact integer
@@ -32,9 +32,9 @@ from math import isqrt
 
 import numpy as np
 
-from .polynomial import (BiPoly, UniPoly, _eval_int_at, _frac, _grid_arrays,
-                         _grid_key, _sorted_grid_arrays, farey_fractions,
-                         poly_gcd)
+from .polynomial import (BiPoly, UniPoly, _eval_int_at, _form_mod, _frac,
+                         _grid_arrays, _grid_key, _sorted_grid_arrays,
+                         farey_fractions, poly_gcd)
 
 
 class _Pole:
@@ -306,28 +306,13 @@ def _sieved_points(C: list[int], height: int) -> list[tuple[int, int]]:
     form sum C[i] p^i q^(e - i), e = len(C) - 1, is a square modulo each
     of 64, 63, 65 and 11; every point where it is a square is among them.
 
-    Horner runs modulo M = 64 * 63 * 65 * 11 (see _form_mod)."""
+    The form is evaluated modulo M = 64 * 63 * 65 * 11 by _form_mod."""
     p, q = _grid_arrays(height)
     acc = _form_mod(C, p, q, _SIEVE_M)
     keep = np.ones(p.shape, dtype=bool)
     for m, square in _SQUARES.items():
         keep &= square[acc % m]
     return list(zip(p[keep].tolist(), q[keep].tolist()))
-
-
-def _form_mod(C: list[int], p: np.ndarray, q: np.ndarray,
-              m: int) -> np.ndarray:
-    """sum C[i] p^i q^(e - i) mod m, e = len(C) - 1, at every (p, q), by
-    Horner on int64. The coefficients and p are reduced first, so each
-    step's two products of residues sum to less than 2 * m^2, which
-    fits in int64 for every m < 2^31."""
-    pm, qm = p % m, q % m
-    acc = np.full(p.shape, C[-1] % m, dtype=np.int64)
-    qpow = np.ones_like(qm)
-    for c in reversed(C[:-1]):
-        qpow = qpow * qm % m
-        acc = (acc * pm + c % m * qpow) % m
-    return acc
 
 
 def _square_points(C: list[int], height: int) -> list[tuple[int, int, int]]:

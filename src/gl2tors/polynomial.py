@@ -16,6 +16,11 @@ vanishes, by the subresultant pseudo-remainder sequence, and
 interpolated over the integers. _pseudo_remainder is the one remainder
 loop: the gcd runs the primitive PRS on it, the resultant the
 subresultant PRS.
+
+Integer forms sum C[i] p^i q^(e - i) have one evaluator each way:
+_eval_int_at, the exact homogenised Horner (also on int64 arrays known
+to fit), and _form_mod, the same Horner modulo m < 2^31 on int64 arrays,
+for the search keys, the square sieve and large-coefficient point counts.
 """
 
 from __future__ import annotations
@@ -578,6 +583,21 @@ def _eval_int_at(coeffs: list[int], p: int, q: int) -> int:
     for i in range(d - 1, -1, -1):
         qpow *= q
         acc = acc * p + coeffs[i] * qpow
+    return acc
+
+
+def _form_mod(C: list[int], p: np.ndarray, q: np.ndarray,
+              m: int) -> np.ndarray:
+    """sum C[i] p^i q^(e - i) mod m, e = len(C) - 1, at every (p, q), by
+    Horner on int64. The coefficients and p are reduced first, so each
+    step's two products of residues sum to less than 2 * m^2, which
+    fits in int64 for every m < 2^31."""
+    pm, qm = p % m, q % m
+    acc = np.full(p.shape, C[-1] % m, dtype=np.int64)
+    qpow = np.ones_like(qm)
+    for c in reversed(C[:-1]):
+        qpow = qpow * qm % m
+        acc = (acc * pm + c % m * qpow) % m
     return acc
 
 

@@ -1,5 +1,6 @@
 """Curve invariants, point counts, image filtering, and rational torsion."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -148,8 +149,8 @@ def test_count_points_matches_naive():
 
 @pytest.mark.parametrize("p", [5003, 10007, 15013])
 def test_count_points_matches_naive_at_large_primes(p):
-    # count_points reduces once after its first two Horner products; at
-    # these primes the value before that reduction reaches 4.4p^2-4.6p^2.
+    # E_LARGE's cubic is too large for the int64 table, so count_points
+    # evaluates it modulo p with polynomial._form_mod.
     assert count_points(E_LARGE, p) == count_points_naive(E_LARGE, p)
 
 
@@ -198,6 +199,36 @@ def test_point_counts_horner_matches_table(monkeypatch):
     table = elliptic._point_counts(E14A4, primes)
     monkeypatch.setattr(elliptic, "_cubic_fits_int64", lambda E, N: False)
     assert elliptic._point_counts(E14A4, primes) == table
+
+
+def test_cubic_fits_int64_matches_the_bound():
+    """_cubic_fits_int64(E, N) holds exactly when 4N^3 + |b2|N^2 + 2|b4|N
+    + |b6| < 2^63, on seeded integral curves whose large a1, a2 and a4
+    make b2 and b4 nonzero, at N on both sides of where that bound
+    crosses 2^63; the table counts points at the last good prime it
+    allows."""
+    rnd = random.Random(31)
+    for _ in range(6):
+        a1, a2, a3, a4, a6 = (rnd.randint(-2 ** k, 2 ** k)
+                              for k in (20, 35, 10, 50, 59))
+        E = CurveQ(a1, a2, a3, a4, a6)
+        b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+        assert b2 and b4
+
+        def fits(N):
+            return (4 * N ** 3 + abs(b2) * N ** 2 + 2 * abs(b4) * N
+                    + abs(b6) < 2 ** 63)
+
+        lo, hi = 0, 2 ** 21  # fits(lo) and not fits(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        assert lo > 2
+        for N in (1, lo // 2, lo - 1, lo, lo + 1, lo + 2, 2 * lo):
+            assert elliptic._cubic_fits_int64(E, N) == fits(N) == (N <= lo)
+        primes = good_primes(E, primes_upto(lo))[-1:]
+        assert elliptic._point_counts(E, primes) == [
+            count_points_naive(E, p)[0] for p in primes]
 
 
 @pytest.mark.parametrize("E,bound", [(E37, 3000), (E_EDGE_IN, EDGE_N),

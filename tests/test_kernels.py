@@ -15,12 +15,13 @@ rational root theorem on division polynomials, and the resultant must
 agree with a Sylvester determinant taken by Fraction Gaussian
 elimination, at non-integer nodes and at integer nodes it uses itself;
 so must the node resultant in the cases of its recurrence that small
-random inputs rarely reach. The square sieve of the searches must keep
-every grid point where a form with a planted square is a square, the
-exact square kernel after it must return exactly those squares, and
-its grid must hold the points of the reference grid; the integer key
-that orders the grid must strictly increase along the reference grid,
-and along the closest neighbours at height 1000."""
+random inputs rarely reach. The modular Horner _form_mod must agree with
+the exact one reduced mod m for moduli up to 2^31 - 1. The square sieve
+of the searches must keep every grid point where a form with a planted
+square is a square, the exact square kernel after it must return exactly
+those squares, and its grid must hold the points of the reference grid;
+the integer key that orders the grid must strictly increase along the
+reference grid, and along the closest neighbours at height 1000."""
 
 import functools
 import operator
@@ -43,9 +44,9 @@ from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
 from gl2tors.jmaps import (JMAP_LABELS, POLE, fiber_curve, fiber_points,
                            jmap_eval, named_jmap, search_hyperelliptic,
                            search_plane, zeta3_descent_search)
-from gl2tors.polynomial import (BiPoly, UniPoly, _eval_int_at, _grid_arrays,
-                                _grid_key, _int_resultant, farey_fractions,
-                                rational_roots, resultant)
+from gl2tors.polynomial import (BiPoly, UniPoly, _eval_int_at, _form_mod,
+                                _grid_arrays, _grid_key, _int_resultant,
+                                farey_fractions, rational_roots, resultant)
 from test_elliptic import E37, count_points_naive
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -282,6 +283,31 @@ def test_sieve_keeps_every_square(e, H, rnd):
         values = {(p, q): _eval_int_at(form, p, q) for p, q in grid}
         assert sorted(jmaps._square_points(form, H)) == sorted(
             (p, q, isqrt(v)) for (p, q), v in values.items() if is_square(v))
+
+
+@pytest.mark.parametrize("m", [2, 3, 64 * 63 * 65 * 11, 1_000_000_007,
+                               2 ** 31 - 1])
+def test_form_mod_matches_exact_horner(m):
+    """_form_mod agrees with the exact homogenised Horner reduced mod m on
+    forms of degree 0-12 with coefficients up to 2^200 in size, at
+    negative and positive p and at q = 0, with q an array and the
+    scalar 1, up to m = 2^31 - 1, the largest modulus its int64 claim
+    covers."""
+    rnd = random.Random(m)
+    p = np.array([rnd.randint(-2 ** 62, 2 ** 62) for _ in range(40)]
+                 + [-m, -1, 0, 1, m - 1, m, 2 ** 63 - 1, -2 ** 63],
+                 dtype=np.int64)
+    q = np.array([rnd.randint(0, 2 ** 62) for _ in range(p.size - 2)]
+                 + [0, 1], dtype=np.int64)
+    for e in range(13):
+        for bits in (4, 62, 200):
+            C = [rnd.randint(-2 ** bits, 2 ** bits) for _ in range(e + 1)]
+            for qs in (q, 1):
+                got = _form_mod(C, p, qs, m)
+                assert got.dtype == np.int64
+                assert got.tolist() == [
+                    _eval_int_at(C, a, b) % m for a, b in
+                    zip(p.tolist(), np.broadcast_to(qs, p.shape).tolist())]
 
 
 # Every rational pole of the six maps, so that each map meets its own.
