@@ -8,9 +8,10 @@ Index-2 subgroups and the classes of index-3 subgroups are found through
 homomorphisms onto C2 and S3: images of the generators are chosen, then
 propagated along the tree edges of the group's cached Cayley table
 (GenGroup.table, built once by the closure BFS) and kept only when every
-check edge agrees. The search works on element indices and the small
-target group's multiplication table, so it does no matrix arithmetic. By
-the coset action every such subgroup is a kernel or a point stabilizer.
+check edge agrees (groups._homomorphisms). The search works on element
+indices and the small target group's multiplication table, so it does
+no matrix arithmetic. By the coset action every such subgroup is a
+kernel or a point stabilizer.
 
 For index 3 only assignments that generate a transitive subgroup of S3
 are tried (one with a 3-cycle, or two distinct transpositions), and of
@@ -30,7 +31,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .groups import GenGroup, exact_order_vectors
+from .groups import GenGroup, _homomorphisms, exact_order_vectors
 from .modmat import TorVec, code_act, code_mul, code_pack
 
 
@@ -96,37 +97,6 @@ def _s3_representatives(k: int) -> tuple[tuple[int, ...], ...]:
                 tuple(conj[v] for v in assign) for conj in _S3_CONJ):
             reps.append(assign)
     return tuple(reps)
-
-
-def _homomorphisms(G: GenGroup, mul, images):
-    """The homomorphisms from G to the group with multiplication table mul
-    that send the generators to one of the assignments in images.
-
-    Each is yielded as the list phi of images of G.table.codes. An
-    assignment is propagated along the tree edges of the cached Cayley
-    table and compared on its check edges, stopping at the first
-    mismatch.
-    """
-    edges = G.table.edges
-    size = len(G.table.codes)
-    k = len(G.gen_codes)
-    by = tuple(zip(*mul))  # by[a][x] = x * a
-    for assign in images:
-        cols = [by[a] for a in assign]
-        phi = [0] * size
-        i = j = 0  # edges[i*k + j] leaves codes[i] by generator j
-        for e in edges:
-            v = cols[j][phi[i]]
-            if e < 0:
-                phi[~e] = v
-            elif phi[e] != v:
-                break
-            j += 1
-            if j == k:
-                i += 1
-                j = 0
-        else:
-            yield phi
 
 
 def index2_subgroups(G: GenGroup) -> list[frozenset[int]]:

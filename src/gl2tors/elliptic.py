@@ -213,7 +213,7 @@ def _prime_range(bound: int) -> list[int]:
     for i in range(2, int(bound ** 0.5) + 1):
         if sieve[i]:
             sieve[i * i:: i] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return np.flatnonzero(sieve).tolist()
 
 
 @dataclass(frozen=True)
@@ -237,48 +237,43 @@ class FrobSignature:
         return sum(self.counts.values())
 
 
-def _passed_over(p: int, ell: int, u: int, disc: int) -> bool:
-    """Whether Frobenius sampling skips p: it divides the level, the
-    scaling denominator or the integral discriminant."""
-    return ell % p == 0 or u % p == 0 or disc % p == 0
+def _good_primes(E: CurveQ, ell: int, low: int,
+                 bound: int) -> tuple[list[int], int]:
+    """(good, passed_over) over the primes p with low < p <= bound: good
+    lists those that Frobenius sampling counts, which divide none of the
+    level, the scaling denominator u and the integral discriminant, and
+    passed_over counts the others."""
+    u, _, _, disc = E._model
+    bad = ell * u * disc
+    primes = [p for p in _prime_range(bound) if p > low]
+    good = [p for p in primes if bad % p]
+    return good, len(primes) - len(good)
 
 
-def frobenius_signature(E: CurveQ, ell: int, bound: int, *,
-                        prior: FrobSignature | None = None) -> FrobSignature:
-    """Sample (a_p mod ell, p mod ell) over good primes p <= bound.
-
-    prior, a signature of the same curve and level at a bound no larger,
-    is extended: only the primes above prior.bound are counted, and the
-    result equals the signature taken without it."""
+def frobenius_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
+    """Sample (a_p mod ell, p mod ell) over the good primes p <= bound of
+    `_good_primes`, counting the others as skipped."""
     if ell not in (2, 3, 9):
         raise ValueError(f"level must be 2, 3 or 9, got {ell}")
     if bound < 20:
         raise ValueError(f"prime bound must be >= 20, got {bound}")
-    counts: dict[tuple[int, int], int] = {}
-    first: dict[tuple[int, int], int] = {}
-    skipped = low = 0
-    if prior is not None:
-        if prior.ell != ell or prior.bound > bound:
-            raise ValueError(
-                f"prior signature (level {prior.ell}, bound {prior.bound}) "
-                f"does not extend to level {ell}, bound {bound}")
-        counts, first = dict(prior.counts), dict(prior.first_prime)
-        skipped, low = prior.skipped, prior.bound
-    u, _, _, disc = E._model
-    good = []
-    for p in _prime_range(bound):
-        if p <= low:
-            continue
-        if _passed_over(p, ell, u, disc):
-            skipped += 1
-        else:
-            good.append(p)
+    return _extend(E, FrobSignature(ell, 0, {}, {}, 0), bound)
+
+
+def _extend(E: CurveQ, sig: FrobSignature, bound: int) -> FrobSignature:
+    """sig, a signature of E at a bound no larger than bound, extended to
+    bound: only the good primes above sig.bound are counted, and the
+    result equals frobenius_signature(E, sig.ell, bound)."""
+    ell = sig.ell
+    counts, first = dict(sig.counts), dict(sig.first_prime)
+    good, passed_over = _good_primes(E, ell, sig.bound, bound)
     for p, n in zip(good, _point_counts(E, good)):
         cls = ((p + 1 - n) % ell, p % ell)
         counts[cls] = counts.get(cls, 0) + 1
         first.setdefault(cls, p)
     return FrobSignature(ell, bound, dict(sorted(counts.items())),
-                         dict(sorted(first.items())), skipped)
+                         dict(sorted(first.items())),
+                         sig.skipped + passed_over)
 
 
 def group_class_set(H: GenGroup) -> frozenset:
@@ -323,16 +318,17 @@ _GROWTH = 4
 def _saturated_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
     """frobenius_signature(E, ell, b) at the first b of the schedule where
     all ell * phi(ell) classes (a_p mod ell, p mod ell) occur, or at b =
-    bound. Each step extends the last one's signature, so every good
-    prime up to b is counted once; once no class is missing no later
-    prime can add a class or an earlier first prime: the classes and
-    first primes equal those at the full bound."""
+    bound. The first step is frobenius_signature and each later one
+    `_extend`s the last one's signature, so every good prime up to b is
+    counted once; once no class is missing no later prime can add a
+    class or an earlier first prime: the classes and first primes equal
+    those at the full bound."""
     b = min(bound, _FIRST_BOUND)
     sig = frobenius_signature(E, ell, b)
     every_class = ell * sum(gcd(d, ell) == 1 for d in range(ell))
     while len(sig.counts) < every_class and b < bound:
         b = min(bound, b * _GROWTH)
-        sig = frobenius_signature(E, ell, b, prior=sig)
+        sig = _extend(E, sig, b)
     return sig
 
 
@@ -349,9 +345,7 @@ def identify_image(E: CurveQ, ell: int, candidates,
     sig = _saturated_signature(E, ell, bound)
     # The primes above the sampled bound are sorted into good and bad
     # without a point count.
-    u, _, _, disc = E._model
-    tail = [p for p in _prime_range(bound) if p > sig.bound]
-    tail_skipped = sum(_passed_over(p, ell, u, disc) for p in tail)
+    tail, tail_skipped = _good_primes(E, ell, sig.bound, bound)
     survivors = []
     eliminated = []
     uncovered = {}
@@ -366,8 +360,8 @@ def identify_image(E: CurveQ, ell: int, candidates,
             uncovered[H.label] = tuple(sorted(allowed - sig.classes))
     return IdentifyResult(ell, bound, sig.classes, tuple(survivors),
                           tuple(eliminated), uncovered,
-                          sig.primes + len(tail) - tail_skipped,
-                          sig.skipped + tail_skipped, sig.primes)
+                          sig.primes + len(tail), sig.skipped + tail_skipped,
+                          sig.primes)
 
 
 def two_torsion_cubic(E: CurveQ) -> UniPoly:

@@ -2,7 +2,8 @@
 
 A group is a list of generator codes plus a lazily computed element set
 and right Cayley table, both from one BFS over the generators (see
-`_closure_table`); the subgroup searches in `action` run over the table.
+`_closure_table`); the subgroup searches in `action` run over the table
+through `_homomorphisms`, so this module alone reads its edge layout.
 The BFS walks level by level in Python; once a level holds
 _LEVEL_SWITCH (256) elements, at levels n with n^4 <= 2^20, numpy runs
 the remaining levels and gives the same codes, edges and element set.
@@ -153,6 +154,37 @@ def _closure_tail(tables, n: int, codes: list, edges: list,
     return (frozenset(dict.fromkeys(codes_out.tolist())),
             CayleyTable(array("q", codes_out.tobytes()),
                         array("i", np.concatenate(out).tobytes())))
+
+
+def _homomorphisms(G: GenGroup, mul, images):
+    """The homomorphisms from G to the group with multiplication table mul
+    that send the generators to one of the assignments in images.
+
+    Each is yielded as the list phi of images of G.table.codes. An
+    assignment is propagated along the tree edges of the cached Cayley
+    table and compared on its check edges, stopping at the first
+    mismatch.
+    """
+    edges = G.table.edges
+    size = len(G.table.codes)
+    k = len(G.gen_codes)
+    by = tuple(zip(*mul))  # by[a][x] = x * a
+    for assign in images:
+        cols = [by[a] for a in assign]
+        phi = [0] * size
+        i = j = 0  # edges[i*k + j] leaves codes[i] by generator j
+        for e in edges:
+            v = cols[j][phi[i]]
+            if e < 0:
+                phi[~e] = v
+            elif phi[e] != v:
+                break
+            j += 1
+            if j == k:
+                i += 1
+                j = 0
+        else:
+            yield phi
 
 
 # The most row-table entries (k*n^2, k generators at level n) a group may

@@ -218,8 +218,8 @@ def _fiber_matches(curve: PlaneCurve, height: int) -> list[tuple]:
     """The sorted (s, t, v) of search_plane, v = j_s(s) = j_t(t) or POLE."""
     grid = farey_fractions(height)
     p, q = _sorted_grid_arrays(height)
-    ks = _residue_keys(curve.jmap_s, grid, p, q)
-    kt = _residue_keys(curve.jmap_t, grid, p, q)
+    ks = _residue_keys(curve.jmap_s, p, q)
+    kt = _residue_keys(curve.jmap_t, p, q)
     j_s = functools.cache(lambda i: jmap_eval(curve.jmap_s, grid[i]))
     j_t = functools.cache(lambda j: jmap_eval(curve.jmap_t, grid[j]))
     # The grid ascends, so index order is value order.
@@ -228,8 +228,7 @@ def _fiber_matches(curve: PlaneCurve, height: int) -> list[tuple]:
     return [(grid[i], grid[j], j_s(i)) for i, j in pairs]
 
 
-def _residue_keys(m: JMap, grid: list[Fraction], p: np.ndarray,
-                  q: np.ndarray) -> np.ndarray:
+def _residue_keys(m: JMap, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The key in [0, P], P = _PRIME, of m at each grid point p/q (see
     search_plane)."""
     P = _PRIME
@@ -244,7 +243,7 @@ def _residue_keys(m: JMap, grid: list[Fraction], p: np.ndarray,
         e >>= 1
     keys = n * inv % P
     for i in np.flatnonzero(d == 0).tolist():
-        v = jmap_eval(m, grid[i])
+        v = jmap_eval(m, Fraction(int(p[i]), int(q[i])))
         keys[i] = P
         if v is not POLE and v.denominator % P:
             keys[i] = v.numerator * pow(v.denominator, -1, P) % P

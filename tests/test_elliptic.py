@@ -238,7 +238,7 @@ def test_frobenius_prior_on_both_sides_of_the_int64_bound(E, bound):
     want = frobenius_signature(E, 3, bound)
     sig = frobenius_signature(E, 3, 20)
     for b in (100, 700, bound):
-        sig = frobenius_signature(E, 3, b, prior=sig)
+        sig = elliptic._extend(E, sig, b)
     assert sig == want
     # Against the one-prime count, which goes through its own guard.
     counts = {}
@@ -395,21 +395,56 @@ def test_frobenius_prior_chain_equals_one_shot(a, ell, bound):
     sig = frobenius_signature(E, ell, b)
     while b < bound:
         b = min(bound, b * elliptic._GROWTH)
-        sig = frobenius_signature(E, ell, b, prior=sig)
+        sig = elliptic._extend(E, sig, b)
     want = frobenius_signature(E, ell, bound)
     assert sig == want
     assert list(sig.counts) == list(want.counts)
     assert list(sig.first_prime) == list(want.first_prime)
-    # A prior at the same bound adds nothing.
-    assert frobenius_signature(E, ell, bound, prior=want) == want
+    # Extending to the same bound adds nothing.
+    assert elliptic._extend(E, want, bound) == want
 
 
-def test_frobenius_prior_guards():
-    sig = frobenius_signature(E37, 3, 100)
-    with pytest.raises(ValueError, match="does not extend"):
-        frobenius_signature(E37, 9, 200, prior=sig)
-    with pytest.raises(ValueError, match="does not extend"):
-        frobenius_signature(E37, 3, 50, prior=sig)
+def good_primes_reference(E, ell, low, bound):
+    """The primes in (low, bound] dividing none of ell, u and the
+    integral discriminant, and the number of the others."""
+    primes = [p for p in primes_upto(bound) if p > low]
+    good = [p for p in good_primes(E, primes) if ell % p]
+    return good, len(primes) - len(good)
+
+
+E11A1 = parse_curve("[0,-1,1,-10,-20]")  # integral discriminant -11^5
+E_RATIONAL = CurveQ(Fraction(1, 2), 0, Fraction(1, 3), Fraction(-1, 5),
+                    Fraction(7, 4))  # u = 60
+
+
+@pytest.mark.parametrize("E,ell", [(E37, 9), (E11A1, 3), (E_RATIONAL, 9),
+                                   (E_RATIONAL, 2), (E_LARGE, 3)],
+                         ids=["p-divides-ell", "negative-disc",
+                              "p-divides-u", "u-and-ell", "large-disc"])
+def test_good_primes_matches_brute_force_split(E, ell):
+    for low, bound in [(0, 1), (0, 2), (0, 20), (2, 3), (3, 3), (10, 10),
+                       (20, 10), (3, 37), (36, 37), (37, 37), (37, 101),
+                       (10, 11), (11, 12), (59, 61), (100, 3000)]:
+        assert elliptic._good_primes(E, ell, low, bound) == (
+            good_primes_reference(E, ell, low, bound))
+
+
+def test_good_primes_passes_over_each_kind_of_bad_prime():
+    # p | ell: 3 at level 9, while 37 divides the discriminant.
+    assert elliptic._good_primes(E37, 9, 0, 40) == (
+        [2, 5, 7, 11, 13, 17, 19, 23, 29, 31], 2)
+    # p | disc < 0.
+    assert E11A1._model[3] == -11 ** 5
+    assert elliptic._good_primes(E11A1, 3, 10, 13) == ([13], 1)
+    # p | u: 2, 3 and 5 divide u = 60 of a rational model. Each divides
+    # the integral discriminant u^12 * disc too, as every p | u does: disc
+    # has weight 12 in the a_i and no a1^12 term.
+    assert E_RATIONAL._model[0] == 60
+    assert all(E_RATIONAL._model[3] % p == 0 for p in (2, 3, 5))
+    assert elliptic._good_primes(E_RATIONAL, 9, 0, 6)[1] == 3
+    # The bound is included and low is not.
+    assert elliptic._good_primes(E37, 3, 13, 17) == ([17], 0)
+    assert elliptic._good_primes(E37, 3, 17, 17) == ([], 0)
 
 
 def test_two_torsion_image():
