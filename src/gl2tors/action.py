@@ -31,6 +31,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import GenGroup, _homomorphisms, exact_order_vectors
 from .modmat import TorVec, code_act, code_mul, code_pack
 
@@ -53,21 +55,21 @@ def orbit_stabilizer(G: GenGroup, v: TorVec) -> OrbitRecord:
     n = G.modulus
     if v.modulus != n:
         raise ValueError(f"modulus mismatch: {v.modulus} vs {n}")
-    p = (v.x, v.y)
-    orbit = set()
-    stab = []
-    for c in G.element_codes:
-        w = code_act(p, c, n)
-        orbit.add(w)
-        if w == p:
-            stab.append(c)
+    # One numpy pass; the images of v mark a table over the n^2 vectors.
+    codes = np.fromiter(G.element_codes, np.int64, G.order)
+    wx, wy = code_act((v.x, v.y), codes, n)
+    hit = np.zeros(n * n, dtype=bool)
+    hit[wx * n + wy] = True
+    orbit = frozenset(TorVec(w // n, w % n, n)
+                      for w in np.flatnonzero(hit).tolist())
+    stab = codes[(wx == v.x) & (wy == v.y)].tolist()
     S = GenGroup.from_codes(stab, n,
                             f"stab({v.x},{v.y})" if not G.label
                             else f"stab({v.x},{v.y}) in {G.label}")
     if len(orbit) * S.order != G.order:
         raise AssertionError(
             f"orbit-stabilizer fails: {len(orbit)} * {S.order} != {G.order}")
-    return OrbitRecord(v, frozenset(TorVec(x, y, n) for x, y in orbit), S)
+    return OrbitRecord(v, orbit, S)
 
 
 _S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))

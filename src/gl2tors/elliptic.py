@@ -6,8 +6,8 @@ coefficients. Each curve computes its integral model once, when it is
 built: the scale u (lcm of the denominators), the integers u^i * a_i,
 their b2, b4, b6, b8 and the integer discriminant u^12 * disc.
 curve_invariants divides these by powers of u; point counts sum a
-quadratic character over the 2-division cubic mod p, evaluated by
-polynomial's Horners. Torsion is bounded by the gcd of a few point
+quadratic character over the 2-division cubic mod p (an int64 table,
+or a Horner mod p). Torsion is bounded by the gcd of a few point
 counts and then read off the division polynomials of the given model,
 built from its b-invariants, so every x-coordinate found lies on it.
 """
@@ -25,7 +25,7 @@ from .arith import is_probable_prime, is_square, next_prime
 from .catalog import is_admissible_torsion
 from .groups import GenGroup
 from .modmat import code_det, code_trace
-from .polynomial import UniPoly, _eval_int_at, _form_mod, rational_roots
+from .polynomial import UniPoly, _eval_int_at, rational_roots
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,18 @@ def _cubic_fits_int64(E: CurveQ, N: int) -> bool:
     return _eval_int_at(bound, N, 1) < 2 ** 63
 
 
+# From this many elements on, _mod divides by the reciprocal of p.
+_RECIPROCAL_MIN = 512
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a % p for an int64 array a and an int p > 0. numpy's // by a scalar
+    multiplies by a precomputed reciprocal (libdivide), where % divides
+    each element in hardware; below _RECIPROCAL_MIN elements % is still
+    the cheaper call. Both round toward -inf, so negative a agree too."""
+    return a % p if a.size < _RECIPROCAL_MIN else a - a // p * p
+
+
 def _point_counts(E: CurveQ, primes) -> list[int]:
     """#E(F_p), the point at infinity included, for each prime p in
     primes, every one of them good for E."""
@@ -178,7 +190,9 @@ def _point_counts(E: CurveQ, primes) -> list[int]:
     # of nonzero square values less the number of nonzero values.
     # The x and their squares h^2 are built once, up to the largest prime
     # N. Where _cubic_fits_int64, G is tabulated there too and each p
-    # reduces a prefix of it; otherwise _form_mod evaluates G modulo p.
+    # reduces a prefix of it; otherwise Horner on G's coefficients mod p,
+    # reduced once midway, stays below 5p^2 + p (x < p, c3 = 4): exact in
+    # int64 for p < 1.3 * 10^9.
     cubic = _two_division_cubic(E)
     N = max(primes, default=0)
     xs = np.arange(N, dtype=np.int64)
@@ -196,9 +210,14 @@ def _point_counts(E: CurveQ, primes) -> list[int]:
                         n += 1
             counts.append(n)
             continue
-        g = _form_mod(cubic, xs[:p], 1, p) if G is None else G[:p] % p
+        if G is None:
+            c0, c1, c2, c3 = (c % p for c in cubic)
+            x = xs[:p]
+            g = _mod(_mod((c3 * x + c2) * x + c1, p) * x + c0, p)
+        else:
+            g = _mod(G[:p], p)
         square = np.zeros(p, dtype=bool)
-        square[H[:p // 2 + 1] % p] = True
+        square[_mod(H[:p // 2 + 1], p)] = True
         square[0] = False
         counts.append(p + 1 + 2 * int(np.count_nonzero(square[g]))
                       - int(np.count_nonzero(g)))
@@ -225,7 +244,7 @@ class FrobSignature:
     bound: int
     counts: dict
     first_prime: dict
-    skipped: int  # primes <= bound dividing ell, u or the discriminant
+    skipped: int  # primes <= bound dividing ell or the discriminant
 
     @property
     def classes(self) -> frozenset:
@@ -240,11 +259,13 @@ class FrobSignature:
 def _good_primes(E: CurveQ, ell: int, low: int,
                  bound: int) -> tuple[list[int], int]:
     """(good, passed_over) over the primes p with low < p <= bound: good
-    lists those that Frobenius sampling counts, which divide none of the
-    level, the scaling denominator u and the integral discriminant, and
-    passed_over counts the others."""
-    u, _, _, disc = E._model
-    bad = ell * u * disc
+    lists those that Frobenius sampling counts, which divide neither the
+    level nor the integral discriminant, and passed_over counts the
+    others. A prime dividing the scaling denominator u divides that
+    discriminant too: if p | u, then v_p(A_i) >= (i - 1) v_p(u), so p
+    divides A2, A3, A4 and A6, hence b4, b6 and b8, and disc = -b2^2 b8
+    - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6 is 0 mod p."""
+    bad = ell * E._model[3]
     primes = [p for p in _prime_range(bound) if p > low]
     good = [p for p in primes if bad % p]
     return good, len(primes) - len(good)
@@ -417,9 +438,9 @@ _MAZUR_PRIME_POWERS = {2: 8, 3: 9, 5: 5, 7: 7}
 def _torsion_bound(E: CurveQ) -> int:
     """gcd of #E(F_p) over up to _TORSION_PRIMES good primes p >= 3,
     stopping at 1. E(Q)_tors injects into each E(F_p), so its order
-    divides the result."""
-    u, _, _, disc = E._model
-    bad = u * disc
+    divides the result. Good means prime to the integral discriminant,
+    which every prime dividing u divides too (see _good_primes)."""
+    bad = E._model[3]
     n = 0
     good = 0
     p = 2

@@ -20,7 +20,7 @@ subresultant PRS.
 Integer forms sum C[i] p^i q^(e - i) have one evaluator each way:
 _eval_int_at, the exact homogenised Horner (also on int64 arrays known
 to fit), and _form_mod, the same Horner modulo m < 2^31 on int64 arrays,
-for the search keys, the square sieve and large-coefficient point counts.
+for the search keys and the square sieve.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """Orbit-stabilizer records and the small-index subgroup searches."""
 
+import random
+from math import gcd
+
 import pytest
 
 from gl2tors.action import (ComplementWitness, index2_subgroups,
@@ -7,7 +10,7 @@ from gl2tors.action import (ComplementWitness, index2_subgroups,
                             minus_one_complements, orbit_stabilizer)
 from gl2tors.catalog import EMBEDDED_LEVEL9, named_group
 from gl2tors.groups import GenGroup, reduce_level, standard_subgroup
-from gl2tors.modmat import GMat, TorVec, vector_exact_order
+from gl2tors.modmat import GMat, TorVec, code_act, vector_exact_order
 
 
 def test_orbit_stabilizer_full_gl2f3():
@@ -26,6 +29,69 @@ def test_orbit_stabilizer_borel():
     assert rec.orbit == frozenset(
         (TorVec(1, 0, 3), TorVec(1, 1, 3), TorVec(1, 2, 3)))
     assert rec.stabilizer.order == 2
+
+
+def orbit_stabilizer_reference(G, v):
+    """The orbit pairs and the stabilizer codes of v under G, from one
+    code_act per element; the oracle for orbit_stabilizer."""
+    p = (v.x, v.y)
+    orbit = set()
+    stab = []
+    for c in G.element_codes:
+        w = code_act(p, c, G.modulus)
+        orbit.add(w)
+        if w == p:
+            stab.append(c)
+    return orbit, frozenset(stab)
+
+
+def _orbit_cases():
+    """Seeded (group, vector) pairs at levels 2, 3, 5, 9 and 27: unlabelled
+    groups on one or two random generators, labelled standard subgroups
+    (the nonsplit kinds among them built by `from_codes`), and element
+    sets rewrapped by `from_codes` with and without a label, each with a
+    random vector."""
+    rng = random.Random(33)
+    cases = []
+    while len(cases) < 240:
+        n = rng.choice((2, 3, 5, 9, 27))
+        kind = rng.randrange(3)
+        if kind == 0:
+            k = rng.randint(1, 2 if n < 27 else 1)
+            gens = []
+            while len(gens) < k:
+                a, b, c, d = (rng.randrange(n) for _ in range(4))
+                if gcd(a * d - b * c, n) == 1:
+                    gens.append(GMat(a, b, c, d, n).code())
+            G = GenGroup(n, tuple(gens))
+        elif kind == 1:
+            kinds = ["full", "sl2"] if n < 27 else []
+            if n > 2:
+                kinds += ["borel", "split-cartan", "split-cartan-normalizer",
+                          "nonsplit-cartan", "nonsplit-cartan-normalizer"]
+            G = standard_subgroup(rng.choice(kinds), n)
+        else:
+            H = standard_subgroup("borel" if n > 2 else "full", n)
+            G = GenGroup.from_codes(H.element_codes, n,
+                                    rng.choice(("", f"B{n}")))
+        cases.append((G, TorVec(rng.randrange(n), rng.randrange(n), n)))
+    return cases
+
+
+def test_orbit_stabilizer_matches_the_element_loop():
+    cases = _orbit_cases()
+    assert {G.modulus for G, _ in cases} == {2, 3, 5, 9, 27}
+    assert any(G.label for G, _ in cases)
+    assert any(not G.label for G, _ in cases)
+    for G, v in cases:
+        orbit, stab = orbit_stabilizer_reference(G, v)
+        rec = orbit_stabilizer(G, v)
+        assert rec.orbit == frozenset(TorVec(x, y, G.modulus)
+                                      for x, y in orbit)
+        assert rec.stabilizer.element_codes == stab
+        assert rec.stabilizer.label == (
+            f"stab({v.x},{v.y}) in {G.label}" if G.label
+            else f"stab({v.x},{v.y})")
 
 
 def test_orbit_modulus_mismatch():

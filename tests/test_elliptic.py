@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gl2tors import elliptic
-from gl2tors.arith import factorint
+from gl2tors.arith import factorint, next_prime
 from gl2tors.catalog import (EMBEDDED_LEVEL9, TORSION_BY_DEGREE,
                              identify_candidates, named_group)
 from gl2tors.elliptic import (_MAZUR_PRIME_POWERS, CM_J, CurveQ,
@@ -23,7 +23,7 @@ from gl2tors.elliptic import (_MAZUR_PRIME_POWERS, CM_J, CurveQ,
                               torsion_over_Q, two_torsion_cubic,
                               two_torsion_image)
 from gl2tors.groups import standard_subgroup
-from gl2tors.polynomial import UniPoly, rational_roots
+from gl2tors.polynomial import UniPoly, _form_mod, rational_roots
 
 E37 = parse_curve("[0,0,1,-1,0]")
 E14A4 = parse_curve("[1,0,1,-1,0]")
@@ -150,7 +150,7 @@ def test_count_points_matches_naive():
 @pytest.mark.parametrize("p", [5003, 10007, 15013])
 def test_count_points_matches_naive_at_large_primes(p):
     # E_LARGE's cubic is too large for the int64 table, so count_points
-    # evaluates it modulo p with polynomial._form_mod.
+    # evaluates it from its coefficients reduced modulo p.
     assert count_points(E_LARGE, p) == count_points_naive(E_LARGE, p)
 
 
@@ -184,6 +184,47 @@ def test_point_counts_at_the_int64_bound():
     assert not elliptic._cubic_fits_int64(E_EDGE_OUT, 2)
     assert elliptic._point_counts(E_EDGE_OUT, primes) == [
         count_points_naive(E_EDGE_OUT, p)[0] for p in primes]
+
+
+# Primes on both sides of _mod's switch to the reciprocal form, which
+# takes the G slice from p = 521 on and the squares slice from p = 1031.
+SWITCH_PRIMES = [509, 521, 1021, 1031, 9967, 9973]
+E_NEGATIVE = CurveQ(0, 0, 0, -1, -7)  # G(x) = 4x^3 - 4x - 28 < 0 at x <= 1
+
+
+@pytest.mark.parametrize("E", [E14A4, E_NEGATIVE, E_LARGE],
+                         ids=["table", "negative-cubic", "large"])
+def test_point_counts_on_both_sides_of_the_mod_switch(E):
+    assert elliptic._cubic_fits_int64(E, 10 ** 4) == (E is not E_LARGE)
+    primes = good_primes(E, SWITCH_PRIMES)
+    assert len(primes) == len(SWITCH_PRIMES)
+    assert elliptic._point_counts(E, primes) == [
+        count_points_naive(E, p)[0] for p in primes]
+
+
+def test_point_counts_large_path_above_2_to_the_21():
+    # Above 2^21 the large-coefficient Horner would pass 2^63 without its
+    # midway reduction. The oracle evaluates G with polynomial._form_mod,
+    # which reduces every step, and sums the quadratic character.
+    p = next_prime(2 ** 21 + 2 ** 19)
+    assert not elliptic._cubic_fits_int64(E37, p)
+    x = np.arange(p, dtype=np.int64)
+    g = _form_mod(elliptic._two_division_cubic(E37), x, 1, p)
+    square = np.zeros(p, dtype=bool)
+    square[x * x % p] = True
+    chi = np.where(g == 0, 0, np.where(square[g], 1, -1))
+    assert elliptic._point_counts(E37, [p]) == [p + 1 + int(chi.sum())]
+
+
+def test_mod_matches_remainder_on_both_sides_of_the_switch():
+    rng = np.random.default_rng(33)
+    for size in (1, elliptic._RECIPROCAL_MIN - 1, elliptic._RECIPROCAL_MIN,
+                 4099):
+        a = rng.integers(-2 ** 62, 2 ** 62, size)
+        for p in (3, 509, 521, 9973, 2 ** 31 - 1):
+            r = elliptic._mod(a, p)
+            assert r.dtype == np.int64
+            assert r.tolist() == [int(x) % p for x in a]
 
 
 def test_point_counts_horner_matches_naive():
@@ -445,6 +486,28 @@ def test_good_primes_passes_over_each_kind_of_bad_prime():
     # The bound is included and low is not.
     assert elliptic._good_primes(E37, 3, 13, 17) == ([17], 0)
     assert elliptic._good_primes(E37, 3, 17, 17) == ([], 0)
+
+
+def test_primes_dividing_u_divide_the_integral_discriminant():
+    # Why _good_primes and _torsion_bound test disc alone: p | u puts p
+    # in A2, A3, A4 and A6, hence in b4, b6, b8 and disc.
+    rnd = random.Random(33)
+    seen = set()
+    models = 0
+    while models < 1000:
+        a = [Fraction(rnd.randint(-10 ** 4, 10 ** 4),
+                      rnd.choice((1, 2, 3, 4, 5, 6, 9, 12, 25, 49, 11)))
+             for _ in range(5)]
+        try:
+            E = CurveQ(*a)
+        except ValueError:
+            continue
+        models += 1
+        u, _, _, disc = E._model
+        for p in factorint(u):
+            seen.add(p)
+            assert disc % p == 0
+    assert {2, 3, 5, 7, 11} <= seen
 
 
 def test_two_torsion_image():

@@ -138,6 +138,20 @@ def test_property_suites_fail_under_optimize():
     assert "Hasse bound" in out.stdout
 
 
+def test_verify_all_leaves_numpy_ma_unimported():
+    # A plain np.unique call imports numpy.ma (numpy 2.4), which raises a
+    # process's peak memory by about 1.3 MB; no check needs it.
+    code = ("import sys\n"
+            "from gl2tors import cli\n"
+            "code = cli.main(['verify-all'])\n"
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.split() == ["0", "False"], out.stderr
+
+
 def test_table_names_one_check_per_built_in_id():
     assert len(built_in_checks()) == len(BUILT_IN_IDS) == 13
 
