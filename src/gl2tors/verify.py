@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from . import catalog as _catalog
 from .action import (index3_fixing_count, index6_complement_search,
                      minus_one_complements, orbit_stabilizer)
@@ -331,10 +333,11 @@ def prop_search_monotonicity() -> int:
     for _ in range(100):
         h1 = rng.randint(1, 20)
         h2 = rng.randint(h1, 40)
-        # The grid that search_hyperelliptic sieves, as coprime pairs.
-        low, high = (set(zip(*(a.tolist() for a in _grid_arrays(h))))
-                     for h in (h1, h2))
-        _require(low <= high,
+        # The grid that search_hyperelliptic scans, each coprime pair
+        # (p, q) keyed p * (h2 + 1) + q, one key per pair as 1 <= q <= h2.
+        low, high = (p * (h2 + 1) + q
+                     for p, q in (_grid_arrays(h) for h in (h1, h2)))
+        _require(np.isin(low, high).all(),
                  f"_grid_arrays({h1}) pairs not inside _grid_arrays({h2})")
         _require(set(search_hyperelliptic(h, f, h1))
                  <= set(search_hyperelliptic(h, f, h2)),

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from gl2tors import catalog, cli, groups
+from gl2tors import catalog, cli, groups, jmaps
 from gl2tors.cli import main
 from gl2tors.verify import VerificationReport
 
@@ -285,6 +285,24 @@ def test_curve_search(capsys):
     assert "CHECK curve-search evidence-only height=20 points=4" in out
     assert main(["curve-search", "y^2 = x^3", "--height", "2"]) == 0
     assert "points=3" in capsys.readouterr().out
+
+
+def test_curve_search_above_the_int64_bound(capsys, monkeypatch):
+    # The constant 10^20 puts H^e * sum |C| past 2^62, so the search
+    # takes the sieve and the exact Python test, not the int64 pass.
+    sieved = []
+    real = jmaps._sieved_points
+    monkeypatch.setattr(jmaps, "_sieved_points",
+                        lambda C, H: sieved.append(H) or real(C, H))
+    assert main(["curve-search", "y^2 = x^3 - x + 100000000000000000000",
+                 "--height", "30"]) == 0
+    assert sieved == [30]
+    y = 10 ** 10
+    points = [(x, s * y) for x in (-1, 0, 1) for s in (-1, 1)]
+    assert capsys.readouterr().out == "".join(
+        f"({x}, {v})\n" for x, v in points) + (
+        "CHECK curve-search evidence-only height=30 points=6 "
+        + " ".join(f"({x},{v})" for x, v in points) + "\n")
 
 
 def test_curve_search_bad_model():

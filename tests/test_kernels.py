@@ -19,9 +19,13 @@ random inputs rarely reach. The modular Horner _form_mod must agree with
 the exact one reduced mod m for moduli up to 2^31 - 1. The square sieve
 of the searches must keep every grid point where a form with a planted
 square is a square, the exact square kernel after it must return exactly
-those squares, and its grid must hold the points of the reference grid;
-the integer key that orders the grid must strictly increase along the
-reference grid, and along the closest neighbours at height 1000."""
+those squares, and its grid must hold the points of the reference grid.
+The kernel must agree with the exact reference and with the sieve path
+on forms just below and at its int64 bound, at values k^2 and k^2 +- 1
+where float64 rounds the root, on negative values and on constant
+forms. The integer key that orders the grid must strictly increase
+along the reference grid, and along the closest neighbours at height
+1000."""
 
 import functools
 import operator
@@ -249,6 +253,31 @@ def _form_mul(a, b):
     return out
 
 
+def square_points_reference(C, H):
+    """The sorted (p, q, r) with C(p, q) = r^2, by exact Python integers
+    at every grid point."""
+    return sorted((p, q, isqrt(v)) for p, q in zip(
+        *(a.tolist() for a in _grid_arrays(H)))
+        for v in [_eval_int_at(C, p, q)] if is_square(v))
+
+
+def sieve_path(C, H, sieved_points=jmaps._sieved_points):
+    """The sorted (p, q, r) of the sieve and the exact Python test, the
+    path _square_points takes above the int64 bound, on any form."""
+    return sorted((p, q, isqrt(v)) for p, q in sieved_points(C, H)
+                  for v in [_eval_int_at(C, p, q)] if is_square(v))
+
+
+@pytest.fixture
+def sieve_calls(monkeypatch):
+    """The heights at which _square_points fell back to the sieve."""
+    calls = []
+    real = jmaps._sieved_points
+    monkeypatch.setattr(jmaps, "_sieved_points",
+                        lambda C, H: calls.append(H) or real(C, H))
+    return calls
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=8),
        st.integers(min_value=1, max_value=14), st.randoms())
@@ -280,9 +309,76 @@ def test_sieve_keeps_every_square(e, H, rnd):
     # The exact kernel keeps exactly the integer squares, each with its
     # root r >= 0; on the zero form every grid point is a hit with r = 0.
     for form in (C, [0]):
-        values = {(p, q): _eval_int_at(form, p, q) for p, q in grid}
-        assert sorted(jmaps._square_points(form, H)) == sorted(
-            (p, q, isqrt(v)) for (p, q), v in values.items() if is_square(v))
+        assert sorted(jmaps._square_points(form, H)) == (
+            square_points_reference(form, H))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 6])
+@pytest.mark.parametrize("H", [1, 2, 7, 12])
+@pytest.mark.parametrize("above", [False, True])
+def test_square_points_at_the_int64_bound(e, H, above, sieve_calls):
+    """Forms with H^e * sum |C| just below 2^62 take the int64 pass, and
+    those at 2^62 the sieve; both equal the exact reference. C[0] = u^2
+    plants a square at (0, 1), and the leading coefficient makes up
+    sum |C| exactly."""
+    rnd = random.Random(1000 * e + 10 * H + above)
+    total = (2 ** 62 - 1) // H ** e + above
+    u = rnd.randint(0, isqrt(total // 2))
+    C = [u * u] + [rnd.randint(-total // (4 * e), total // (4 * e))
+                   for _ in range(e - 1)]
+    C.append(rnd.choice((-1, 1)) * (total - sum(abs(c) for c in C)))
+    assert (_eval_int_at([abs(c) for c in C], H, H) < 2 ** 62) != above
+    got = sorted(jmaps._square_points(C, H))
+    assert sieve_calls == ([H] if above else [])
+    assert (0, 1, u) in got
+    assert got == square_points_reference(C, H) == sieve_path(C, H)
+
+
+# k near 2^26, 2^26.5 and 2^31 - 1: float64 holds k^2 exactly up to
+# 2^53, and above that its square root may round v = k^2 - 1 up to k.
+NEAR_SQUARE_ROOTS = [2 ** 26 - 1, 2 ** 26, 2 ** 26 + 1, 94_906_265,
+                     94_906_266, 94_906_267, 2 ** 31 - 2, 2 ** 31 - 1]
+
+
+@pytest.mark.parametrize("k", NEAR_SQUARE_ROOTS)
+def test_square_points_near_large_squares(k, sieve_calls):
+    """The values k^2 - 1, k^2 and k^2 + 1, and their negatives, as the
+    form A*q + p at H = 1 (p = -1, 0, 1) and as constant forms."""
+    A = k * k
+    forms = [[A, 1], [-A, 1]] + [[v] for v in (A - 1, A, A + 1, -A)]
+    for C in forms:
+        got = sorted(jmaps._square_points(C, 1))
+        assert got == square_points_reference(C, 1) == sieve_path(C, 1)
+    assert sieve_calls == []
+    assert sorted(jmaps._square_points([A, 1], 1)) == [(0, 1, k)]
+    assert sorted(jmaps._square_points([A], 1)) == [
+        (p, 1, k) for p in (-1, 0, 1)]
+
+
+def test_square_points_float_root_needs_correcting():
+    # The cases above reach the downward step: for these k the float64
+    # square root of k^2 - 1 rounds up to k.
+    late = [k for k in NEAR_SQUARE_ROOTS
+            if int(np.sqrt(np.float64(k * k - 1))) == k]
+    assert late == NEAR_SQUARE_ROOTS[2:]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("C, H", [
+    ([0, 1], 12), ([-4, 0, 1], 9), ([0, 0, -1], 5), ([-1], 3),
+    ([0], 1), ([0], 6), ([9], 4), ([2 ** 60], 2)])
+def test_square_points_signs_and_constant_forms(C, H, sieve_calls):
+    """Forms that take negative values (p, p^2 - 4q^2, -q^2, -1), with no
+    floating-point warning, the zero form, on which every grid point is
+    a hit with r = 0, and constant square forms, on which every grid
+    point is a hit with r = sqrt(c)."""
+    got = sorted(jmaps._square_points(C, H))
+    assert got == square_points_reference(C, H) == sieve_path(C, H)
+    assert sieve_calls == []
+    if len(C) == 1 and C[0] >= 0:
+        p, q = _grid_arrays(H)
+        assert got == sorted((a, b, isqrt(C[0]))
+                             for a, b in zip(p.tolist(), q.tolist()))
 
 
 @pytest.mark.parametrize("m", [2, 3, 64 * 63 * 65 * 11, 1_000_000_007,
