@@ -7,9 +7,9 @@ built: the scale u (lcm of the denominators), the integers u^i * a_i,
 their b2, b4, b6, b8 and the integer discriminant u^12 * disc.
 curve_invariants divides these by powers of u; point counts sum a
 quadratic character over the 2-division cubic mod p (an int64 table,
-or a Horner mod p). Torsion is bounded by the gcd of a few point
-counts and then read off the division polynomials of the given model,
-built from its b-invariants, so every x-coordinate found lies on it.
+or _form_mod for p < 2^31). Torsion is bounded by the gcd of a few
+point counts and then read off the division polynomials of the given
+model, built from its b-invariants, so every x-coordinate found lies on it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .arith import is_probable_prime, is_square, next_prime
 from .catalog import is_admissible_torsion
 from .groups import GenGroup
 from .modmat import code_det, code_trace
-from .polynomial import UniPoly, _eval_int_at, rational_roots
+from .polynomial import (UniPoly, _eval_int_at, _form_mod, _mod,
+                         rational_roots)
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,14 @@ def curve_Et(t) -> CurveQ:
                   2 * (t ** 6 - 36 * t ** 3 + 216))
 
 
-def _bad_primes_guard(E: CurveQ, p: int) -> None:
+def _below_2_31_guard(what: str, n: int) -> None:
+    if n >= 2 ** 31:  # past the int64 contract of _form_mod
+        raise ValueError(f"{what} must be below 2^31, got {n}")
+
+
+def count_points(E: CurveQ, p: int) -> tuple[int, int]:
+    """(#E(F_p) including the point at infinity, a_p = p + 1 - #E)."""
+    _below_2_31_guard("p", p)
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     u, _, _, disc = E._model
@@ -143,11 +151,6 @@ def _bad_primes_guard(E: CurveQ, p: int) -> None:
         raise ValueError(f"p = {p} divides the scaling denominator")
     if disc % p == 0:
         raise ValueError(f"bad reduction at p = {p}")
-
-
-def count_points(E: CurveQ, p: int) -> tuple[int, int]:
-    """(#E(F_p) including the point at infinity, a_p = p + 1 - #E)."""
-    _bad_primes_guard(E, p)
     n, = _point_counts(E, [p])
     return n, p + 1 - n
 
@@ -168,18 +171,6 @@ def _cubic_fits_int64(E: CurveQ, N: int) -> bool:
     return _eval_int_at(bound, N, 1) < 2 ** 63
 
 
-# From this many elements on, _mod divides by the reciprocal of p.
-_RECIPROCAL_MIN = 512
-
-
-def _mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a % p for an int64 array a and an int p > 0. numpy's // by a scalar
-    multiplies by a precomputed reciprocal (libdivide), where % divides
-    each element in hardware; below _RECIPROCAL_MIN elements % is still
-    the cheaper call. Both round toward -inf, so negative a agree too."""
-    return a % p if a.size < _RECIPROCAL_MIN else a - a // p * p
-
-
 def _point_counts(E: CurveQ, primes) -> list[int]:
     """#E(F_p), the point at infinity included, for each prime p in
     primes, every one of them good for E."""
@@ -189,10 +180,8 @@ def _point_counts(E: CurveQ, primes) -> list[int]:
     # and -1 on the other nonzero values, so the sum is twice the number
     # of nonzero square values less the number of nonzero values.
     # The x and their squares h^2 are built once, up to the largest prime
-    # N. Where _cubic_fits_int64, G is tabulated there too and each p
-    # reduces a prefix of it; otherwise Horner on G's coefficients mod p,
-    # reduced once midway, stays below 5p^2 + p (x < p, c3 = 4): exact in
-    # int64 for p < 1.3 * 10^9.
+    # N; G is tabulated there too where _cubic_fits_int64, and otherwise
+    # _form_mod evaluates it at the x < p (one reduction for p <= 46,341).
     cubic = _two_division_cubic(E)
     N = max(primes, default=0)
     xs = np.arange(N, dtype=np.int64)
@@ -200,22 +189,13 @@ def _point_counts(E: CurveQ, primes) -> list[int]:
     G = _eval_int_at(cubic, xs, 1) if _cubic_fits_int64(E, N) else None
     counts = []
     for p in primes:
-        if p == 2:
-            n = 1
-            for x in range(2):
-                for y in range(2):
-                    lhs = (y * y + a1 * x * y + a3 * y) % 2
-                    rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % 2
-                    if lhs == rhs:
-                        n += 1
-            counts.append(n)
+        if p == 2:  # the affine points (x, y) of the integral model mod 2
+            counts.append(1 + sum(
+                (y * y + a1 * x * y + a3 * y) % 2
+                == (x ** 3 + a2 * x * x + a4 * x + a6) % 2
+                for x in (0, 1) for y in (0, 1)))
             continue
-        if G is None:
-            c0, c1, c2, c3 = (c % p for c in cubic)
-            x = xs[:p]
-            g = _mod(_mod((c3 * x + c2) * x + c1, p) * x + c0, p)
-        else:
-            g = _mod(G[:p], p)
+        g = _form_mod(cubic, xs[:p], 1, p) if G is None else _mod(G[:p], p)
         square = np.zeros(p, dtype=bool)
         square[_mod(H[:p // 2 + 1], p)] = True
         square[0] = False
@@ -225,8 +205,6 @@ def _point_counts(E: CurveQ, primes) -> list[int]:
 
 
 def _prime_range(bound: int) -> list[int]:
-    if bound < 2:
-        return []
     sieve = np.ones(bound + 1, dtype=bool)
     sieve[:2] = False
     for i in range(2, int(bound ** 0.5) + 1):
@@ -278,6 +256,7 @@ def frobenius_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
         raise ValueError(f"level must be 2, 3 or 9, got {ell}")
     if bound < 20:
         raise ValueError(f"prime bound must be >= 20, got {bound}")
+    _below_2_31_guard("prime bound", bound)
     return _extend(E, FrobSignature(ell, 0, {}, {}, 0), bound)
 
 
@@ -356,6 +335,7 @@ def _saturated_signature(E: CurveQ, ell: int, bound: int) -> FrobSignature:
 def identify_image(E: CurveQ, ell: int, candidates,
                    bound: int) -> IdentifyResult:
     """Filter candidate mod-ell images by Frobenius class containment."""
+    _below_2_31_guard("prime bound", bound)
     cands = list(candidates)
     if not cands:
         raise ValueError("empty candidate list")

@@ -20,7 +20,8 @@ subresultant PRS.
 Integer forms sum C[i] p^i q^(e - i) have one evaluator each way:
 _eval_int_at, the exact homogenised Horner (also on int64 arrays known
 to fit), and _form_mod, the same Horner modulo m < 2^31 on int64 arrays,
-for the search keys and the square sieve.
+for the search keys, the square sieve and the point counts of curves
+too large for an int64 table, reducing by _mod only as int64 needs.
 """
 
 from __future__ import annotations
@@ -180,12 +181,8 @@ class UniPoly(_Poly):
         return self._c[max(self._c)]
 
     def __call__(self, x) -> Fraction:
-        x = _frac(x)
-        d = self.degree
-        if d < 0:
-            return _ZERO
-        acc = _ZERO
-        for e in range(d, -1, -1):
+        x, acc = _frac(x), _ZERO
+        for e in range(self.degree, -1, -1):
             acc = acc * x + self._c.get(e, _ZERO)
         return acc
 
@@ -586,19 +583,39 @@ def _eval_int_at(coeffs: list[int], p: int, q: int) -> int:
     return acc
 
 
-def _form_mod(C: list[int], p: np.ndarray, q: np.ndarray,
+_RECIPROCAL_MIN = 512
+
+
+def _mod(a: np.ndarray | int, m: int) -> np.ndarray | int:
+    """a % m for an int or an int64 array a and an int m > 0. numpy's //
+    by a scalar multiplies by a precomputed reciprocal (libdivide), where
+    % divides each element in hardware; below _RECIPROCAL_MIN elements %
+    is still the cheaper call. Both round toward -inf, and at a = -2^63
+    the wrap of a // m * m past int64 is undone by the subtraction."""
+    return (a % m if getattr(a, "size", 0) < _RECIPROCAL_MIN
+            else a - a // m * m)
+
+
+def _form_mod(C: list[int], p: np.ndarray, q: np.ndarray | int,
               m: int) -> np.ndarray:
     """sum C[i] p^i q^(e - i) mod m, e = len(C) - 1, at every (p, q), by
-    Horner on int64. The coefficients and p are reduced first, so each
-    step's two products of residues sum to less than 2 * m^2, which
-    fits in int64 for every m < 2^31."""
-    pm, qm = p % m, q % m
-    acc = np.full(p.shape, C[-1] % m, dtype=np.int64)
-    qpow = np.ones_like(qm)
-    for c in reversed(C[:-1]):
-        qpow = qpow * qm % m
-        acc = (acc * pm + c % m * qpow) % m
-    return acc
+    Horner on int64 arrays (q may be an int), exact for every m < 2^31.
+    With the coefficients, p, q and the powers of q reduced, a step takes
+    an accumulator below B to one below B (m - 1) + (m - 1)^2, so it is
+    reduced every k steps and at the end, k <= e the most steps that stay
+    below 2^63 from a residue: 3 or more up to m = 46,341 (all e at m = 2,
+    where the bound grows by 1 a step), 2 up to 1,664,511, 1 above."""
+    e = len(C) - 1
+    top, k = m - 1, 0
+    while k < e and (top := top * (m - 1) + (m - 1) ** 2) < 2 ** 63:
+        k += 1
+    pm, qm, acc = _mod(p, m), _mod(q, m), C[-1] % m
+    for j in range(1, e + 1):
+        qpow = qm if j == 1 else _mod(qpow * qm, m)
+        acc = acc * pm + C[e - j] % m * qpow
+        if j % k == 0 or j == e:
+            acc = _mod(acc, m)
+    return acc if e else np.full(p.shape, acc, dtype=np.int64)
 
 
 def _value_and_slope(c: list[int], r: int, m: int) -> tuple[int, int]:

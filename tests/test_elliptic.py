@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gl2tors import elliptic
+from gl2tors import elliptic, polynomial
 from gl2tors.arith import factorint, next_prime
 from gl2tors.catalog import (EMBEDDED_LEVEL9, TORSION_BY_DEGREE,
                              identify_candidates, named_group)
@@ -23,7 +23,7 @@ from gl2tors.elliptic import (_MAZUR_PRIME_POWERS, CM_J, CurveQ,
                               torsion_over_Q, two_torsion_cubic,
                               two_torsion_image)
 from gl2tors.groups import standard_subgroup
-from gl2tors.polynomial import UniPoly, _form_mod, rational_roots
+from gl2tors.polynomial import UniPoly, rational_roots
 
 E37 = parse_curve("[0,0,1,-1,0]")
 E14A4 = parse_curve("[1,0,1,-1,0]")
@@ -202,14 +202,28 @@ def test_point_counts_on_both_sides_of_the_mod_switch(E):
         count_points_naive(E, p)[0] for p in primes]
 
 
+def form_mod_reference(C, p, q, m):
+    """sum C[i] p^i q^(e - i) mod m, e = len(C) - 1, by Horner on int64
+    with every step reduced by %: each step's two products of residues
+    sum to less than 2 * m^2, which fits in int64 for every m < 2^31."""
+    pm, qm = p % m, q % m
+    acc = np.full(p.shape, C[-1] % m, dtype=np.int64)
+    qpow = np.ones_like(qm)
+    for c in reversed(C[:-1]):
+        qpow = qpow * qm % m
+        acc = (acc * pm + c % m * qpow) % m
+    return acc
+
+
 def test_point_counts_large_path_above_2_to_the_21():
-    # Above 2^21 the large-coefficient Horner would pass 2^63 without its
-    # midway reduction. The oracle evaluates G with polynomial._form_mod,
-    # which reduces every step, and sums the quadratic character.
+    # Above 2^21 E37's cubic leaves the int64 table and _point_counts
+    # evaluates it by polynomial._form_mod. The oracle evaluates G with
+    # form_mod_reference, which reduces every step by %, and sums the
+    # quadratic character.
     p = next_prime(2 ** 21 + 2 ** 19)
     assert not elliptic._cubic_fits_int64(E37, p)
     x = np.arange(p, dtype=np.int64)
-    g = _form_mod(elliptic._two_division_cubic(E37), x, 1, p)
+    g = form_mod_reference(elliptic._two_division_cubic(E37), x, 1, p)
     square = np.zeros(p, dtype=bool)
     square[x * x % p] = True
     chi = np.where(g == 0, 0, np.where(square[g], 1, -1))
@@ -217,12 +231,15 @@ def test_point_counts_large_path_above_2_to_the_21():
 
 
 def test_mod_matches_remainder_on_both_sides_of_the_switch():
+    # -2^63 and 2^63 - 1 on both branches: on the reciprocal one,
+    # a // p * p at -2^63 leaves int64 and the subtraction wraps back.
     rng = np.random.default_rng(33)
-    for size in (1, elliptic._RECIPROCAL_MIN - 1, elliptic._RECIPROCAL_MIN,
-                 4099):
+    for size in (1, polynomial._RECIPROCAL_MIN - 1,
+                 polynomial._RECIPROCAL_MIN, 4099):
         a = rng.integers(-2 ** 62, 2 ** 62, size)
+        a[:2] = [-2 ** 63, 2 ** 63 - 1][:size]
         for p in (3, 509, 521, 9973, 2 ** 31 - 1):
-            r = elliptic._mod(a, p)
+            r = polynomial._mod(a, p)
             assert r.dtype == np.int64
             assert r.tolist() == [int(x) % p for x in a]
 
@@ -301,6 +318,38 @@ def test_count_points_guards():
         count_points(E37, 9)
     with pytest.raises(ValueError, match="scaling denominator"):
         count_points(CurveQ(0, 0, 0, Fraction(1, 2), 0), 2)
+
+
+# The first prime above 2^31, the bound of polynomial._form_mod's
+# int64 contract.
+PRIME_ABOVE_2_31 = 2_147_483_659
+
+
+@pytest.fixture
+def no_arrays(monkeypatch):
+    """Make the prime sieve and the point counts fail if they run, so a
+    guard is seen to raise before either builds an array."""
+    def fail(*args):
+        raise AssertionError("arrays built before the 2^31 guard")
+    monkeypatch.setattr(elliptic, "_prime_range", fail)
+    monkeypatch.setattr(elliptic, "_point_counts", fail)
+
+
+def test_count_points_rejects_a_prime_above_2_to_the_31(no_arrays):
+    assert next_prime(2 ** 31) == PRIME_ABOVE_2_31
+    with pytest.raises(ValueError,
+                       match=r"p must be below 2\^31, got 2147483659"):
+        count_points(E37, PRIME_ABOVE_2_31)
+
+
+def test_frobenius_signature_rejects_a_bound_of_2_to_the_31(no_arrays):
+    with pytest.raises(ValueError, match=r"prime bound must be below 2\^31"):
+        frobenius_signature(E37, 3, 2 ** 31)
+
+
+def test_identify_image_rejects_a_bound_of_2_to_the_31(no_arrays):
+    with pytest.raises(ValueError, match=r"prime bound must be below 2\^31"):
+        identify_image(E37, 3, identify_candidates(3), 2 ** 31)
 
 
 def test_frobenius_signature():

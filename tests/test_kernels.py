@@ -381,29 +381,35 @@ def test_square_points_signs_and_constant_forms(C, H, sieve_calls):
                              for a, b in zip(p.tolist(), q.tolist()))
 
 
-@pytest.mark.parametrize("m", [2, 3, 64 * 63 * 65 * 11, 1_000_000_007,
-                               2 ** 31 - 1])
+@pytest.mark.parametrize("m", [2, 3, 46_337, 46_349, 64 * 63 * 65 * 11,
+                               1_000_000_007, 2 ** 31 - 1])
 def test_form_mod_matches_exact_horner(m):
     """_form_mod agrees with the exact homogenised Horner reduced mod m on
     forms of degree 0-12 with coefficients up to 2^200 in size, at
     negative and positive p and at q = 0, with q an array and the
     scalar 1, up to m = 2^31 - 1, the largest modulus its int64 claim
-    covers."""
+    covers. 46,337 and 46,349 reduce every 3 and every 2 steps; at m = 2
+    and 3 degree 70 also runs, past any cap short of the degree at m = 2
+    and in runs of 60 unreduced steps at m = 3. Each form is evaluated
+    on 48 points and on 520, where _mod takes its reciprocal branch."""
     rnd = random.Random(m)
-    p = np.array([rnd.randint(-2 ** 62, 2 ** 62) for _ in range(40)]
-                 + [-m, -1, 0, 1, m - 1, m, 2 ** 63 - 1, -2 ** 63],
-                 dtype=np.int64)
-    q = np.array([rnd.randint(0, 2 ** 62) for _ in range(p.size - 2)]
-                 + [0, 1], dtype=np.int64)
-    for e in range(13):
-        for bits in (4, 62, 200):
-            C = [rnd.randint(-2 ** bits, 2 ** bits) for _ in range(e + 1)]
-            for qs in (q, 1):
-                got = _form_mod(C, p, qs, m)
-                assert got.dtype == np.int64
-                assert got.tolist() == [
-                    _eval_int_at(C, a, b) % m for a, b in
-                    zip(p.tolist(), np.broadcast_to(qs, p.shape).tolist())]
+    edges = [-m, -1, 0, 1, m - 1, m, 2 ** 63 - 1, -2 ** 63]
+    degrees = list(range(13)) + [70] * (m <= 3)
+    for size in (40, 512):
+        p = np.array([rnd.randint(-2 ** 62, 2 ** 62) for _ in range(size)]
+                     + edges, dtype=np.int64)
+        q = np.array([rnd.randint(0, 2 ** 62) for _ in range(p.size - 2)]
+                     + [0, 1], dtype=np.int64)
+        for e in degrees:
+            for bits in (4, 62, 200):
+                C = [rnd.randint(-2 ** bits, 2 ** bits) for _ in range(e + 1)]
+                for qs in (q, 1):
+                    got = _form_mod(C, p, qs, m)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == [
+                        _eval_int_at(C, a, b) % m for a, b in
+                        zip(p.tolist(),
+                            np.broadcast_to(qs, p.shape).tolist())]
 
 
 # Every rational pole of the six maps, so that each map meets its own.
