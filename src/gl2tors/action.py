@@ -21,7 +21,9 @@ conjugate by S3, so the homomorphisms found are one per G-conjugacy
 class of index-3 subgroups; `index3_fixing_count` reads the point-0
 stabilizer of each. An index-3 subgroup fixing a vector v lies in the
 stabilizer of v, so the orbit of v has size 1 or 3: the count tests only
-such vectors, and skips the search when the group has none.
+such vectors, and skips the search when the group has none. Orbit
+sizes come from each generator's permutation of the n^2 pairs, built in
+one numpy pass (`_orbit_sizes`).
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def index3_fixing_count(G: GenGroup) -> int:
     must be 9.
 
     An index-3 H fixing v lies in Stab_G(v), so the orbit of v under G
-    has size dividing 3. Only vectors with orbit size 1 or 3 (from a
-    generator BFS, `_orbit_sizes`) are tried, and when there are none the
+    has size dividing 3. Only vectors with orbit size 1 or 3 (from
+    `_orbit_sizes`) are tried, and when there are none the
     count is 0 with no homomorphism search. The table is read first, so
     generators that miss a given element set still raise ValueError."""
     if G.modulus != 9:
@@ -178,24 +180,32 @@ class ComplementWitness:
 
 
 def _orbit_sizes(C: GenGroup, vectors) -> dict:
-    """Size of the orbit of each pair under C, one BFS per orbit over the
-    generators; vectors must be a union of orbits."""
+    """Size of the orbit of each pair under C; vectors must be a union of
+    orbits. One code_act call on arrays gives each generator's
+    permutation of the n^2 pairs, by index x*n + y, and one BFS per orbit
+    walks those permutations."""
     n = C.modulus
-    size = {}
-    for v in vectors:
-        if v in size:
+    pairs = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    wx, wy = code_act(pairs, np.array(C.gen_codes, dtype=np.int64)[:, None],
+                      n)
+    perms = (wx * n + wy).tolist()
+    index = [x * n + y for x, y in vectors]
+    size = [0] * (n * n)  # -1 once reached, then the orbit's size
+    for v in index:
+        if size[v]:
             continue
+        size[v] = -1
         orbit = [v]
-        seen = {v}
         for w in orbit:  # grows while it is walked
-            for g in C.gen_codes:
-                u = code_act(w, g, n)
-                if u not in seen:
-                    seen.add(u)
+            for perm in perms:
+                u = perm[w]
+                if not size[u]:
+                    size[u] = -1
                     orbit.append(u)
+        m = len(orbit)
         for w in orbit:
-            size[w] = len(orbit)
-    return size
+            size[w] = m
+    return dict(zip(vectors, map(size.__getitem__, index)))
 
 
 def index6_complement_search(H: GenGroup) -> list[ComplementWitness]:

@@ -12,7 +12,12 @@ GMat appears only where matrices enter or leave: generator input, the
 `generators` view and membership tests. Every walk whose order can reach
 a result is in sorted code or (x, y) order, so results are deterministic.
 Conjugacy is decided by a search over GL2(Z/nZ), after one invariant:
-the (trace, det) class counts of `_class_counts`.
+the (trace, det) class counts of `_class_counts`. The search, the class
+counts and the applicability test are numpy passes over per-level arrays
+built on first use: `_full_codes`, GL2 in code order, and at levels with
+n^4 <= 2^20 `_key_table`, trace*n + det of every code. The search tests
+_CONJUGATOR_BLOCK (256) elements of GL2 at a time against a dense
+membership array of n^4 entries, and stops at the first block with a hit.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import factorint, is_probable_prime
-from .modmat import (GMat, code_act, code_det, code_entries, code_inverse,
-                     code_mul, code_mul_tables, code_pack, code_trace,
+from .modmat import (GMat, code_act, code_det, code_entries, code_mul,
+                     code_mul_tables, code_pack, code_trace,
                      least_nonresidue)
 
 
@@ -65,10 +70,11 @@ class CayleyTable(NamedTuple):
 
 
 # The closure BFS hands its remaining levels to numpy once a level holds
-# _LEVEL_SWITCH elements, at levels n with n^4 <= _TAIL_MAX_CODES: the tail
-# keeps two dense int32 arrays of n^4 entries, at most 4 MB each (n <= 32).
+# _LEVEL_SWITCH elements, at levels n with n^4 <= _DENSE_MAX_CODES. Dense
+# int32 arrays of n^4 entries (the tail's two, and the class-key table)
+# are kept only at those levels, at most 4 MB each (n <= 32).
 _LEVEL_SWITCH = 256
-_TAIL_MAX_CODES = 2 ** 20
+_DENSE_MAX_CODES = 2 ** 20
 
 
 def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
@@ -80,7 +86,7 @@ def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
     (modmat.code_mul_tables, k*n^2 entries in all), after one divmod of
     x into its rows; the BFS makes no code_mul call. It walks level by
     level, and once a level holds _LEVEL_SWITCH elements and
-    n^4 <= _TAIL_MAX_CODES, `_closure_tail` runs the remaining levels
+    n^4 <= _DENSE_MAX_CODES, `_closure_tail` runs the remaining levels
     in numpy with the same result."""
     for g in gen_codes:
         _check_invertible(g, n)
@@ -90,7 +96,7 @@ def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
     codes = [ident]
     index = {ident: 0}
     edges = []
-    tail = n2 * n2 <= _TAIL_MAX_CODES
+    tail = n2 * n2 <= _DENSE_MAX_CODES
     start = 0
     while start < len(codes):
         level = codes[start:]
@@ -437,11 +443,9 @@ def exact_order_vectors(n: int) -> list[tuple[int, int]]:
     return [(x, y) for x in range(n) for y in range(n) if gcd(x, y, n) == 1]
 
 
-def fixes_full_order_vector(codes, n: int) -> bool:
-    """Whether every packed matrix in codes fixes one common vector of
-    exact order n."""
-    return any(all(code_act(v, c, n) == v for c in codes)
-               for v in exact_order_vectors(n))
+# The applicability test takes at most this many (element, vector) pairs
+# per numpy pass: at level n there are about n^2 vectors of exact order n.
+_FIX_TEST_CELLS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -462,51 +466,112 @@ def is_applicable(G: GenGroup) -> Applicability:
         return Applicability(False, "-I not in subgroup")
     if not det_surjective(G):
         return Applicability(False, "det not surjective")
-    minus_one = (n - 1) % n
-    for c in G.element_codes:
-        if code_trace(c, n) == 0 and code_det(c, n) == minus_one \
-                and fixes_full_order_vector((c,), n):
+    codes = _code_array(G)
+    # Trace 0 and det -1: key 0*n + (n - 1). Each block tests its
+    # elements against every vector of exact order n in one pass.
+    cands = codes[_class_keys(codes, n) == n - 1]
+    x, y = np.array(exact_order_vectors(n), dtype=np.int64).T
+    rows = max(1, _FIX_TEST_CELLS // x.size)
+    for start in range(0, cands.size, rows):
+        wx, wy = code_act((x, y), cands[start:start + rows, None], n)
+        if ((wx == x) & (wy == y)).any():
             return Applicability(True, "applicable")
     return Applicability(False,
                          "no trace-0 det--1 element fixes a full-order vector")
 
 
 @functools.lru_cache(maxsize=None)
-def _full_codes(n: int) -> tuple[int, ...]:
-    """GL2(Z/nZ) in increasing code order, at any level: the codes below
-    n^4 whose determinant is a unit."""
+def _full_codes(n: int) -> np.ndarray:
+    """GL2(Z/nZ) in increasing code order, at any level, as a read-only
+    int64 array: the codes below n^4 whose determinant is a unit."""
     x = np.arange(n ** 4, dtype=np.int64)
-    return tuple(x[np.gcd(code_det(x, n), n) == 1].tolist())
+    x = x[np.gcd(code_det(x, n), n) == 1]
+    x.flags.writeable = False
+    return x
+
+
+def _code_array(G: GenGroup) -> np.ndarray:
+    """The element codes of G as an int64 array: the cached table's codes
+    when the closure BFS has built them, else the element set's."""
+    codes = G.element_codes
+    if G._table is not None:
+        return np.frombuffer(G._table.codes, dtype=np.int64)
+    return np.fromiter(codes, dtype=np.int64, count=len(codes))
+
+
+@functools.lru_cache(maxsize=None)
+def _key_table(n: int) -> np.ndarray:
+    """trace*n + det of every code below n^4, singular ones included, as
+    a read-only int32 array; n^4 <= _DENSE_MAX_CODES keeps every
+    intermediate inside int32."""
+    x = np.arange(n ** 4, dtype=np.int32)
+    keys = code_trace(x, n) * n + code_det(x, n)
+    keys.flags.writeable = False
+    return keys
+
+
+def _class_keys(codes: np.ndarray, n: int) -> np.ndarray:
+    """trace*n + det of each code of an int64 array: one lookup in the
+    level's key table while n^4 <= _DENSE_MAX_CODES, else computed from
+    the codes, since the table would need n^4 entries."""
+    if n ** 4 <= _DENSE_MAX_CODES:
+        return _key_table(n)[codes]
+    return code_trace(codes, n) * n + code_det(codes, n)
 
 
 def _class_counts(G: GenGroup) -> Counter:
-    """How many elements of G have each (trace, det), from one numpy pass
-    over the element codes. Conjugation keeps both, so x^-1 G x <= H
+    """How many elements of G have each (trace, det), from one bincount
+    of the element codes' keys. Conjugation keeps both, so x^-1 G x <= H
     needs each count of G to be at most that of H."""
     n = G.modulus
-    x = np.fromiter(G.element_codes, dtype=np.int64, count=G.order)
-    keys, counts = np.unique(code_trace(x, n) * n + code_det(x, n),
-                             return_counts=True)
+    counts = np.bincount(_class_keys(_code_array(G), n))
+    keys = np.flatnonzero(counts)
     return Counter({divmod(k, n): c
-                    for k, c in zip(keys.tolist(), counts.tolist())})
+                    for k, c in zip(keys.tolist(), counts[keys].tolist())})
+
+
+# The conjugacy search tests this many x per numpy pass. In the groups
+# workload most true answers come within the first few hundred x, and
+# one pass over all of GL2 was slower than testing one x at a time.
+_CONJUGATOR_BLOCK = 256
 
 
 def is_conjugate_subgroup(G: GenGroup, H: GenGroup) -> bool:
     """True iff some x in GL2(Z/nZ) has x^-1 G x contained in H.
 
     Lagrange's test and `_class_counts` containment are necessary
-    conditions; the search over `_full_codes` decides."""
+    conditions; the search over `_full_codes` decides. It takes the x in
+    blocks of _CONJUGATOR_BLOCK, in code order, and for each block packs
+    x^-1 g x for every generator g from entrywise int64 arithmetic, then
+    looks the codes up in a dense membership array of H's n^4 codes. It
+    reads only G's generators and the element sets, never a Cayley
+    table."""
     if G.modulus != H.modulus:
         raise ValueError(
             f"modulus mismatch: {G.modulus} vs {H.modulus}")
     n = G.modulus
     if H.order % G.order != 0 or not _class_counts(G) <= _class_counts(H):
         return False
-    hc = H.element_codes
-    for x in _full_codes(n):
-        xi = code_inverse(x, n)
-        if all(code_mul(code_mul(xi, g, n), x, n) in hc
-               for g in G.gen_codes):
+    member = np.zeros(n ** 4, dtype=bool)
+    member[_code_array(H)] = True
+    inverse = np.zeros(n, dtype=np.int64)
+    units = _units(n)
+    inverse[units] = [pow(u, -1, n) for u in units]
+    # Generator entries as columns: each block's arrays are k x block.
+    ga, gb, gc, gd = code_entries(
+        np.array(G.gen_codes, dtype=np.int64)[:, None], n)
+    full = _full_codes(n)
+    for start in range(0, full.size, _CONJUGATOR_BLOCK):
+        a, b, c, d = code_entries(full[start:start + _CONJUGATOR_BLOCK], n)
+        # x^-1 = det^-1 (d, -b; -c, a). Before code_pack reduces them,
+        # the entries of x^-1 g x stay below 4n^4 in size.
+        di = inverse[(a * d - b * c) % n]
+        ia, ib, ic, id_ = di * d, -di * b, -di * c, di * a
+        p, q = ia * ga + ib * gc, ia * gb + ib * gd
+        r, t = ic * ga + id_ * gc, ic * gb + id_ * gd
+        y = code_pack(p * a + q * c, p * b + q * d,
+                      r * a + t * c, r * b + t * d, n)
+        if member[y].all(axis=0).any():
             return True
     return False
 

@@ -21,7 +21,11 @@ and the orbit-size pruning of the index-3 count on seeded groups with no
 orbit of size 1 or 3, with orbits of size 3 and with a fixed vector.
 The conjugacy reference tries every invertible x below n^4 on the whole
 element set, against `is_conjugate` and `is_conjugate_subgroup` on
-seeded conjugate, equal-order and subgroup pairs."""
+seeded conjugate, equal-order and subgroup pairs, with the search's
+block boundaries moved around each pair's first conjugator. The
+orbit-size reference walks each orbit with one code_act per pair and
+generator, and the applicability reference tests each trace-0 det--1
+element of the element set against every vector of exact order n."""
 
 import itertools
 import random
@@ -43,7 +47,7 @@ from gl2tors.elliptic import group_class_set
 from gl2tors.groups import (STANDARD_KINDS, GenGroup, closure,
                             closure_codes, contains_minus_identity,
                             det_image, exact_order_vectors,
-                            fixes_full_order_vector, standard_subgroup)
+                            standard_subgroup)
 from gl2tors.modmat import (TorVec, code_act, code_det, code_inverse,
                             code_mul, code_pack, code_trace)
 
@@ -190,6 +194,13 @@ def assert_one_homomorphism_per_class(G):
     assert hit == list(range(len(classes)))
 
 
+def fixes_full_order_vector(codes, n):
+    """Whether every packed matrix in codes fixes one common vector of
+    exact order n, one code_act call per vector and matrix."""
+    return any(all(code_act(v, c, n) == v for c in codes)
+               for v in exact_order_vectors(n))
+
+
 def index3_fixing_count_reference(G):
     subs = [s for s in index3_reference(G) if fixes_full_order_vector(s, 9)]
     return len(_conjugacy_classes(G, subs)) if subs else 0
@@ -329,6 +340,21 @@ def test_tail_raises_when_generators_miss_elements(monkeypatch):
         index3_fixing_count(G)
 
 
+def test_conjugacy_reads_element_sets_not_tables():
+    # Generators that miss the given element set make the table raise,
+    # but the conjugacy search reads only element sets and G's
+    # generators, so it answers as it did before it ran on arrays.
+    full = standard_subgroup("full", 9)
+    G = GenGroup(9, full.gen_codes[:1], "", full.element_codes)
+    borel = standard_subgroup("borel", 9)
+    assert groups.is_conjugate_subgroup(borel, G)
+    assert groups.is_conjugate_subgroup(G, full)
+    assert groups.is_conjugate(G, full)
+    assert not groups.is_conjugate_subgroup(G, borel)
+    with pytest.raises(ValueError, match="not the given element set"):
+        G.table
+
+
 def _classes_reference(H):
     n = H.modulus
     codes = closure_reference(H.gen_codes + (code_pack(-1, 0, 0, -1, n),),
@@ -461,6 +487,90 @@ def test_index3_pruned_complement_still_raises(monkeypatch):
     monkeypatch.setattr(action, "_homomorphisms", _no_homomorphisms)
     with pytest.raises(ValueError, match="not the given element set"):
         index3_fixing_count(G)
+
+
+def orbit_sizes_reference(C, vectors):
+    """Size of the orbit of each pair under C, one BFS per orbit with one
+    code_act call per pair and generator."""
+    n = C.modulus
+    size = {}
+    for v in vectors:
+        if v in size:
+            continue
+        orbit = [v]
+        seen = {v}
+        for w in orbit:
+            for g in C.gen_codes:
+                u = code_act(w, g, n)
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
+        for w in orbit:
+            size[w] = len(orbit)
+    return size
+
+
+@SETTINGS
+@given(st.sampled_from((3, 5, 9, 11)).flatmap(
+    lambda n: st.tuples(st.just(n), generator_lists(n))))
+def test_orbit_sizes_match_reference(case):
+    n, gens = case
+    G = GenGroup.from_generators(gens, n)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    assert action._orbit_sizes(G, pairs) == orbit_sizes_reference(G, pairs)
+    vectors = exact_order_vectors(n)
+    assert (action._orbit_sizes(G, vectors)
+            == orbit_sizes_reference(G, vectors))
+
+
+def applicable_reference(G):
+    """is_applicable as a loop over the element set, testing each trace-0
+    det--1 element against every vector of exact order n."""
+    n = G.modulus
+    if G.order == groups.gl2_order(n):
+        return groups.Applicability(False, "not proper")
+    if not contains_minus_identity(G):
+        return groups.Applicability(False, "-I not in subgroup")
+    if not groups.det_surjective(G):
+        return groups.Applicability(False, "det not surjective")
+    for c in G.element_codes:
+        if (code_trace(c, n), code_det(c, n)) == (0, n - 1) \
+                and fixes_full_order_vector((c,), n):
+            return groups.Applicability(True, "applicable")
+    return groups.Applicability(
+        False, "no trace-0 det--1 element fixes a full-order vector")
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 4, 5, 6, 9)).flatmap(
+    lambda n: st.tuples(st.just(n), generator_lists(n))))
+def test_is_applicable_matches_reference(case):
+    # -I joins half the groups, so that more of them reach the search.
+    n, gens = case
+    if len(gens) % 2:
+        gens = gens + [(-1, 0, 0, -1)]
+    G = GenGroup.from_generators(gens, n)
+    want = applicable_reference(G)
+    assert groups.is_applicable(G) == want
+    with pytest.MonkeyPatch.context() as mp:  # one element per pass
+        mp.setattr(groups, "_FIX_TEST_CELLS", 1)
+        assert groups.is_applicable(G) == want
+
+
+@pytest.mark.parametrize("n, gens", [
+    (9, [(2, 0, 0, 1), (1, 0, 0, 2), (-1, 0, 0, -1)]),
+    (37, [(2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1)]),
+    (101, [(2, 0, 0, 1), (-1, 0, 0, -1), (1, 0, 0, 3)]),
+    (101, [(0, 1, 1, 0), (-1, 0, 0, -1), (3, 0, 0, 3), (1, 0, 0, 2)]),
+])
+def test_is_applicable_at_large_levels(n, gens):
+    # Above n^4 = 2^20 the keys are computed from the codes, not looked up
+    # in a level table of n^4 entries.
+    G = closure(gens, n)
+    assert groups.is_applicable(G) == applicable_reference(G)
+    assert groups.is_applicable(G).ok
+    assert groups._class_counts(G) == Counter(
+        (code_trace(c, n), code_det(c, n)) for c in G.element_codes)
 
 
 def test_table_layout():
@@ -642,9 +752,9 @@ def test_index3_from_s3_images():
     assert_one_homomorphism_per_class(G)
 
 
-def conjugate_into_reference(G, H):
-    """Whether some invertible x below n^4 maps the whole element set of
-    G into H by x^-1 g x."""
+def first_conjugator_reference(G, H):
+    """The least invertible x below n^4 that maps the whole element set
+    of G into H by x^-1 g x, or None."""
     n = G.modulus
     hc = H.element_codes
     for x in range(n ** 4):
@@ -652,8 +762,14 @@ def conjugate_into_reference(G, H):
             xi = code_inverse(x, n)
             if all(code_mul(code_mul(xi, g, n), x, n) in hc
                    for g in G.element_codes):
-                return True
-    return False
+                return x
+    return None
+
+
+def conjugate_into_reference(G, H):
+    """Whether some invertible x below n^4 maps the whole element set of
+    G into H by x^-1 g x."""
+    return first_conjugator_reference(G, H) is not None
 
 
 def _conjugate_by(G, x):
@@ -673,7 +789,7 @@ def _conjugacy_pairs(n):
     (at even n > 2 the reflection and the swap share their trace and det
     classes but are not conjugate)."""
     rng = random.Random(n)
-    full = groups._full_codes(n)
+    full = groups._full_codes(n).tolist()
     family = [closure([g], n) for g in
               ((-1, 0, 0, 1), (-1, 0, 0, -1), (0, 1, 1, 0))]
     pairs = []
@@ -698,7 +814,7 @@ def _conjugacy_pairs(n):
     return pairs
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9, 11])
 def test_conjugacy_matches_reference(n):
     seen = Counter()
     for kind, G, H in _conjugacy_pairs(n):
@@ -712,7 +828,7 @@ def test_conjugacy_matches_reference(n):
         assert seen["same order", False] >= 1 and seen["divides", False] >= 1
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9, 11])
 def test_class_counts_count_trace_det_classes(n):
     for kind, G, H in _conjugacy_pairs(n):
         for K in (G, H):
@@ -722,10 +838,61 @@ def test_class_counts_count_trace_det_classes(n):
             assert groups._class_counts(G) == groups._class_counts(H)
 
 
+@pytest.mark.parametrize("n", [4, 7, 11])
+def test_conjugacy_search_blocks(n, monkeypatch):
+    # GL2 has 96, 2,016 and 13,200 elements: one partial block, and 8 and
+    # 52 blocks of which the last is partial. Each true pair is found at
+    # the block size in use and with a block boundary just before and
+    # just after its first conjugator, at its index f in code order.
+    full = groups._full_codes(n).tolist()
+    block = groups._CONJUGATOR_BLOCK
+    where = Counter()
+    for kind, G, H in _conjugacy_pairs(n):
+        x = first_conjugator_reference(G, H)
+        if x is None:
+            continue
+        f = full.index(x)
+        where["first block" if f < block else "later block"] += 1
+        if f >= len(full) // block * block:
+            where["last, partial block"] += 1
+        for size in (block, f, f + 1):
+            monkeypatch.setattr(groups, "_CONJUGATOR_BLOCK", max(1, size))
+            assert groups.is_conjugate_subgroup(G, H), (kind, f, size)
+        monkeypatch.undo()
+    if n == 4:
+        assert where["last, partial block"] == where["first block"] > 0
+    else:
+        assert where["later block"] >= 2 and where["first block"] >= 2
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_conjugacy_search_scans_every_block(n, monkeypatch):
+    # The reflection and the swap have equal class counts at even n but
+    # are not conjugate, so the search tests every block: 2 at n = 6
+    # (288 elements) and 12 at n = 10 (2,880), the last one partial.
+    reflection = closure([(-1, 0, 0, 1)], n)
+    swap = closure([(0, 1, 1, 0)], n)
+    assert groups._class_counts(reflection) == groups._class_counts(swap)
+    blocks = []
+    pack = groups.code_pack
+
+    def counting_pack(*args):  # one call per block
+        blocks.append(args[0].shape)
+        return pack(*args)
+
+    monkeypatch.setattr(groups, "code_pack", counting_pack)
+    assert not groups.is_conjugate_subgroup(reflection, swap)
+    size = len(groups._full_codes(n))
+    block = groups._CONJUGATOR_BLOCK
+    assert len(blocks) == -(-size // block)
+    assert blocks[-1] == (1, size % block)
+    assert not conjugate_into_reference(reflection, swap)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_full_codes_match_scan(n):
-    assert groups._full_codes(n) == tuple(
-        x for x in range(n ** 4) if gcd(code_det(x, n), n) == 1)
+    assert groups._full_codes(n).tolist() == [
+        x for x in range(n ** 4) if gcd(code_det(x, n), n) == 1]
 
 
 def test_conjugacy_rejects_mismatched_levels():
