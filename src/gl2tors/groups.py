@@ -13,11 +13,11 @@ GMat appears only where matrices enter or leave: generator input, the
 a result is in sorted code or (x, y) order, so results are deterministic.
 Conjugacy is decided by a search over GL2(Z/nZ), after one invariant:
 the (trace, det) class counts of `_class_counts`. The search, the class
-counts and the applicability test are numpy passes over per-level arrays
-built on first use: `_full_codes`, GL2 in code order, and at levels with
-n^4 <= 2^20 `_key_table`, trace*n + det of every code. The search tests
-_CONJUGATOR_BLOCK (256) elements of GL2 at a time against a dense
-membership array of n^4 entries, and stops at the first block with a hit.
+counts and the applicability test are numpy passes over a group's
+element codes and, for the search, `_full_codes`, GL2 in code order,
+built on first use per level. The search tests _CONJUGATOR_BLOCK (256)
+elements of GL2 at a time against a dense membership array of n^4
+entries, and stops at the first block with a hit.
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ class CayleyTable(NamedTuple):
 
 
 # The closure BFS hands its remaining levels to numpy once a level holds
-# _LEVEL_SWITCH elements, at levels n with n^4 <= _DENSE_MAX_CODES. Dense
-# int32 arrays of n^4 entries (the tail's two, and the class-key table)
-# are kept only at those levels, at most 4 MB each (n <= 32).
+# _LEVEL_SWITCH elements, at levels n with n^4 <= _TAIL_MAX_CODES: the tail
+# keeps two dense int32 arrays of n^4 entries, at most 4 MB each (n <= 32).
 _LEVEL_SWITCH = 256
-_DENSE_MAX_CODES = 2 ** 20
+_TAIL_MAX_CODES = 2 ** 20
 
 
 def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
@@ -86,7 +85,7 @@ def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
     (modmat.code_mul_tables, k*n^2 entries in all), after one divmod of
     x into its rows; the BFS makes no code_mul call. It walks level by
     level, and once a level holds _LEVEL_SWITCH elements and
-    n^4 <= _DENSE_MAX_CODES, `_closure_tail` runs the remaining levels
+    n^4 <= _TAIL_MAX_CODES, `_closure_tail` runs the remaining levels
     in numpy with the same result."""
     for g in gen_codes:
         _check_invertible(g, n)
@@ -96,7 +95,7 @@ def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
     codes = [ident]
     index = {ident: 0}
     edges = []
-    tail = n2 * n2 <= _DENSE_MAX_CODES
+    tail = n2 * n2 <= _TAIL_MAX_CODES
     start = 0
     while start < len(codes):
         level = codes[start:]
@@ -467,9 +466,9 @@ def is_applicable(G: GenGroup) -> Applicability:
     if not det_surjective(G):
         return Applicability(False, "det not surjective")
     codes = _code_array(G)
-    # Trace 0 and det -1: key 0*n + (n - 1). Each block tests its
-    # elements against every vector of exact order n in one pass.
-    cands = codes[_class_keys(codes, n) == n - 1]
+    # Each block tests its elements of trace 0 and det -1 against every
+    # vector of exact order n in one pass.
+    cands = codes[(code_trace(codes, n) == 0) & (code_det(codes, n) == n - 1)]
     x, y = np.array(exact_order_vectors(n), dtype=np.int64).T
     rows = max(1, _FIX_TEST_CELLS // x.size)
     for start in range(0, cands.size, rows):
@@ -491,32 +490,8 @@ def _full_codes(n: int) -> np.ndarray:
 
 
 def _code_array(G: GenGroup) -> np.ndarray:
-    """The element codes of G as an int64 array: the cached table's codes
-    when the closure BFS has built them, else the element set's."""
-    codes = G.element_codes
-    if G._table is not None:
-        return np.frombuffer(G._table.codes, dtype=np.int64)
-    return np.fromiter(codes, dtype=np.int64, count=len(codes))
-
-
-@functools.lru_cache(maxsize=None)
-def _key_table(n: int) -> np.ndarray:
-    """trace*n + det of every code below n^4, singular ones included, as
-    a read-only int32 array; n^4 <= _DENSE_MAX_CODES keeps every
-    intermediate inside int32."""
-    x = np.arange(n ** 4, dtype=np.int32)
-    keys = code_trace(x, n) * n + code_det(x, n)
-    keys.flags.writeable = False
-    return keys
-
-
-def _class_keys(codes: np.ndarray, n: int) -> np.ndarray:
-    """trace*n + det of each code of an int64 array: one lookup in the
-    level's key table while n^4 <= _DENSE_MAX_CODES, else computed from
-    the codes, since the table would need n^4 entries."""
-    if n ** 4 <= _DENSE_MAX_CODES:
-        return _key_table(n)[codes]
-    return code_trace(codes, n) * n + code_det(codes, n)
+    """The element codes of G as an int64 array, in set order."""
+    return np.fromiter(G.element_codes, dtype=np.int64, count=G.order)
 
 
 def _class_counts(G: GenGroup) -> Counter:
@@ -524,7 +499,8 @@ def _class_counts(G: GenGroup) -> Counter:
     of the element codes' keys. Conjugation keeps both, so x^-1 G x <= H
     needs each count of G to be at most that of H."""
     n = G.modulus
-    counts = np.bincount(_class_keys(_code_array(G), n))
+    codes = _code_array(G)
+    counts = np.bincount(code_trace(codes, n) * n + code_det(codes, n))
     keys = np.flatnonzero(counts)
     return Counter({divmod(k, n): c
                     for k, c in zip(keys.tolist(), counts[keys].tolist())})

@@ -564,8 +564,8 @@ def test_is_applicable_matches_reference(case):
     (101, [(0, 1, 1, 0), (-1, 0, 0, -1), (3, 0, 0, 3), (1, 0, 0, 2)]),
 ])
 def test_is_applicable_at_large_levels(n, gens):
-    # Above n^4 = 2^20 the keys are computed from the codes, not looked up
-    # in a level table of n^4 entries.
+    # At these levels an array of n^4 entries would not fit in memory;
+    # is_applicable and the class counts read only the group's codes.
     G = closure(gens, n)
     assert groups.is_applicable(G) == applicable_reference(G)
     assert groups.is_applicable(G).ok
