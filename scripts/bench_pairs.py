@@ -26,13 +26,20 @@ where it checks the recorded digests, and one traced run (`--trace 1`)
 of the change per workload at that seed, whose exit code, `correct` and
 `# WRONG:` lines go under `traced_runs`; a traced run is incorrect when
 a layer counter reads zero on its home workload.
+
+Both sides compile their sources alike: before the first run the
+`__pycache__` directories under each checkout's `src/` and `perfbench/`
+are deleted, and every run has PYTHONDONTWRITEBYTECODE=1 (recorded under
+`environment`), so neither side imports from bytecode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +49,7 @@ import numpy as np
 METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
 STDERR_LINES = 20
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ENVIRONMENT = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def run(checkout: str, workload: str, seed: int | None,
@@ -50,7 +58,8 @@ def run(checkout: str, workload: str, seed: int | None,
            "--seconds", str(seconds), "--trace", str(trace)]
     if seed is not None:
         cmd += ["--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env={**os.environ, **ENVIRONMENT})
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
@@ -83,6 +92,13 @@ def run_or_rerun(doc: dict, side: str, checkout: str, workload: str,
         doc["runs_without_result"].append({**where,
                                            "exit_code": r["exit_code"]})
     return r
+
+
+def clear_bytecode(checkout: str) -> None:
+    """Delete every __pycache__ under the checkout's src/ and perfbench/."""
+    for top in ("src", "perfbench"):
+        for cache in sorted(Path(checkout, top).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def end_to_end_metrics() -> dict:
@@ -136,10 +152,13 @@ def main() -> int:
     args = ap.parse_args()
     sides = {"parent": args.parent, "change": args.change}
     metrics = end_to_end_metrics()
+    for checkout in sides.values():
+        clear_bytecode(checkout)
     doc = {"command": "python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {args.seconds:g} --trace 0",
            "host": {"python": platform.python_version(),
                     "os": platform.system()},
+           "environment": ENVIRONMENT,
            "order": "pair for seed N runs parent first when N is odd and "
                     "change first when N is even",
            "workloads": {}, "reruns": [], "runs_without_result": []}

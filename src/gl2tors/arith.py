@@ -1,5 +1,5 @@
-"""Integer factorization helpers: deterministic Miller-Rabin with the
-fewest proven witnesses for the size of n, the next prime above n, and
+"""Integer factorization helpers: Miller-Rabin on the first 13 prime
+bases, deterministic below 3.3 * 10^24, the next prime above n, and
 Brent's variant of Pollard rho."""
 
 from __future__ import annotations
@@ -8,15 +8,6 @@ from math import gcd, isqrt
 
 # Deterministic witness set for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-# (limit, k): the first k bases of _MR_BASES decide every n < limit,
-# where limit is the smallest strong pseudoprime to all k of them
-# (Jaeschke 1993; Sorenson and Webster 2017). Above the last limit all
-# thirteen bases are used.
-_MR_TIERS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
-             (2152302898747, 5), (3474749660383, 6),
-             (341550071728321, 7), (3825123056546413051, 9),
-             (318665857834031151167461, 12))
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -32,12 +23,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    bases = _MR_BASES
-    for limit, k in _MR_TIERS:
-        if n < limit:
-            bases = _MR_BASES[:k]
-            break
-    for a in bases:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

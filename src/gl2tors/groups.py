@@ -13,11 +13,11 @@ GMat appears only where matrices enter or leave: generator input, the
 a result is in sorted code or (x, y) order, so results are deterministic.
 Conjugacy is decided by a search over GL2(Z/nZ), after one invariant:
 the (trace, det) class counts of `_class_counts`. The search, the class
-counts and the applicability test are numpy passes over a group's
-element codes and, for the search, `_full_codes`, GL2 in code order,
-built on first use per level. The search tests _CONJUGATOR_BLOCK (256)
-elements of GL2 at a time against a dense membership array of n^4
-entries, and stops at the first block with a hit.
+counts and the applicability test (off the entries of g - I) are numpy
+passes over a group's element codes and, for the search, `_full_codes`,
+GL2 in code order, built on first use per level. The search tests
+_CONJUGATOR_BLOCK (256) elements of GL2 at a time against a dense
+membership array of n^4 entries, and stops at the first block with a hit.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ class CayleyTable(NamedTuple):
 
     codes holds the elements in BFS order from the identity, which is
     index 0. With k generators, edges[i*k + j] is the index of
-    codes[i] * gen_j, written ~index when that edge is the first to reach
-    its target (a tree edge); every other edge is a check edge. Walking
-    edges in order therefore meets each element's tree edge before any
-    edge leaving it or any check edge into it.
+    codes[i] * gen_j: a tree edge, the first to reach its target, when
+    that target is the next index not yet reached, else a check edge.
+    Walking edges in order therefore meets each element's tree edge
+    before any edge leaving it or any check edge into it.
     """
 
     codes: array
@@ -110,9 +110,7 @@ def _closure_table(gen_codes, n: int) -> tuple[frozenset[int], CayleyTable]:
                 if i is None:
                     i = index[y] = len(codes)
                     codes.append(y)
-                    edges.append(~i)
-                else:
-                    edges.append(i)
+                edges.append(i)
     return frozenset(index), CayleyTable(array("q", codes), array("i", edges))
 
 
@@ -125,8 +123,8 @@ def _closure_tail(tables, n: int, codes: list, edges: list,
     order, and a dense code -> index array (-1 when absent) gives their
     indices. A product not yet indexed takes its first position in the
     level: positions scattered in reverse leave the first one written
-    last. New elements are numbered in first-occurrence order, and the
-    first occurrence is the tree edge (~index), as in the Python BFS."""
+    last. New elements are numbered in first-occurrence order, as in the
+    Python BFS, so each first occurrence is a tree edge."""
     n2 = n * n
     k = len(tables)
     his = np.array([t[0] for t in tables], dtype=np.int64).reshape(k, n2)
@@ -151,7 +149,6 @@ def _closure_tail(tables, n: int, codes: list, edges: list,
         where[level] = np.arange(size, size + level.size, dtype=np.int32)
         size += level.size
         e[new] = where[ys]
-        e[new[is_first]] = ~e[new[is_first]]
         found.append(level)
         out.append(e)
     codes_out = np.concatenate(found)
@@ -178,10 +175,12 @@ def _homomorphisms(G: GenGroup, mul, images):
         cols = [by[a] for a in assign]
         phi = [0] * size
         i = j = 0  # edges[i*k + j] leaves codes[i] by generator j
+        reached = 1
         for e in edges:
             v = cols[j][phi[i]]
-            if e < 0:
-                phi[~e] = v
+            if e == reached:
+                phi[e] = v
+                reached += 1
             elif phi[e] != v:
                 break
             j += 1
@@ -442,11 +441,6 @@ def exact_order_vectors(n: int) -> list[tuple[int, int]]:
     return [(x, y) for x in range(n) for y in range(n) if gcd(x, y, n) == 1]
 
 
-# The applicability test takes at most this many (element, vector) pairs
-# per numpy pass: at level n there are about n^2 vectors of exact order n.
-_FIX_TEST_CELLS = 2 ** 16
-
-
 @dataclass(frozen=True)
 class Applicability:
     """Outcome of the applicability test, with the first failing reason."""
@@ -457,7 +451,14 @@ class Applicability:
 
 def is_applicable(G: GenGroup) -> Applicability:
     """Proper subgroup, -I in G, det onto, and some element with trace 0
-    and det -1 fixing a vector of exact order n."""
+    and det -1 fixing a vector of exact order n.
+
+    With M = g - I, g fixes one exactly when det M = 0 mod q*gcd(M, q)
+    for each q = p^k || n: over Z/q, M has Smith form diag(p^a, p^b),
+    a <= b, p^a = gcd(M, q), and vM = 0 has a solution of exact order q
+    iff b >= k. Moving an entry by q moves det M by a multiple of q*p^a;
+    the CRT joins the q. At odd n all such g pass: g^2 = I, so g fixes
+    the rows of g + I, not all 0 mod p as -I has trace -2."""
     n = G.modulus
     if G.order == gl2_order(n):
         return Applicability(False, "not proper")
@@ -466,15 +467,14 @@ def is_applicable(G: GenGroup) -> Applicability:
     if not det_surjective(G):
         return Applicability(False, "det not surjective")
     codes = _code_array(G)
-    # Each block tests its elements of trace 0 and det -1 against every
-    # vector of exact order n in one pass.
     cands = codes[(code_trace(codes, n) == 0) & (code_det(codes, n) == n - 1)]
-    x, y = np.array(exact_order_vectors(n), dtype=np.int64).T
-    rows = max(1, _FIX_TEST_CELLS // x.size)
-    for start in range(0, cands.size, rows):
-        wx, wy = code_act((x, y), cands[start:start + rows, None], n)
-        if ((wx == x) & (wy == y)).any():
-            return Applicability(True, "applicable")
+    a, b, c, d = code_entries(cands, n)
+    a, d = a - 1, d - 1
+    det, content = a * d - b * c, np.gcd(np.gcd(a, b), np.gcd(c, d))
+    fixes = [det % (q * np.gcd(content, q)) == 0
+             for q in (p ** k for p, k in factorint(n).items())]
+    if np.all(fixes, axis=0).any():
+        return Applicability(True, "applicable")
     return Applicability(False,
                          "no trace-0 det--1 element fixes a full-order vector")
 

@@ -37,7 +37,7 @@ from math import isqrt
 import numpy as np
 
 from .polynomial import (BiPoly, UniPoly, _eval_int_at, _form_mod, _frac,
-                         _grid_arrays, _grid_key, _sorted_grid_arrays,
+                         _grid_arrays, _grid_key, _mod, _sorted_grid_arrays,
                          farey_fractions, poly_gcd)
 
 
@@ -242,10 +242,10 @@ def _residue_keys(m: JMap, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     inv, base, e = np.ones_like(d), d, P - 2  # d^(P - 2) = 1/d (Fermat)
     while e:
         if e & 1:
-            inv = inv * base % P
-        base = base * base % P
+            inv = _mod(inv * base, P)
+        base = _mod(base * base, P)
         e >>= 1
-    keys = n * inv % P
+    keys = _mod(n * inv, P)
     for i in np.flatnonzero(d == 0).tolist():
         v = jmap_eval(m, Fraction(int(p[i]), int(q[i])))
         keys[i] = P
@@ -316,7 +316,7 @@ def _sieved_points(C: list[int], height: int) -> list[tuple[int, int]]:
     acc = _form_mod(C, p, q, _SIEVE_M)
     keep = np.ones(p.shape, dtype=bool)
     for m, square in _SQUARES.items():
-        keep &= square[acc % m]
+        keep &= square[_mod(acc, m)]
     return list(zip(p[keep].tolist(), q[keep].tolist()))
 
 

@@ -41,8 +41,8 @@ def test_next_prime():
 
 
 # The smallest strong pseudoprime to the first k prime bases, for the k
-# at which it changes (Jaeschke 1993; Sorenson and Webster 2017): below
-# each one, is_probable_prime may use fewer bases.
+# at which it changes (Jaeschke 1993; Sorenson and Webster 2017): each is
+# composite, and is_probable_prime, which tries all 13 bases, says so.
 STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
                        3474749660383, 341550071728321, 3825123056546413051,
                        318665857834031151167461)

@@ -2,10 +2,12 @@
 more, keeps the failed run under `reruns`, and uses the rerun only when
 it printed a result; its summary gives each metric's bound and verdict,
 and each workload its rerun count. `run` is replaced, so no benchmark
-runs here."""
+runs here, except for a fake checkout whose perfbench/run.py reports the
+bytecode setting and the caches it sees."""
 
 import importlib.util
 import json
+import textwrap
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -123,3 +125,51 @@ def test_each_workload_counts_its_reruns(monkeypatch, tmp_path):
     assert doc["workloads"]["groups"]["reruns"] == 0
     assert [r["workload"] for r in doc["reruns"]] == ["grid"]
     assert doc["workloads"]["grid"]["summary"]["wall_s"]["verdict"] == "ok"
+
+
+FAKE_RUN = textwrap.dedent("""\
+    import json
+    import os
+    from pathlib import Path
+
+    print(json.dumps({
+        "metrics": {name: {"value": 1.0} for name in (
+            "setup_s", "wall_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")},
+        "correct": True, "failed": 0,
+        "dont_write_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "caches": [str(p) for top in ("src", "perfbench")
+                   for p in Path(top).rglob("__pycache__")]}))
+""")
+
+
+def fake_checkout(root: Path) -> Path:
+    """A checkout with a perfbench/run.py that prints one result line,
+    and a planted __pycache__ under src/ and perfbench/."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    for cache in (root / "perfbench" / "__pycache__",
+                  root / "src" / "pkg" / "__pycache__"):
+        cache.mkdir(parents=True)
+        (cache / "mod.cpython.pyc").write_bytes(b"")
+    return root
+
+
+def test_both_sides_run_without_bytecode(monkeypatch, tmp_path):
+    mod = load()
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    parent = fake_checkout(tmp_path / "parent")
+    change = fake_checkout(tmp_path / "change")
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "--parent", str(parent), "--change", str(change),
+        "--workloads", "groups", "--seeds", "1-2", "--seconds", "1",
+        "--out", str(out)])
+    assert mod.main() == 0
+    doc = json.loads(out.read_text())
+    assert doc["environment"] == {"PYTHONDONTWRITEBYTECODE": "1"}
+    for pair in doc["workloads"]["groups"]["pairs"]:
+        for side in ("parent", "change"):
+            result = pair[side]["result"]
+            assert result["dont_write_bytecode"] == "1"
+            assert result["caches"] == []
+    assert not list(tmp_path.rglob("__pycache__"))

@@ -5,11 +5,13 @@ from itertools import product
 
 import pytest
 
-from gl2tors.jmaps import (JMAP_LABELS, POLE, JMap, fiber_curve,
-                           fiber_points, jmap_eval, named_jmap,
+from gl2tors.jmaps import (_PRIME, JMAP_LABELS, POLE, JMap, _residue_keys,
+                           fiber_curve, fiber_points, jmap_eval, named_jmap,
                            search_hyperelliptic, search_plane,
                            zeta3_descent_search)
-from gl2tors.polynomial import BiPoly, UniPoly, parse_poly
+from gl2tors.polynomial import (_RECIPROCAL_MIN, BiPoly, UniPoly,
+                                _sorted_grid_arrays, farey_fractions,
+                                parse_poly)
 
 X = UniPoly.x()
 
@@ -30,6 +32,22 @@ def test_jmap_poles():
     assert jmap_eval(named_jmap("9H0-9b"), 1) is POLE
     assert jmap_eval(named_jmap("9H0-9b"), -1) is POLE
     assert repr(POLE) == "pole"
+
+
+@pytest.mark.parametrize("label", ["2B", "9H0-9b"])
+def test_residue_keys_match_exact_values(label):
+    # Each key is the exact value mod P, or P at a pole (0 for 2B, +-1
+    # for 9H0-9b); the grid is past _RECIPROCAL_MIN points, so _mod
+    # divides by its reciprocal.
+    m = named_jmap(label)
+    p, q = _sorted_grid_arrays(30)
+    assert p.size > _RECIPROCAL_MIN
+    values = [jmap_eval(m, x) for x in farey_fractions(30)]
+    assert POLE in values
+    assert _residue_keys(m, p, q).tolist() == [
+        _PRIME if v is POLE or v.denominator % _PRIME == 0
+        else v.numerator * pow(v.denominator, -1, _PRIME) % _PRIME
+        for v in values]
 
 
 def test_jmap_labels():

@@ -25,13 +25,16 @@ seeded conjugate, equal-order and subgroup pairs, with the search's
 block boundaries moved around each pair's first conjugator. The
 orbit-size reference walks each orbit with one code_act per pair and
 generator, and the applicability reference tests each trace-0 det--1
-element of the element set against every vector of exact order n."""
+element of the element set against every vector of exact order n; the
+applicability test's reading of g - I is also checked against that
+enumeration on every trace-0 det--1 element at eight levels."""
 
 import itertools
 import random
 from collections import Counter
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,9 +89,7 @@ def table_reference(gen_codes, n):
             if i is None:
                 i = index[y] = len(codes)
                 codes.append(y)
-                edges.append(~i)
-            else:
-                edges.append(i)
+            edges.append(i)
     return codes, edges
 
 
@@ -541,20 +542,55 @@ def applicable_reference(G):
         False, "no trace-0 det--1 element fixes a full-order vector")
 
 
-@SETTINGS
-@given(st.sampled_from((2, 3, 4, 5, 6, 9)).flatmap(
+@settings(SETTINGS, max_examples=80)
+@given(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 12, 16, 18)).flatmap(
     lambda n: st.tuples(st.just(n), generator_lists(n))))
 def test_is_applicable_matches_reference(case):
-    # -I joins half the groups, so that more of them reach the search.
+    # -I joins half the groups, so that more of them reach the last
+    # clause; at even n its p = 2 factor can fail.
     n, gens = case
     if len(gens) % 2:
         gens = gens + [(-1, 0, 0, -1)]
     G = GenGroup.from_generators(gens, n)
-    want = applicable_reference(G)
-    assert groups.is_applicable(G) == want
-    with pytest.MonkeyPatch.context() as mp:  # one element per pass
-        mp.setattr(groups, "_FIX_TEST_CELLS", 1)
-        assert groups.is_applicable(G) == want
+    assert groups.is_applicable(G) == applicable_reference(G)
+
+
+def trace0_det_minus1_codes(n):
+    """Every code mod n of trace 0 and det -1, in code order."""
+    x = np.arange(n ** 4, dtype=np.int64)
+    return x[(code_trace(x, n) == 0) & (code_det(x, n) == n - 1)]
+
+
+def applicable_on(g, n):
+    """is_applicable on the element set {g, -I}, given generators whose
+    determinants cover the units: the first three clauses pass, so the
+    last one decides, on g alone (-I has trace 0 only at n = 2, where it
+    is I and fixes every vector)."""
+    gens = tuple(code_pack(1, 0, 0, u, n) for u in range(1, n)
+                 if gcd(u, n) == 1)
+    minus = code_pack(-1, 0, 0, -1, n)
+    return groups.is_applicable(
+        GenGroup(n, gens, "", frozenset({g, minus}))).ok
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 9, 12, 16, 18])
+def test_applicability_matches_enumeration_per_element(n):
+    # Each element of trace 0 and det -1 against every vector of exact
+    # order n; at n = 4, 8, 12 and 16 some of them fix none.
+    codes = trace0_det_minus1_codes(n)
+    x, y = np.array(exact_order_vectors(n), dtype=np.int64).T
+    wx, wy = code_act((x, y), codes[:, None], n)
+    fixes = ((wx == x) & (wy == y)).any(axis=1).tolist()
+    assert [applicable_on(g, n) for g in codes.tolist()] == fixes
+    assert all(fixes) == (n % 4 != 0)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 21, 25, 27])
+def test_applicability_at_odd_levels(n):
+    # At odd n every element of trace 0 and det -1 fixes a vector of
+    # exact order n, so the last clause holds whenever G has one.
+    assert all(applicable_on(g, n)
+               for g in trace0_det_minus1_codes(n).tolist())
 
 
 @pytest.mark.parametrize("n, gens", [
@@ -582,15 +618,18 @@ def test_table_layout():
     assert codes[0] == code_pack(1, 0, 0, 1, 3)
     assert sorted(codes) == sorted(G.element_codes)
     assert len(edges) == len(codes) * k
-    tree = [~e for e in edges if e < 0]
-    assert tree == list(range(1, len(codes)))
+    # No edge runs ahead of the numbering, so the tree edges, those whose
+    # target is the next index not yet reached, reach 1, 2, ... in order.
+    tree = []
     for pos, e in enumerate(edges):
         i, j = divmod(pos, k)
-        dst = ~e if e < 0 else e
-        assert codes[dst] == code_mul(codes[i], G.gen_codes[j], 3)
+        assert 0 <= e <= len(tree) + 1
+        if e == len(tree) + 1:
+            tree.append(j)
+        assert codes[e] == code_mul(codes[i], G.gen_codes[j], 3)
+    assert len(tree) == len(codes) - 1
     # The repeated generator and the identity only give check edges.
-    assert all(e >= 0 for e in edges[1::k]) and all(e >= 0
-                                                    for e in edges[2::k])
+    assert set(tree) <= {0, 3}
 
 
 def test_table_is_cached_and_not_compared():
