@@ -19,13 +19,17 @@ linear interpolation) of each side, the number of pairs in which the
 change read lower, the metric's relative `bound` from BENCHMARK.json and
 a `verdict`: `worse` when the change's median is worse than the
 parent's by more than the bound, else `unresolved` when the parent's
-interquartile range is wider than the bound, else `ok`. Each workload
-also counts the runs of its pairs that were rerun. `--default-seed`
-adds one run of the change per workload at perfbench's default seed,
-where it checks the recorded digests, and one traced run (`--trace 1`)
-of the change per workload at that seed, whose exit code, `correct` and
-`# WRONG:` lines go under `traced_runs`; a traced run is incorrect when
-a layer counter reads zero on its home workload.
+interquartile range is wider than the bound, else `ok`, and a `gain`
+flag: true when the change reads better in at least 9 of 10 pairs (ties
+count for neither side) and its median is better than the parent's by
+more than the parent's interquartile range, the rule a claimed gain
+must meet. Each workload also counts the runs of its pairs that were
+rerun. `--default-seed` adds one run of the change per workload at
+perfbench's default seed, where it checks the recorded digests, and one
+traced run (`--trace 1`) of the change per workload at that seed, whose
+exit code, `correct` and `# WRONG:` lines go under `traced_runs`; a
+traced run is incorrect when a layer counter reads zero on its home
+workload.
 
 Both sides compile their sources alike: before the first run the
 `__pycache__` directories under each checkout's `src/` and `perfbench/`
@@ -116,6 +120,17 @@ def verdict(qa: list[float], qb: list[float], metric: dict) -> str:
     return "unresolved" if qa[2] - qa[0] > bound else "ok"
 
 
+def gain(a: list[float], b: list[float], qa: list[float], qb: list[float],
+         metric: dict) -> bool:
+    """Whether the change reads better than the parent in at least 9 of
+    10 pairs (a tie counts for neither side) and its median is better by
+    more than the parent's interquartile range."""
+    sign = 1 if metric["better"] == "lower" else -1
+    better_in = sum(sign * (x - y) > 0 for x, y in zip(a, b))
+    return (10 * better_in >= 9 * len(a)
+            and sign * (qa[1] - qb[1]) > qa[2] - qa[0])
+
+
 def summarize(pairs: list[dict], metrics: dict) -> dict:
     done = [p for p in pairs
             if p["parent"]["result"] and p["change"]["result"]]
@@ -130,7 +145,8 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
                      "change_q1": qb[0], "change_q3": qb[2],
                      "change_lower_in": sum(y < x for x, y in zip(a, b)),
                      "bound": metrics[name]["bound"],
-                     "verdict": verdict(qa, qb, metrics[name])}
+                     "verdict": verdict(qa, qb, metrics[name]),
+                     "gain": gain(a, b, qa, qb, metrics[name])}
     return out
 
 

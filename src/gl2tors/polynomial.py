@@ -11,10 +11,11 @@ Rational roots have one path: the roots of the integer model modulo the
 least usable small prime, found by evaluation, are lifted by Newton's
 iteration until rational reconstruction recovers all of them, and every
 returned root is verified exactly. Resultants of the integer models
-are evaluated at the integer nodes where neither leading coefficient
-vanishes, by the subresultant pseudo-remainder sequence, and
-interpolated over the integers. _pseudo_remainder is the one remainder
-loop: the gcd runs the primitive PRS on it, the resultant the
+are values of the subresultant pseudo-remainder sequence: at low
+eliminated degree one value at w = 2^B, read off its base-2^B digits,
+above it values at the integer nodes where neither leading coefficient
+vanishes, interpolated over the integers. _pseudo_remainder is the one
+remainder loop: the gcd runs the primitive PRS on it, the resultant the
 subresultant PRS.
 
 Integer forms sum C[i] p^i q^(e - i) have one evaluator each way:
@@ -727,9 +728,12 @@ def _integer_model(B: BiPoly, axis: int) -> tuple[Fraction, list[list[int]]]:
     where v is the eliminated variable, w the kept one and the integer
     rows are coprime; rows all have length deg_w(B) + 1."""
     c = B._content()
-    width = B.degree(1 - axis) + 1
-    return c, [[int(row.coeff(o) / c) for o in range(width)]
-               for row in B.coeffs_in(axis)]
+    n, d = c.numerator, c.denominator
+    rows = [[0] * (B.degree(1 - axis) + 1) for _ in range(B.degree(axis) + 1)]
+    for (i, j), v in B._c.items():
+        e, o = (i, j) if axis == 0 else (j, i)
+        rows[e][o] = v.numerator * d // (v.denominator * n)
+    return c, rows
 
 
 def _int_resultant(a: list[int], b: list[int]) -> int:
@@ -783,28 +787,11 @@ def _interpolate(nodes: list[int], vals: list[int]) -> list[int]:
     return out
 
 
-def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
-    """Resultant of F and G with respect to the eliminated axis
-    (0 for s, 1 for t), as a polynomial in the other variable.
-
-    F and G are scaled to coprime integer models, F = c_F * F' and
-    G = c_G * G'. Res(F', G') has degree at most
-    deg(G) * deg_w(F) + deg(F) * deg_w(G) in the kept variable w; it is
-    evaluated at that many integer nodes plus one and interpolated over
-    the integers, which reproduces every node value. The nodes are taken
-    from 0, 1, -1, 2, ..., skipping every node where the leading
-    coefficient of F' or G' in the eliminated variable vanishes: at the
-    others both specialisations keep their degrees, so their resultant,
-    a subresultant PRS on the coefficient lists (_int_resultant), is
-    the value of Res(F', G'). Res(F, G) = c_F^deg(G) * c_G^deg(F) *
-    Res(F', G').
-    """
-    df, dg = F.degree(axis), G.degree(axis)
-    if df < 1 or dg < 1:
-        raise ValueError("both inputs must have positive degree in the "
-                         "eliminated variable")
-    cf, frows = _integer_model(F, axis)
-    cg, grows = _integer_model(G, axis)
+def _node_resultant(frows: list[list[int]],
+                    grows: list[list[int]]) -> list[int]:
+    """Res(F', G') of two integer models' rows by evaluation at integer
+    nodes and interpolation: see resultant."""
+    df, dg = len(frows) - 1, len(grows) - 1
     bound = dg * (len(frows[0]) - 1) + df * (len(grows[0]) - 1)
     nodes = []
     vals = []
@@ -816,6 +803,97 @@ def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
             nodes.append(x)
             vals.append(_int_resultant(fc, gc))
         x = -x if x > 0 else -x + 1
+    return _interpolate(nodes, vals)
+
+
+def _kronecker_resultant(frows: list[list[int]],
+                         grows: list[list[int]]) -> list[int]:
+    """Res(F', G') of two integer models' rows by one evaluation at
+    w = 2^B, read off its balanced base-2^B digits: see resultant. The
+    list has no trailing zeros and is empty for a zero resultant."""
+    df, dg = len(frows) - 1, len(grows) - 1
+    norm = (sum(abs(c) for row in frows for c in row) ** dg
+            * sum(abs(c) for row in grows for c in row) ** df)
+    b = norm.bit_length() + 2
+
+    def at(row):
+        acc = 0
+        for c in reversed(row):
+            acc = (acc << b) + c
+        return acc
+
+    r = _int_resultant(list(map(at, frows)), list(map(at, grows)))
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    out = []
+    while r:
+        digit = r & mask
+        r >>= b
+        if digit >= half:
+            digit -= mask + 1
+            r += 1
+        out.append(digit)
+    return out
+
+
+# The highest eliminated degree that resultant reads off one evaluation
+# at w = 2^B; its docstring gives the measured crossover.
+_KRONECKER_MAX_DEGREE = 4
+
+
+def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
+    """Resultant of F and G with respect to the eliminated axis
+    (0 for s, 1 for t), as a polynomial in the other variable.
+
+    F and G are scaled to coprime integer models, F = c_F * F' and
+    G = c_G * G', and Res(F, G) = c_F^deg(G) * c_G^deg(F) * Res(F', G').
+    Res(F', G'), in Z[w] for the kept variable w, specialises at every
+    integer w where neither leading coefficient of F' or G' in the
+    eliminated variable vanishes: there both keep their degrees, so its
+    value is the resultant of the two integer coefficient lists, a
+    subresultant PRS (_int_resultant). It is read off by one of two
+    routes, chosen by max(deg F, deg G) in the eliminated variable.
+
+    Up to _KRONECKER_MAX_DEGREE, one evaluation at w = 2^B gives every
+    coefficient (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
+    2009). With |P| the sum of the absolute integer coefficients of P,
+    B = bit_length(|F'|^deg(G) * |G'|^deg(F)) + 2, and this is exact:
+    - Res(F', G') is the Sylvester determinant, whose rows hold the
+      coefficients of F' or G' in the eliminated variable, each a
+      polynomial in w. Over the permutation expansion, |a b| <= |a| |b|
+      and |a + b| <= |a| + |b| bound |Res(F', G')| by the permanent of
+      the entries' |.|, at most the product of its row sums,
+      |F'|^deg(G) * |G'|^deg(F) < 2^(B - 2); so is each coefficient.
+    - Each coefficient of a leading coefficient of F' or G' is at most
+      |F'| or |G'|, also below 2^(B - 2); a nonzero one of degree k has
+      |value at 2^B| >= 2^(Bk) - 2^(B - 2) * (2^(Bk) - 1) / (2^B - 1)
+      > 0, so neither vanishes at 2^B and specialisation holds there.
+    - The value at 2^B is sum r_i 2^(Bi) with every |r_i| < 2^(B - 2),
+      and the base-2^B digits in [-2^(B - 1), 2^(B - 1)) of an integer
+      are unique, so the balanced digits of the value are the r_i.
+
+    Above it, Res(F', G') has degree at most deg(G) * deg_w(F) +
+    deg(F) * deg_w(G); it is evaluated at that many integer nodes plus
+    one and interpolated over the integers, which reproduces every node
+    value. The nodes are taken from 0, 1, -1, 2, ..., skipping every
+    node where a leading coefficient vanishes.
+
+    The one evaluation's single PRS runs on numbers of about B * deg_w
+    bits, and B grows with the eliminated degree, so the switch sits
+    where it stops winning. On dense inputs with 20-bit coefficients
+    and deg_w 3 or 6 (2-core Xeon, Python 3.11, two runs) it is
+    1.2-9.5x as fast as the nodes at degrees 2-4, 0.8-1.0x at 5,
+    0.5-0.7x at 6 and 0.2-0.3x at 8; on the fiber of 3Cs.1.1 x 9B0-9a,
+    axis 0 (degree 12), it takes 0.8-1.1 s against the nodes' 0.09-0.15
+    s.
+    """
+    df, dg = F.degree(axis), G.degree(axis)
+    if df < 1 or dg < 1:
+        raise ValueError("both inputs must have positive degree in the "
+                         "eliminated variable")
+    cf, frows = _integer_model(F, axis)
+    cg, grows = _integer_model(G, axis)
+    route = (_kronecker_resultant if max(df, dg) <= _KRONECKER_MAX_DEGREE
+             else _node_resultant)
     scale = cf ** dg * cg ** df
     return UniPoly({e: scale * c
-                    for e, c in enumerate(_interpolate(nodes, vals))})
+                    for e, c in enumerate(route(frows, grows))})

@@ -1,9 +1,9 @@
 """scripts/bench_pairs.py runs a run that printed no result line once
 more, keeps the failed run under `reruns`, and uses the rerun only when
-it printed a result; its summary gives each metric's bound and verdict,
-and each workload its rerun count. `run` is replaced, so no benchmark
-runs here, except for a fake checkout whose perfbench/run.py reports the
-bytecode setting and the caches it sees."""
+it printed a result; its summary gives each metric's bound, verdict and
+gain flag, and each workload its rerun count. `run` is replaced, so no
+benchmark runs here, except for a fake checkout whose perfbench/run.py
+reports the bytecode setting and the caches it sees."""
 
 import importlib.util
 import json
@@ -106,6 +106,40 @@ def test_verdicts():
     assert mod.verdict([0.8, 1.0, 1.3], [0.9, 1.0, 1.1], lower) == (
         "unresolved")
     assert mod.verdict([0.8, 1.0, 1.3], [1.3, 1.4, 1.5], lower) == "worse"
+
+
+def wall_pairs(mod, parent, change):
+    return [{side: {"result": {"metrics": {
+        name: {"value": v} for name in mod.METRICS}}}
+        for side, v in (("parent", x), ("change", y))}
+        for x, y in zip(parent, change)]
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
+    mod = load()
+    metrics = mod.end_to_end_metrics()
+    # Parent quartiles 1.0225, 1.045, 1.0675: an IQR of 0.045.
+    parent = [1.0 + i / 100 for i in range(10)]
+    nine_wins = [0.9] * 9 + [1.2]
+    summary = mod.summarize(wall_pairs(mod, parent, nine_wins), metrics)
+    assert summary["wall_s"]["change_lower_in"] == 9
+    assert summary["wall_s"]["gain"] is True
+    # The same 9 wins by 0.1 against a parent IQR of 0.45.
+    wide = [1.0 + i / 10 for i in range(10)]
+    close = [x - 0.1 for x in wide[:9]] + [wide[9] + 0.1]
+    summary = mod.summarize(wall_pairs(mod, wide, close), metrics)
+    assert summary["wall_s"]["change_lower_in"] == 9
+    assert summary["wall_s"]["gain"] is False
+    # 8 wins, a tie and a loss: the tie counts for neither side.
+    eight_wins = [0.9] * 8 + [parent[8], 1.2]
+    summary = mod.summarize(wall_pairs(mod, parent, eight_wins), metrics)
+    assert summary["wall_s"]["gain"] is False
+    # Where higher is better, the same rule runs the other way.
+    higher = {"better": "higher"}
+    assert mod.gain(parent, [2.0] * 10, [1.0225, 1.045, 1.0675],
+                    [2.0, 2.0, 2.0], higher) is True
+    assert mod.gain(parent, nine_wins, [1.0225, 1.045, 1.0675],
+                    [0.9, 0.9, 0.9], higher) is False
 
 
 def test_each_workload_counts_its_reruns(monkeypatch, tmp_path):

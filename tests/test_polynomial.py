@@ -219,12 +219,12 @@ def test_resultant_common_factor_vanishes():
 
 
 def test_resultant_interpolated():
-    # Degrees 4 and 3 in s and degree bound 3 * 4 + 4 * 3 = 24 in t:
-    # the resultant is evaluated at 25 integer nodes and interpolated.
-    F = parse_bipoly("(s - t)^4")
+    # Degrees 5 and 3 in s and degree bound 3 * 5 + 5 * 3 = 30 in t:
+    # the resultant is evaluated at 31 integer nodes and interpolated.
+    F = parse_bipoly("(s - t)^5")
     G = parse_bipoly("(s + t)^3")
     R = resultant(F, G, 0)
-    assert R == 4096 * X ** 12
+    assert R == 32768 * X ** 15
 
 
 def test_resultant_degree_guard():
