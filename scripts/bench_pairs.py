@@ -20,11 +20,13 @@ change read lower, the metric's relative `bound` from BENCHMARK.json and
 a `verdict`: `worse` when the change's median is worse than the
 parent's by more than the bound, else `unresolved` when the parent's
 interquartile range is wider than the bound, else `ok`, and a `gain`
-flag: true when the change reads better in at least 9 of 10 pairs (ties
-count for neither side) and its median is better than the parent's by
-more than the parent's interquartile range, the rule a claimed gain
-must meet. Each workload also counts the runs of its pairs that were
-rerun. `--default-seed` adds one run of the change per workload at
+flag, true only when at least 10 pairs have both results, the change
+reads better in at least 9 of every 10 pairs run (a tie counts for
+neither side, a pair without a change result against the change), the
+change has no more failed operations and no more incorrect runs than
+the parent, and its median is better than the parent's by more than
+the parent's interquartile range. Each workload also counts the runs of
+its pairs that were rerun. `--default-seed` adds one run of the change per workload at
 perfbench's default seed, where it checks the recorded digests, and one
 traced run (`--trace 1`) of the change per workload at that seed, whose
 exit code, `correct` and `# WRONG:` lines go under `traced_runs`; a
@@ -120,15 +122,21 @@ def verdict(qa: list[float], qb: list[float], metric: dict) -> str:
     return "unresolved" if qa[2] - qa[0] > bound else "ok"
 
 
-def gain(a: list[float], b: list[float], qa: list[float], qb: list[float],
-         metric: dict) -> bool:
-    """Whether the change reads better than the parent in at least 9 of
-    10 pairs (a tie counts for neither side) and its median is better by
-    more than the parent's interquartile range."""
+def gain(pairs: list[dict], a: list[float], b: list[float],
+         qa: list[float], qb: list[float], metric: dict) -> bool:
+    """The `gain` flag (see the module docstring) for the metric values
+    a, b and quartiles qa, qb of the pairs with both results."""
     sign = 1 if metric["better"] == "lower" else -1
     better_in = sum(sign * (x - y) > 0 for x, y in zip(a, b))
-    return (10 * better_in >= 9 * len(a)
-            and sign * (qa[1] - qb[1]) > qa[2] - qa[0])
+    if (len(a) < 10 or 10 * better_in < 9 * len(pairs)
+            or sign * (qa[1] - qb[1]) <= qa[2] - qa[0]):
+        return False
+
+    def count(side, bad):
+        return sum(bad(p[side]) for p in pairs if p[side]["result"])
+    return all(count("change", bad) <= count("parent", bad) for bad in (
+        lambda r: r["result"]["failed"],
+        lambda r: not r["result"]["correct"] or bool(r["wrong"])))
 
 
 def summarize(pairs: list[dict], metrics: dict) -> dict:
@@ -146,7 +154,7 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
                      "change_lower_in": sum(y < x for x, y in zip(a, b)),
                      "bound": metrics[name]["bound"],
                      "verdict": verdict(qa, qb, metrics[name]),
-                     "gain": gain(a, b, qa, qb, metrics[name])}
+                     "gain": gain(pairs, a, b, qa, qb, metrics[name])}
     return out
 
 

@@ -11,11 +11,9 @@ Rational roots have one path: the roots of the integer model modulo the
 least usable small prime, found by evaluation, are lifted by Newton's
 iteration until rational reconstruction recovers all of them, and every
 returned root is verified exactly. Resultants of the integer models
-are values of the subresultant pseudo-remainder sequence: at low
-eliminated degree one value at w = 2^B, read off its base-2^B digits,
-above it values at the integer nodes where neither leading coefficient
-vanishes, interpolated over the integers. _pseudo_remainder is the one
-remainder loop: the gcd runs the primitive PRS on it, the resultant the
+are read off the balanced base-2^B digits of one value of the
+subresultant pseudo-remainder sequence, at w = 2^B (Kronecker
+substitution). _pseudo_remainder is the one remainder loop: the gcd runs the primitive PRS on it, the resultant the
 subresultant PRS.
 
 Integer forms sum C[i] p^i q^(e - i) have one evaluator each way:
@@ -262,16 +260,6 @@ class BiPoly(_Poly):
             k = (i - 1, j) if axis == 0 else (i, j - 1)
             c[k] = c.get(k, _ZERO) + v * e
         return BiPoly(c)
-
-    def coeffs_in(self, axis: int) -> list[UniPoly]:
-        """Coefficients as polynomials in the other variable, low to high
-        in the chosen axis."""
-        d = self.degree(axis)
-        out = [dict() for _ in range(d + 1)]
-        for (i, j), v in self._c.items():
-            e, o = (i, j) if axis == 0 else (j, i)
-            out[e][o] = v
-        return [UniPoly(c) for c in out]
 
     def primitive(self) -> "BiPoly":
         """Scale by a positive rational so coefficients are coprime
@@ -762,84 +750,6 @@ def _int_resultant(a: list[int], b: list[int]) -> int:
     return s * b[0] ** da * h // h ** da
 
 
-def _interpolate(nodes: list[int], vals: list[int]) -> list[int]:
-    """Low-to-high coefficients of the integer polynomial of degree below
-    len(nodes) that takes vals at the distinct integer nodes.
-
-    Divided differences of an integer polynomial at integer nodes are
-    integers, so each Newton step divides exactly; a remainder raises
-    ArithmeticError, as the values then come from no such polynomial."""
-    n = len(nodes)
-    dd = list(vals)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            q, rem = divmod(dd[i] - dd[i - 1], nodes[i] - nodes[i - j])
-            if rem:
-                raise ArithmeticError("values are not those of an integer "
-                                      "polynomial")
-            dd[i] = q
-    out = [dd[-1]]
-    for i in range(n - 2, -1, -1):
-        x = nodes[i]
-        out = ([dd[i] - x * out[0]]
-               + [out[e - 1] - x * out[e] for e in range(1, len(out))]
-               + [out[-1]])
-    return out
-
-
-def _node_resultant(frows: list[list[int]],
-                    grows: list[list[int]]) -> list[int]:
-    """Res(F', G') of two integer models' rows by evaluation at integer
-    nodes and interpolation: see resultant."""
-    df, dg = len(frows) - 1, len(grows) - 1
-    bound = dg * (len(frows[0]) - 1) + df * (len(grows[0]) - 1)
-    nodes = []
-    vals = []
-    x = 0
-    while len(nodes) < bound + 1:
-        fc = [_eval_int_at(row, x, 1) for row in frows]
-        gc = [_eval_int_at(row, x, 1) for row in grows]
-        if fc[-1] and gc[-1]:
-            nodes.append(x)
-            vals.append(_int_resultant(fc, gc))
-        x = -x if x > 0 else -x + 1
-    return _interpolate(nodes, vals)
-
-
-def _kronecker_resultant(frows: list[list[int]],
-                         grows: list[list[int]]) -> list[int]:
-    """Res(F', G') of two integer models' rows by one evaluation at
-    w = 2^B, read off its balanced base-2^B digits: see resultant. The
-    list has no trailing zeros and is empty for a zero resultant."""
-    df, dg = len(frows) - 1, len(grows) - 1
-    norm = (sum(abs(c) for row in frows for c in row) ** dg
-            * sum(abs(c) for row in grows for c in row) ** df)
-    b = norm.bit_length() + 2
-
-    def at(row):
-        acc = 0
-        for c in reversed(row):
-            acc = (acc << b) + c
-        return acc
-
-    r = _int_resultant(list(map(at, frows)), list(map(at, grows)))
-    mask, half = (1 << b) - 1, 1 << (b - 1)
-    out = []
-    while r:
-        digit = r & mask
-        r >>= b
-        if digit >= half:
-            digit -= mask + 1
-            r += 1
-        out.append(digit)
-    return out
-
-
-# The highest eliminated degree that resultant reads off one evaluation
-# at w = 2^B; its docstring gives the measured crossover.
-_KRONECKER_MAX_DEGREE = 4
-
-
 def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
     """Resultant of F and G with respect to the eliminated axis
     (0 for s, 1 for t), as a polynomial in the other variable.
@@ -850,12 +760,11 @@ def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
     integer w where neither leading coefficient of F' or G' in the
     eliminated variable vanishes: there both keep their degrees, so its
     value is the resultant of the two integer coefficient lists, a
-    subresultant PRS (_int_resultant). It is read off by one of two
-    routes, chosen by max(deg F, deg G) in the eliminated variable.
+    subresultant PRS (_int_resultant).
 
-    Up to _KRONECKER_MAX_DEGREE, one evaluation at w = 2^B gives every
-    coefficient (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
-    2009). With |P| the sum of the absolute integer coefficients of P,
+    One evaluation at w = 2^B gives every coefficient (Kronecker
+    substitution; Harvey, J. Symbolic Comput. 44, 2009). With |P| the
+    sum of the absolute integer coefficients of P,
     B = bit_length(|F'|^deg(G) * |G'|^deg(F)) + 2, and this is exact:
     - Res(F', G') is the Sylvester determinant, whose rows hold the
       coefficients of F' or G' in the eliminated variable, each a
@@ -871,20 +780,11 @@ def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
       and the base-2^B digits in [-2^(B - 1), 2^(B - 1)) of an integer
       are unique, so the balanced digits of the value are the r_i.
 
-    Above it, Res(F', G') has degree at most deg(G) * deg_w(F) +
-    deg(F) * deg_w(G); it is evaluated at that many integer nodes plus
-    one and interpolated over the integers, which reproduces every node
-    value. The nodes are taken from 0, 1, -1, 2, ..., skipping every
-    node where a leading coefficient vanishes.
-
-    The one evaluation's single PRS runs on numbers of about B * deg_w
-    bits, and B grows with the eliminated degree, so the switch sits
-    where it stops winning. On dense inputs with 20-bit coefficients
-    and deg_w 3 or 6 (2-core Xeon, Python 3.11, two runs) it is
-    1.2-9.5x as fast as the nodes at degrees 2-4, 0.8-1.0x at 5,
-    0.5-0.7x at 6 and 0.2-0.3x at 8; on the fiber of 3Cs.1.1 x 9B0-9a,
-    axis 0 (degree 12), it takes 0.8-1.1 s against the nodes' 0.09-0.15
-    s.
+    The PRS runs on numbers of about B * deg_w bits, and B grows with
+    the eliminated degree, so the cost does too: on the package's
+    degree-3 fiber discriminants it takes 0.1-0.4 ms, on the fiber of
+    3Cs.1.1 x 9B0-9a, axis 0 (degree 12), about 1 s (2-core Xeon,
+    Python 3.11).
     """
     df, dg = F.degree(axis), G.degree(axis)
     if df < 1 or dg < 1:
@@ -892,8 +792,28 @@ def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
                          "eliminated variable")
     cf, frows = _integer_model(F, axis)
     cg, grows = _integer_model(G, axis)
-    route = (_kronecker_resultant if max(df, dg) <= _KRONECKER_MAX_DEGREE
-             else _node_resultant)
+    norm = (sum(abs(c) for row in frows for c in row) ** dg
+            * sum(abs(c) for row in grows for c in row) ** df)
+    b = norm.bit_length() + 2
+
+    def at(row):
+        acc = 0
+        for c in reversed(row):
+            acc = (acc << b) + c
+        return acc
+
+    r = _int_resultant(list(map(at, frows)), list(map(at, grows)))
+    mask, half = (1 << b) - 1, 1 << (b - 1)
     scale = cf ** dg * cg ** df
-    return UniPoly({e: scale * c
-                    for e, c in enumerate(route(frows, grows))})
+    out = {}
+    e = 0
+    while r:
+        digit = r & mask
+        r >>= b
+        if digit >= half:
+            digit -= mask + 1
+            r += 1
+        if digit:
+            out[e] = scale * digit
+        e += 1
+    return UniPoly(out)

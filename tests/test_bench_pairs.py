@@ -108,16 +108,23 @@ def test_verdicts():
     assert mod.verdict([0.8, 1.0, 1.3], [1.3, 1.4, 1.5], lower) == "worse"
 
 
+def run_record(mod, value):
+    return {"wrong": [], "result": {
+        "correct": True, "failed": 0,
+        "metrics": {name: {"value": value} for name in mod.METRICS}}}
+
+
 def wall_pairs(mod, parent, change):
-    return [{side: {"result": {"metrics": {
-        name: {"value": v} for name in mod.METRICS}}}
-        for side, v in (("parent", x), ("change", y))}
-        for x, y in zip(parent, change)]
+    return [{"parent": run_record(mod, x), "change": run_record(mod, y)}
+            for x, y in zip(parent, change)]
 
 
 def test_gain_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
     mod = load()
     metrics = mod.end_to_end_metrics()
+
+    def gain(pairs):
+        return mod.summarize(pairs, metrics)["wall_s"]["gain"]
     # Parent quartiles 1.0225, 1.045, 1.0675: an IQR of 0.045.
     parent = [1.0 + i / 100 for i in range(10)]
     nine_wins = [0.9] * 9 + [1.2]
@@ -131,15 +138,33 @@ def test_gain_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
     assert summary["wall_s"]["change_lower_in"] == 9
     assert summary["wall_s"]["gain"] is False
     # 8 wins, a tie and a loss: the tie counts for neither side.
-    eight_wins = [0.9] * 8 + [parent[8], 1.2]
-    summary = mod.summarize(wall_pairs(mod, parent, eight_wins), metrics)
-    assert summary["wall_s"]["gain"] is False
+    assert gain(wall_pairs(mod, parent, [0.9] * 8 + [parent[8], 1.2])) \
+        is False
+    # An eleventh pair whose change printed no result is a loss: 9 of 11.
+    pairs = wall_pairs(mod, parent, nine_wins)
+    pairs.append({"parent": run_record(mod, 1.0),
+                  "change": {"wrong": [], "result": None}})
+    assert gain(pairs) is False
+    # Winning all of fewer than 10 pairs.
+    assert gain(wall_pairs(mod, parent[:3], [0.5] * 3)) is False
+    # A failed operation, an incorrect run or a WRONG line in the change
+    # and none in the parent; the same failed operation on both sides.
+    for side, key, bad in (("change", "failed", 1),
+                           ("change", "correct", False),
+                           ("change", "wrong", ["# WRONG: x"]),
+                           ("both", "failed", 1)):
+        pairs = wall_pairs(mod, parent, nine_wins)
+        for s in ("parent", "change") if side == "both" else (side,):
+            run = pairs[3][s]
+            (run if key == "wrong" else run["result"])[key] = bad
+        assert gain(pairs) is (side == "both"), (side, key)
     # Where higher is better, the same rule runs the other way.
     higher = {"better": "higher"}
-    assert mod.gain(parent, [2.0] * 10, [1.0225, 1.045, 1.0675],
-                    [2.0, 2.0, 2.0], higher) is True
-    assert mod.gain(parent, nine_wins, [1.0225, 1.045, 1.0675],
-                    [0.9, 0.9, 0.9], higher) is False
+    qa = [1.0225, 1.045, 1.0675]
+    assert mod.gain(wall_pairs(mod, parent, [2.0] * 10), parent, [2.0] * 10,
+                    qa, [2.0, 2.0, 2.0], higher) is True
+    assert mod.gain(wall_pairs(mod, parent, nine_wins), parent, nine_wins,
+                    qa, [0.9, 0.9, 0.9], higher) is False
 
 
 def test_each_workload_counts_its_reruns(monkeypatch, tmp_path):

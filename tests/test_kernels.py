@@ -13,17 +13,17 @@ directly. The root finder must return exactly
 the roots planted in a product of linear factors and those of the
 rational root theorem on division polynomials, and the resultant must
 agree with a Sylvester determinant taken by Fraction Gaussian
-elimination, at non-integer nodes and at integer nodes it uses itself;
-so must the node resultant in the cases of its recurrence that small
-random inputs rarely reach. The eliminated degree must pick the route,
-and the one evaluation at 2^B must give the node route's coefficients
-on the fiber discriminants and on planted resultants: a negative top
-coefficient, one near the bound, a zero resultant and zero rows. The
-modular Horner _form_mod must agree with the exact one reduced mod m for
-moduli up to 2^31 - 1. The square sieve
-of the searches must keep every grid point where a form with a planted
-square is a square, the exact square kernel after it must return exactly
-those squares, and its grid must hold the points of the reference grid.
+elimination, at non-integer and integer values of the kept variable;
+so must the integer resultant in the cases of its recurrence that small
+random inputs rarely reach. The fiber discriminants must agree with it
+at one more value than their degree bound, and planted resultants must
+read off the digits at 2^B exactly: a negative top coefficient, one
+near the bound, a zero resultant and zero rows. The modular Horner
+_form_mod must agree with the exact one reduced mod m for moduli up to
+2^31 - 1. The square sieve of the searches must keep every grid point
+where a form with a planted square is a square, the exact square kernel
+after it must return exactly those squares, and its grid must hold the
+points of the reference grid.
 The kernel must agree with the exact reference and with the sieve path
 on forms just below and at its int64 bound, at values k^2 and k^2 +- 1
 where float64 rounds the root, on negative values and on constant
@@ -737,8 +737,13 @@ def sylvester_reference(F, G, axis, x):
     """Res(F, G) at kept variable = x: the Sylvester determinant of the
     specialised coefficient lists at their formal degrees, by Fraction
     Gaussian elimination."""
-    f = [c(x) for c in F.coeffs_in(axis)][::-1]
-    g = [c(x) for c in G.coeffs_in(axis)][::-1]
+    def specialised(P):
+        out = [Fraction(0)] * (P.degree(axis) + 1)
+        for (i, j), c in P._c.items():
+            e, o = (i, j) if axis == 0 else (j, i)
+            out[e] += c * x ** o
+        return out[::-1]
+    f, g = specialised(F), specialised(G)
     df, dg = len(f) - 1, len(g) - 1
     zero = [Fraction(0)]
     rows = ([zero * i + f + zero * (dg - 1 - i) for i in range(dg)]
@@ -766,20 +771,14 @@ bipoly = st.dictionaries(
     max_size=5).map(BiPoly)
 
 
-extra = st.integers(min_value=0, max_value=3)
-
-
 @settings(max_examples=40, deadline=None)
 @given(bipoly, bipoly, bipoly, st.sampled_from((0, 1)),
-       st.integers(min_value=-2, max_value=2), st.booleans(), extra, extra)
-def test_resultant_matches_fraction_sylvester(A, B, C, axis, k0, common,
-                                              xf, xg):
+       st.integers(min_value=-2, max_value=2), st.booleans())
+def test_resultant_matches_fraction_sylvester(A, B, C, axis, k0, common):
     v, w = BiPoly.variable(axis), BiPoly.variable(1 - axis)
-    # The leading coefficient of F in v vanishes at the node w = k0. The
-    # extra degrees xf, xg take nonzero resultants past
-    # _KRONECKER_MAX_DEGREE, onto the node route.
-    F = A + (w - k0) * v ** (max(A.degree(axis), 0) + 1 + xf)
-    G = B + Fraction(3, 2) * v ** (max(B.degree(axis), 0) + 1 + xg)
+    # The leading coefficient of F in v vanishes at w = k0.
+    F = A + (w - k0) * v ** (max(A.degree(axis), 0) + 1)
+    G = B + Fraction(3, 2) * v ** (max(B.degree(axis), 0) + 1)
     if common:
         # A leading term above C, as for F and G: C + v is zero at C = -v.
         shared = C + v ** (max(C.degree(axis), 0) + 1)
@@ -828,10 +827,8 @@ def test_resultant_skips_node_where_both_leads_vanish():
     s, t = BiPoly.variable(0), BiPoly.variable(1)
     # Both leading coefficients in s vanish at t = 2, so the
     # formal-degree determinant there is 0; only F's vanishes at t = 0.
-    # Degrees 5 and 6 in s put the input on the node route.
-    F = t * (t - 2) * s ** 5 + (t + 1) * s + 3
-    G = (t - 2) * (t + 4) * s ** 6 - s + t * t - 5
-    assert max(F.degree(0), G.degree(0)) > polynomial._KRONECKER_MAX_DEGREE
+    F = t * (t - 2) * s ** 2 + (t + 1) * s + 3
+    G = (t - 2) * (t + 4) * s ** 3 - s + t * t - 5
     R = resultant(F, G, 0)
     assert sylvester_reference(F, G, 0, Fraction(2)) == 0
     assert not R.is_zero()
@@ -841,55 +838,26 @@ def test_resultant_skips_node_where_both_leads_vanish():
         assert R(x) == sylvester_reference(F, G, 0, x)
 
 
-def test_the_degree_picks_the_route(monkeypatch):
-    def refuse(nodes, vals):
-        raise AssertionError("node route taken")
-    monkeypatch.setattr(polynomial, "_interpolate", refuse)
-    s, t = BiPoly.variable(0), BiPoly.variable(1)
-    top = polynomial._KRONECKER_MAX_DEGREE
-    assert top == 4
-    for d in range(1, top + 1):
-        F = (t + 2) * s ** d + t * s - 3
-        assert not resultant(F, s ** top - t, 0).is_zero()
-        assert not resultant(s ** top - t, F, 0).is_zero()
-    F = (t + 2) * s ** (top + 1) + t * s - 3
-    with pytest.raises(AssertionError, match="node route"):
-        resultant(F, F.derivative(0), 0)
-    with pytest.raises(AssertionError, match="node route"):
-        resultant(s - t, F, 0)
-
-
-def trimmed(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def both_routes(F, G, axis):
-    """The coefficient lists of Res(F', G') by the nodes and by one
-    evaluation, trailing zeros dropped."""
-    _, frows = polynomial._integer_model(F, axis)
-    _, grows = polynomial._integer_model(G, axis)
-    return (trimmed(polynomial._node_resultant(frows, grows)),
-            polynomial._kronecker_resultant(frows, grows))
-
-
 @pytest.mark.parametrize("a, b, axis", [
     # The curves workload's eight discriminant directions.
     *[("2B", b, 0) for b in ("3Cs.1.1", "9B0-9a", "Et", "no-9-isogeny")],
     *[(b, "2B", 1) for b in ("3Cs.1.1", "9B0-9a", "Et", "no-9-isogeny")],
     # resultant-evidence's R1, of degree 174 (its R2 is the last above).
-    ("2B", "9H0-9b", 0),
-    # A degree-12 elimination, which the nodes resolve.
-    ("2B", "3Cs.1.1", 1)])
-def test_routes_agree_on_fiber_discriminants(a, b, axis):
+    ("2B", "9H0-9b", 0)])
+def test_fiber_discriminants_match_fraction_sylvester(a, b, axis):
     F = fiber_curve(named_jmap(a), named_jmap(b)).F
-    nodes, one = both_routes(F, F.derivative(axis), axis)
-    assert nodes == one and len(one) > 40
+    G = F.derivative(axis)
+    R = resultant(F, G, axis)
+    bound = (G.degree(axis) * F.degree(1 - axis)
+             + F.degree(axis) * G.degree(1 - axis))
+    assert 40 < R.degree <= bound
+    # Agreement at bound + 1 values pins every coefficient.
+    for k in range(bound + 1):
+        x = Fraction(k - bound // 2)
+        assert R(x) == sylvester_reference(F, G, axis, x)
 
 
-def test_routes_agree_on_planted_resultants():
+def test_planted_resultants_read_off_the_digits():
     v, w = BiPoly.variable(0), BiPoly.variable(1)
     M = 2 ** 40 + 5
     p = sum((w ** e for e in range(5)), BiPoly())
@@ -912,8 +880,6 @@ def test_routes_agree_on_planted_resultants():
                       [9, 0, -6, -5, 1, 2, 1]),
     }
     for name, (F, G, want) in cases.items():
-        nodes, one = both_routes(F, G, 0)
-        assert nodes == one == want, name
         assert resultant(F, G, 0) == UniPoly.from_coeffs(want), name
     F, G, want = cases["near the bound"]
     norm = (2 * M - 1) ** 2
