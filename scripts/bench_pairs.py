@@ -25,13 +25,13 @@ reads better in at least 9 of every 10 pairs run (a tie counts for
 neither side, a pair without a change result against the change), the
 change has no more failed operations and no more incorrect runs than
 the parent, and its median is better than the parent's by more than
-the parent's interquartile range. Each workload also counts the runs of
-its pairs that were rerun. `--default-seed` adds one run of the change per workload at
-perfbench's default seed, where it checks the recorded digests, and one
-traced run (`--trace 1`) of the change per workload at that seed, whose
-exit code, `correct` and `# WRONG:` lines go under `traced_runs`; a
-traced run is incorrect when a layer counter reads zero on its home
-workload.
+the parent's interquartile range. Each workload also counts the runs
+of its pairs that were rerun. `--default-seed` adds one run of the
+change per workload at perfbench's default seed, where it checks the
+recorded digests, and one traced run (`--trace 1`) of the change per
+workload at that seed, whose exit code, `correct` and `# WRONG:` lines
+go under `traced_runs`; a traced run is incorrect when a layer counter
+reads zero on its home workload.
 
 Both sides compile their sources alike: before the first run the
 `__pycache__` directories under each checkout's `src/` and `perfbench/`

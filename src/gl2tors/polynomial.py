@@ -13,8 +13,8 @@ iteration until rational reconstruction recovers all of them, and every
 returned root is verified exactly. Resultants of the integer models
 are read off the balanced base-2^B digits of one value of the
 subresultant pseudo-remainder sequence, at w = 2^B (Kronecker
-substitution). _pseudo_remainder is the one remainder loop: the gcd runs the primitive PRS on it, the resultant the
-subresultant PRS.
+substitution). _pseudo_remainder is the one remainder loop: the gcd
+runs the primitive PRS on it, the resultant the subresultant PRS.
 
 Integer forms sum C[i] p^i q^(e - i) have one evaluator each way:
 _eval_int_at, the exact homogenised Horner (also on int64 arrays known
@@ -782,8 +782,8 @@ def resultant(F: BiPoly, G: BiPoly, axis: int = 0) -> UniPoly:
 
     The PRS runs on numbers of about B * deg_w bits, and B grows with
     the eliminated degree, so the cost does too: on the package's
-    degree-3 fiber discriminants it takes 0.1-0.4 ms, on the fiber of
-    3Cs.1.1 x 9B0-9a, axis 0 (degree 12), about 1 s (2-core Xeon,
+    degree-3 fiber discriminants it takes 0.1-0.5 ms, on the fiber of
+    3Cs.1.1 x 9B0-9a, axis 0 (degree 12), 0.85-1.0 s (2-core Xeon,
     Python 3.11).
     """
     df, dg = F.degree(axis), G.degree(axis)
