@@ -33,6 +33,14 @@ workload at that seed, whose exit code, `correct` and `# WRONG:` lines
 go under `traced_runs`; a traced run is incorrect when a layer counter
 reads zero on its home workload.
 
+It fails fast, with exit code 2 and a one-line message on stderr that
+names the checkout. Before the first run each checkout is started once
+with `perfbench/client.py probe`, and the script stops if one does not
+print `ready` and exit 0. With `--default-seed` the change's
+default-seed and traced runs come before the pairs, and the script
+writes what it has and stops if one of them prints no result line, is
+not correct or prints a `# WRONG:` line.
+
 Both sides compile their sources alike: before the first run the
 `__pycache__` directories under each checkout's `src/` and `perfbench/`
 are deleted, and every run has PYTHONDONTWRITEBYTECODE=1 (recorded under
@@ -98,6 +106,22 @@ def run_or_rerun(doc: dict, side: str, checkout: str, workload: str,
         doc["runs_without_result"].append({**where,
                                            "exit_code": r["exit_code"]})
     return r
+
+
+def probe(checkout: str) -> str | None:
+    """Start the checkout's client once, set-up only: None when it printed
+    `ready` and exited 0, else why not, in one line."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/client.py", "probe"], cwd=checkout,
+            capture_output=True, text=True,
+            env={**os.environ, **ENVIRONMENT})
+    except OSError as e:
+        return str(e)
+    if proc.returncode == 0 and proc.stdout.startswith("ready"):
+        return None
+    last = (proc.stderr.strip().splitlines() or ["no stderr"])[-1]
+    return f"exit code {proc.returncode}: {last}"
 
 
 def clear_bytecode(checkout: str) -> None:
@@ -176,8 +200,12 @@ def main() -> int:
     args = ap.parse_args()
     sides = {"parent": args.parent, "change": args.change}
     metrics = end_to_end_metrics()
-    for checkout in sides.values():
+    for side, checkout in sides.items():
         clear_bytecode(checkout)
+        reason = probe(checkout)
+        if reason:
+            return fail(f"the {side} checkout {checkout} does not start: "
+                        f"{reason}")
     doc = {"command": "python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {args.seconds:g} --trace 0",
            "host": {"python": platform.python_version(),
@@ -186,7 +214,29 @@ def main() -> int:
            "order": "pair for seed N runs parent first when N is odd and "
                     "change first when N is even",
            "workloads": {}, "reruns": [], "runs_without_result": []}
-    for w in args.workloads.split(","):
+    workloads = args.workloads.split(",")
+    if args.default_seed:
+        doc["default_seed_runs"], doc["traced_runs"] = [], []
+        for w in workloads:
+            r = run_or_rerun(doc, "change", args.change, w, None,
+                             args.seconds)
+            doc["default_seed_runs"].append({"side": "change",
+                                             "workload": w, **r})
+            t = run_or_rerun(doc, "change", args.change, w, None,
+                             args.seconds, trace=1)
+            doc["traced_runs"].append({
+                "side": "change", "workload": w,
+                "exit_code": t["exit_code"],
+                "correct": t["result"]["correct"] if t["result"] else None,
+                "wrong": t["wrong"]})
+            for mode, x in (("default-seed", r), ("traced", t)):
+                if not (x["result"] and x["result"]["correct"]
+                        and not x["wrong"]):
+                    write(args.out, doc)
+                    return fail(f"the change checkout {args.change}: its "
+                                f"{mode} {w} run is not correct (exit code "
+                                f"{x['exit_code']})")
+    for w in workloads:
         pairs = []
         for seed in args.seeds:
             order = (("parent", "change") if seed % 2
@@ -206,25 +256,19 @@ def main() -> int:
                        if p[s]["result"]) for s in sides},
             "reruns": sum(r["workload"] == w for r in doc["reruns"]),
             "summary": summarize(pairs, metrics), "pairs": pairs}
-    if args.default_seed:
-        doc["default_seed_runs"] = [
-            {"side": "change", "workload": w,
-             **run_or_rerun(doc, "change", args.change, w, None,
-                            args.seconds)}
-            for w in args.workloads.split(",")]
-        doc["traced_runs"] = []
-        for w in args.workloads.split(","):
-            r = run_or_rerun(doc, "change", args.change, w, None,
-                             args.seconds, trace=1)
-            doc["traced_runs"].append({
-                "side": "change", "workload": w,
-                "exit_code": r["exit_code"],
-                "correct": r["result"]["correct"] if r["result"] else None,
-                "wrong": r["wrong"]})
-    with open(args.out, "w") as f:
+    write(args.out, doc)
+    return 0
+
+
+def fail(message: str) -> int:
+    print(f"bench_pairs: {message}", file=sys.stderr)
+    return 2
+
+
+def write(path: str, doc: dict) -> None:
+    with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    return 0
 
 
 if __name__ == "__main__":

@@ -5,11 +5,19 @@ Curves are long Weierstrass models [a1, a2, a3, a4, a6] with rational
 coefficients. Each curve computes its integral model once, when it is
 built: the scale u (lcm of the denominators), the integers u^i * a_i,
 their b2, b4, b6, b8 and the integer discriminant u^12 * disc.
-curve_invariants divides these by powers of u; point counts sum a
-quadratic character over the 2-division cubic mod p (an int64 table,
-or _form_mod for p < 2^31). Torsion is bounded by the gcd of a few
-point counts and then read off the division polynomials of the given
-model, built from its b-invariants, so every x-coordinate found lies on it.
+curve_invariants hands these integers on; its Fraction b, c invariants,
+disc and j are divided out by powers of u only when they are read.
+
+The curve polynomials (the 2-division cubic, psi_3 and f(4), from which
+the division-polynomial recursion builds the rest) are integer
+coefficient lists in B2, B4, B6, B8, each written once. Point counts sum
+a quadratic character over the cubic of the integral model mod p (an
+int64 table, or _form_mod for p < 2^31). The 2-torsion image, the
+3-isogeny kernel and the torsion search move each list to the given
+model's x = X / u^2 as a rational scale times a primitive integer list,
+so every x-coordinate found lies on the given model, and a Fraction is
+built only for each root found. Torsion is bounded by the gcd of a few
+point counts and then read off the division polynomials.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import zip_longest
 from math import gcd, lcm
 
 import numpy as np
@@ -25,8 +35,8 @@ from .arith import is_probable_prime, is_square, next_prime
 from .catalog import is_admissible_torsion
 from .groups import GenGroup
 from .modmat import code_det, code_trace
-from .polynomial import (UniPoly, _eval_int_at, _form_mod, _mod,
-                         rational_roots)
+from .polynomial import (_eval_int_at, _form_mod, _int_mul,
+                         _int_rational_roots, _mod)
 
 
 @dataclass(frozen=True)
@@ -103,27 +113,64 @@ def parse_curve(text: str) -> CurveQ:
 
 @dataclass(frozen=True)
 class Invariants:
-    b2: Fraction
-    b4: Fraction
-    b6: Fraction
-    b8: Fraction
-    c4: Fraction
-    c6: Fraction
-    disc: Fraction
-    j: Fraction
+    """A curve's invariants. The fields are the integers of its integral
+    model (CurveQ._model): the scale u, and the b-invariants B2, B4, B6,
+    B8 and the discriminant D of A_i = u^i * a_i. The standard b, c
+    invariants, discriminant and j of the given model are Fractions read
+    off them on first use: b_i = B_i / u^i, c_i = C_i / u^i and disc =
+    D / u^12, where C4 and C6 are the c-invariants of the B_i."""
+
+    u: int
+    B2: int
+    B4: int
+    B6: int
+    B8: int
+    D: int
+
+    @cached_property
+    def b2(self) -> Fraction:
+        return Fraction(self.B2, self.u ** 2)
+
+    @cached_property
+    def b4(self) -> Fraction:
+        return Fraction(self.B4, self.u ** 4)
+
+    @cached_property
+    def b6(self) -> Fraction:
+        return Fraction(self.B6, self.u ** 6)
+
+    @cached_property
+    def b8(self) -> Fraction:
+        return Fraction(self.B8, self.u ** 8)
+
+    @property
+    def _C4(self) -> int:
+        return self.B2 * self.B2 - 24 * self.B4
+
+    @cached_property
+    def c4(self) -> Fraction:
+        return Fraction(self._C4, self.u ** 4)
+
+    @cached_property
+    def c6(self) -> Fraction:
+        B2 = self.B2
+        return Fraction(-B2 ** 3 + 36 * B2 * self.B4 - 216 * self.B6,
+                        self.u ** 6)
+
+    @cached_property
+    def disc(self) -> Fraction:
+        return Fraction(self.D, self.u ** 12)
+
+    @cached_property
+    def j(self) -> Fraction:
+        return Fraction(self._C4 ** 3, self.D)
 
 
 def curve_invariants(E: CurveQ) -> Invariants:
-    """Standard b, c invariants, discriminant, and j, read off the
-    integral model: b_i = B_i / u^i, c_i = C_i / u^i and disc = D / u^12,
-    where B_i, C_i and D are the invariants of A_i = u^i * a_i."""
+    """E's invariants, read off its integral model (see Invariants); the
+    one place where this module reads them."""
     u, _, (b2, b4, b6, b8), disc = E._model
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
-    return Invariants(Fraction(b2, u ** 2), Fraction(b4, u ** 4),
-                      Fraction(b6, u ** 6), Fraction(b8, u ** 8),
-                      Fraction(c4, u ** 4), Fraction(c6, u ** 6),
-                      Fraction(disc, u ** 12), Fraction(c4 ** 3, disc))
+    return Invariants(u, b2, b4, b6, b8, disc)
 
 
 def curve_Et(t) -> CurveQ:
@@ -155,20 +202,48 @@ def count_points(E: CurveQ, p: int) -> tuple[int, int]:
     return n, p + 1 - n
 
 
-def _two_division_cubic(E: CurveQ) -> list[int]:
-    """G(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 of the integral model, low to
-    high: (2y + a1 x + a3)^2 = G(x) on it."""
-    _, _, (b2, b4, b6, _), _ = E._model
-    return [b6, 2 * b4, b2, 4]
+# The curve polynomials are written once each, as low-to-high integer
+# lists in X = u^2 x on the integral model, whose coefficient of X^k is a
+# form of weight 2 (deg - k) in B2, B4, B6, B8 (B_i of weight i). The
+# point counts evaluate them there; _on_given_model moves them to x.
 
 
-def _cubic_fits_int64(E: CurveQ, N: int) -> bool:
+def _two_division_cubic(inv: Invariants) -> list[int]:
+    """G(X) = 4X^3 + B2 X^2 + 2 B4 X + B6 = psi_2^2, the discriminant in Y
+    of the integral model's equation: (2Y + A1 X + A3)^2 = G(X) on it."""
+    return [inv.B6, 2 * inv.B4, inv.B2, 4]
+
+
+def _psi3(inv: Invariants) -> list[int]:
+    """The 3-division polynomial 3X^4 + B2 X^3 + 3 B4 X^2 + 3 B6 X + B8."""
+    return [inv.B8, 3 * inv.B6, 3 * inv.B4, inv.B2, 3]
+
+
+def _on_given_model(P: list[int], u: int) -> tuple[int, int, list[int]]:
+    """(n, d, Q) with u^(-2 deg P) * P(u^2 x) = n / d * Q(x): the curve
+    polynomial P on the given model's x, as a reduced positive scale n / d
+    times a primitive integer list Q with P's signs. At u = 1, Q is P
+    divided by its content."""
+    u2 = u * u
+    return _scaled(1, u2 ** (len(P) - 1),
+                   [c * u2 ** k for k, c in enumerate(P)])
+
+
+def _scaled(n: int, d: int, P: list[int]) -> tuple[int, int, list[int]]:
+    """n / d * P as (n', d', Q), with n' / d' reduced and Q = P divided
+    by its content, for n, d > 0 and P nonzero."""
+    c = gcd(*P)
+    n *= c
+    g = gcd(n, d)
+    return n // g, d // g, [v // c for v in P]
+
+
+def _cubic_fits_int64(cubic: list[int], N: int) -> bool:
     """Whether the 2-division cubic G is exact in int64 at every x < N:
     each Horner partial value there is below G at N with its coefficients
     made absolute, 4N^3 + |b2|N^2 + 2|b4|N + |b6|, and this asks that
     bound to be below 2^63 (N < 1.3 * 10^6 when the b_i are small)."""
-    bound = [abs(c) for c in _two_division_cubic(E)]
-    return _eval_int_at(bound, N, 1) < 2 ** 63
+    return _eval_int_at([abs(c) for c in cubic], N, 1) < 2 ** 63
 
 
 def _point_counts(E: CurveQ, primes) -> list[int]:
@@ -182,11 +257,11 @@ def _point_counts(E: CurveQ, primes) -> list[int]:
     # The x and their squares h^2 are built once, up to the largest prime
     # N; G is tabulated there too where _cubic_fits_int64, and otherwise
     # _form_mod evaluates it at the x < p (one reduction for p <= 46,341).
-    cubic = _two_division_cubic(E)
+    cubic = _two_division_cubic(curve_invariants(E))
     N = max(primes, default=0)
     xs = np.arange(N, dtype=np.int64)
     H = xs[:N // 2 + 1] ** 2
-    G = _eval_int_at(cubic, xs, 1) if _cubic_fits_int64(E, N) else None
+    G = _eval_int_at(cubic, xs, 1) if _cubic_fits_int64(cubic, N) else None
     counts = []
     for p in primes:
         if p == 2:  # the affine points (x, y) of the integral model mod 2
@@ -365,36 +440,27 @@ def identify_image(E: CurveQ, ell: int, candidates,
                           sig.primes)
 
 
-def two_torsion_cubic(E: CurveQ) -> UniPoly:
-    """The 2-division cubic 4x^3 + b2 x^2 + 2 b4 x + b6 = psi_2^2, the
-    discriminant in y of E's equation: x has a rational y on E exactly
-    where it is a rational square."""
-    inv = curve_invariants(E)
-    return UniPoly.from_coeffs([inv.b6, 2 * inv.b4, inv.b2, Fraction(4)])
-
-
 def two_torsion_image(E: CurveQ) -> str:
-    """Galois image on E[2] by factoring the 2-division cubic:
-    '2Cs' (split), '2B' (one root), '2Cn' (irreducible, square
-    discriminant), or 'GL2(F2)'. The cubic's discriminant is 16 * disc
-    E, a square exactly when the integral model's u^12 * disc E is."""
-    nroots = len(rational_roots(two_torsion_cubic(E)))
+    """Galois image on E[2] by factoring the 2-division cubic
+    4x^3 + b2 x^2 + 2 b4 x + b6 of the given model: '2Cs' (split), '2B'
+    (one root), '2Cn' (irreducible, square discriminant), or 'GL2(F2)'.
+    The cubic's discriminant is 16 * disc E, a square exactly when the
+    integral model's D = u^12 * disc E is."""
+    inv = curve_invariants(E)
+    _, _, cubic = _on_given_model(_two_division_cubic(inv), inv.u)
+    nroots = len(_int_rational_roots(cubic))
     if nroots == 3:
         return "2Cs"
     if nroots == 1:
         return "2B"
-    return "2Cn" if is_square(E._model[3]) else "GL2(F2)"
-
-
-def _psi3(inv: Invariants) -> UniPoly:
-    """The 3-division polynomial 3x^4 + b2 x^3 + 3 b4 x^2 + 3 b6 x + b8."""
-    return UniPoly.from_coeffs([inv.b8, 3 * inv.b6, 3 * inv.b4, inv.b2,
-                                Fraction(3)])
+    return "2Cn" if is_square(inv.D) else "GL2(F2)"
 
 
 def rational_3isogeny_kernel(E: CurveQ) -> list[Fraction]:
-    """x-coordinates of rational order-3 points: rational roots of psi_3."""
-    return rational_roots(_psi3(curve_invariants(E)))
+    """x-coordinates of rational order-3 points: rational roots of psi_3
+    on the given model."""
+    inv = curve_invariants(E)
+    return _int_rational_roots(_on_given_model(_psi3(inv), inv.u)[2])
 
 
 # The thirteen j-invariants of CM curves over Q.
@@ -432,28 +498,58 @@ def _torsion_bound(E: CurveQ) -> int:
     return n
 
 
-def _division_polys(E: CurveQ):
-    """f(n): the x-only n-division polynomial of E, psi_n for odd n and
-    psi_n / psi_2 for even n (Silverman, AEC, Ex. 3.7). Its roots are the
-    x-coordinates of the points P with nP = 0 and 2P != 0, so the
-    2-division cubic is never zero at one of them."""
-    inv = curve_invariants(E)
-    b2, b4, b6, b8 = inv.b2, inv.b4, inv.b6, inv.b8
-    g2 = two_torsion_cubic(E) ** 2  # psi_2^4
-    memo = {1: UniPoly.constant(1), 2: UniPoly.constant(1), 3: _psi3(inv),
-            4: UniPoly.from_coeffs([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6,
-                                    10 * b8, 10 * b6, 5 * b4, b2, 2])}
+def _times(*factors):
+    """The product of scaled lists (n, d, P), each n / d * P(x) with P
+    primitive: a product of primitive lists is primitive (Gauss's lemma),
+    so only the scale is reduced."""
+    n, d, P = factors[0]
+    for fn, fd, F in factors[1:]:
+        n, d, P = n * fn, d * fd, _int_mul(P, F)
+    g = gcd(n, d)
+    return n // g, d // g, P
 
-    def f(n: int) -> UniPoly:
+
+def _minus(a, b):
+    """a - b for scaled lists (n, d, P): one lcm of the denominators, then
+    _scaled's one content pass. In the recursion of _division_polys both
+    terms have the degree of the difference, and their leading
+    coefficients, constants times powers of u, never cancel."""
+    (an, ad, A), (bn, bd, B) = a, b
+    d = lcm(ad, bd)
+    ka, kb = an * (d // ad), bn * (d // bd)
+    g = gcd(ka, kb)
+    ka, kb = ka // g, kb // g
+    return _scaled(g, d, [ka * x - kb * y
+                          for x, y in zip_longest(A, B, fillvalue=0)])
+
+
+def _division_polys(inv: Invariants):
+    """f(n): the x-only n-division polynomial of the curve with invariants
+    inv, psi_n for odd n and psi_n / psi_2 for even n (Silverman, AEC,
+    Ex. 3.7), on the given model as a scaled list (a, b, Q): f(n) = a / b
+    * Q(x), with a / b > 0 and Q a primitive integer list. Its roots are
+    the x-coordinates of the points P with nP = 0 and 2P != 0, so the
+    2-division cubic is never zero at one of them."""
+    u, B2, B4, B6, B8 = inv.u, inv.B2, inv.B4, inv.B6, inv.B8
+    cubic = _on_given_model(_two_division_cubic(inv), u)
+    g2 = _times(cubic, cubic)  # psi_2^4
+    one = (1, 1, [1])
+    memo = {1: one, 2: one, 3: _on_given_model(_psi3(inv), u),
+            4: _on_given_model([B4 * B8 - B6 * B6, B2 * B8 - B4 * B6,
+                                10 * B8, 10 * B6, 5 * B4, B2, 2], u)}
+
+    def f(n: int):
         if n not in memo:
             m = n // 2
             if n % 2 == 0:
-                memo[n] = f(m) * (f(m + 2) * f(m - 1) ** 2
-                                  - f(m - 2) * f(m + 1) ** 2)
-            elif m % 2 == 0:
-                memo[n] = g2 * f(m + 2) * f(m) ** 3 - f(m - 1) * f(m + 1) ** 3
+                memo[n] = _times(f(m), _minus(
+                    _times(f(m + 2), f(m - 1), f(m - 1)),
+                    _times(f(m - 2), f(m + 1), f(m + 1))))
             else:
-                memo[n] = f(m + 2) * f(m) ** 3 - g2 * f(m - 1) * f(m + 1) ** 3
+                a = _times(f(m + 2), f(m), f(m), f(m))
+                b = _times(f(m - 1), f(m + 1), f(m + 1), f(m + 1))
+                memo[n] = (_minus(_times(g2, a), b) if m % 2 == 0
+                           else _minus(a, _times(g2, b)))
         return memo[n]
     return f
 
@@ -473,17 +569,21 @@ def torsion_over_Q(E: CurveQ):
     N = _torsion_bound(E)
     if N == 1:
         return (1,)
-    cubic = two_torsion_cubic(E)
-    two_roots = rational_roots(cubic)
-    f = _division_polys(E)
+    inv = curve_invariants(E)
+    n_c, d_c, cubic = _on_given_model(_two_division_cubic(inv), inv.u)
+    two_roots = _int_rational_roots(cubic)
+    f = _division_polys(inv)
 
     def killed_by(k: int) -> int:
         """#E(Q)[k], for k a prime power."""
         size = 1 + len(two_roots) if k % 2 == 0 else 1
         if k > 2:
-            for r in rational_roots(f(k)):
-                y2 = cubic(r)
-                if is_square(y2.numerator) and is_square(y2.denominator):
+            for r in _int_rational_roots(f(k)[2]):
+                # The cubic at r = p/q is n_c / d_c * V / q^3, with V =
+                # q^3 cubic(p/q): a rational square iff n_c d_c V q is
+                # the square of an integer.
+                p, q = r.numerator, r.denominator
+                if is_square(n_c * d_c * _eval_int_at(cubic, p, q) * q):
                     size += 2
         return size
 

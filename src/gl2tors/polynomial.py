@@ -7,14 +7,18 @@ operands, and _content, the positive rational c with P / c a primitive
 integer polynomial, which integer_coeffs, primitive and the integer
 models of the resultant divide out.
 
-Rational roots have one path: the roots of the integer model modulo the
-least usable small prime, found by evaluation, are lifted by Newton's
-iteration until rational reconstruction recovers all of them, and every
-returned root is verified exactly. Resultants of the integer models
-are read off the balanced base-2^B digits of one value of the
-subresultant pseudo-remainder sequence, at w = 2^B (Kronecker
-substitution). _pseudo_remainder is the one remainder loop: the gcd
-runs the primitive PRS on it, the resultant the subresultant PRS.
+Rational roots have one path, _int_rational_roots, on a low-to-high
+integer coefficient list: the roots modulo the least usable small prime,
+found by evaluation, are lifted by Newton's iteration until rational
+reconstruction recovers all of them, and every candidate is verified
+exactly; the candidates are the only Fractions built. rational_roots
+runs it on the primitive integer model of a UniPoly, and elliptic hands
+it its curve polynomials, integer lists multiplied by _int_mul.
+Resultants of the integer models are read off the balanced base-2^B
+digits of one value of the subresultant pseudo-remainder sequence, at
+w = 2^B (Kronecker substitution). _pseudo_remainder is the one
+remainder loop: the gcd runs the primitive PRS on it, the resultant the
+subresultant PRS.
 
 Integer forms sum C[i] p^i q^(e - i) have one evaluator each way:
 _eval_int_at, the exact homogenised Horner (also on int64 arrays known
@@ -494,6 +498,16 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two low-to-high integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _primitive(c: list[int]) -> list[int]:
     g = gcd(*c)
     return [v // g for v in c] if g > 1 else c
@@ -544,14 +558,21 @@ def _grid_arrays(height: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rational_roots(P: UniPoly) -> list[Fraction]:
-    """All rational roots of P, sorted, without multiplicity.
+    """All rational roots of P, sorted, without multiplicity: those of
+    its primitive integer model (_int_rational_roots)."""
+    if P.is_zero():
+        raise ValueError("zero polynomial has every rational root")
+    return _int_rational_roots(P.integer_coeffs())
+
+
+def _int_rational_roots(coeffs: list[int]) -> list[Fraction]:
+    """All rational roots of a nonzero low-to-high integer coefficient
+    list, sorted, without multiplicity; a Fraction is built only for each
+    candidate root that rational reconstruction returns.
 
     Powers of x are deflated first; _hensel_roots finds the roots of the
     rest, verifies each one exactly and says why none is missed.
     """
-    if P.is_zero():
-        raise ValueError("zero polynomial has every rational root")
-    coeffs = P.integer_coeffs()
     k = 0
     while coeffs[k] == 0:
         k += 1

@@ -1,9 +1,12 @@
 """scripts/bench_pairs.py runs a run that printed no result line once
 more, keeps the failed run under `reruns`, and uses the rerun only when
 it printed a result; its summary gives each metric's bound, verdict and
-gain flag, and each workload its rerun count. `run` is replaced, so no
-benchmark runs here, except for a fake checkout whose perfbench/run.py
-reports the bytecode setting and the caches it sees."""
+gain flag, and each workload its rerun count. It stops with exit code 2
+when a checkout's client does not start, and with `--default-seed` runs
+the change's default-seed and traced runs before the pairs, stopping
+when one is not correct. `run` and `probe` are replaced, so no benchmark
+runs here, except for a fake checkout whose perfbench/run.py reports the
+bytecode setting and the caches it sees."""
 
 import importlib.util
 import json
@@ -30,6 +33,7 @@ def fake_runs(mod, monkeypatch, results):
                 "stderr_tail": [] if result else ["JSONDecodeError"],
                 "wrong": [], "result": result}
     monkeypatch.setattr(mod, "run", run)
+    monkeypatch.setattr(mod, "probe", lambda checkout: None)
     return calls
 
 
@@ -186,6 +190,7 @@ def test_each_workload_counts_its_reruns(monkeypatch, tmp_path):
     assert doc["workloads"]["grid"]["summary"]["wall_s"]["verdict"] == "ok"
 
 
+FAKE_CLIENT = 'print("ready")\n'
 FAKE_RUN = textwrap.dedent("""\
     import json
     import os
@@ -202,10 +207,12 @@ FAKE_RUN = textwrap.dedent("""\
 
 
 def fake_checkout(root: Path) -> Path:
-    """A checkout with a perfbench/run.py that prints one result line,
-    and a planted __pycache__ under src/ and perfbench/."""
+    """A checkout with a perfbench/run.py that prints one result line, a
+    perfbench/client.py that prints `ready`, and a planted __pycache__
+    under src/ and perfbench/."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "perfbench" / "client.py").write_text(FAKE_CLIENT)
     for cache in (root / "perfbench" / "__pycache__",
                   root / "src" / "pkg" / "__pycache__"):
         cache.mkdir(parents=True)
@@ -232,3 +239,79 @@ def test_both_sides_run_without_bytecode(monkeypatch, tmp_path):
             assert result["dont_write_bytecode"] == "1"
             assert result["caches"] == []
     assert not list(tmp_path.rglob("__pycache__"))
+
+
+def test_a_checkout_that_does_not_start_stops_before_any_run(
+        monkeypatch, tmp_path, capsys):
+    mod = load()
+    calls = fake_runs(mod, monkeypatch, [])
+    started = []
+
+    def probe(checkout):
+        started.append(checkout)
+        return "exit code 1: ImportError: x" if checkout == "C" else None
+    monkeypatch.setattr(mod, "probe", probe)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "--parent", "P", "--change", "C", "--workloads",
+        "curves", "--seeds", "1-10", "--default-seed", "--out", str(out)])
+    assert mod.main() == 2
+    assert started == ["P", "C"] and calls == [] and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["bench_pairs: the change checkout C does not start: "
+                   "exit code 1: ImportError: x"]
+
+
+def test_probe_starts_the_client(tmp_path):
+    mod = load()
+    good = fake_checkout(tmp_path / "good")
+    assert mod.probe(str(good)) is None
+    # No perfbench/client.py: the interpreter exits 2.
+    (tmp_path / "bare").mkdir()
+    reason = mod.probe(str(tmp_path / "bare"))
+    assert reason.startswith("exit code 2: ") and "\n" not in reason
+    assert mod.probe(str(tmp_path / "missing")) is not None
+
+
+def test_default_seed_runs_come_before_the_pairs(monkeypatch, tmp_path):
+    mod = load()
+    metrics = {name: {"value": 1.0} for name in mod.METRICS}
+    ok = {"metrics": metrics, "correct": True, "failed": 0}
+    calls = fake_runs(mod, monkeypatch, [ok] * 8)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "--parent", "P", "--change", "C", "--workloads",
+        "grid,curves", "--seeds", "1", "--default-seed", "--out", str(out)])
+    assert mod.main() == 0
+    assert calls == [("C", "grid", None, 0), ("C", "grid", None, 1),
+                     ("C", "curves", None, 0), ("C", "curves", None, 1),
+                     ("P", "grid", 1, 0), ("C", "grid", 1, 0),
+                     ("P", "curves", 1, 0), ("C", "curves", 1, 0)]
+    doc = json.loads(out.read_text())
+    assert [r["correct"] for r in doc["traced_runs"]] == [True, True]
+    assert [r["workload"] for r in doc["default_seed_runs"]] == [
+        "grid", "curves"]
+
+
+def test_an_incorrect_traced_run_stops_before_the_pairs(
+        monkeypatch, tmp_path, capsys):
+    mod = load()
+    metrics = {name: {"value": 1.0} for name in mod.METRICS}
+    ok = {"metrics": metrics, "correct": True, "failed": 0}
+    wrong = {**ok, "correct": False}
+    calls = fake_runs(mod, monkeypatch, [ok, wrong])
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "--parent", "P", "--change", "C", "--workloads",
+        "curves,grid", "--seeds", "1-10", "--default-seed",
+        "--out", str(out)])
+    assert mod.main() == 2
+    assert calls == [("C", "curves", None, 0), ("C", "curves", None, 1)]
+    doc = json.loads(out.read_text())
+    assert doc["traced_runs"] == [{"side": "change", "workload": "curves",
+                                   "exit_code": 0, "correct": False,
+                                   "wrong": []}]
+    assert doc["workloads"] == {}
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["bench_pairs: the change checkout C: its traced curves "
+                   "run is not correct (exit code 0)"]

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from gl2tors import catalog, cli, groups, jmaps
+from gl2tors.arith import next_prime
 from gl2tors.cli import main
 from gl2tors.verify import VerificationReport
 
@@ -42,6 +43,19 @@ def test_torsion_trivial_and_split(capsys):
     assert "torsion: C1 (trivial)" in capsys.readouterr().out
     assert main(["torsion", "[0,0,0,-1,0]"]) == 0
     assert "torsion: C2+C2" in capsys.readouterr().out
+
+
+def test_torsion_with_a_1000_digit_denominator(capsys):
+    # y^2 = x^3 + 1 with (x, y) scaled by (1/D^2, 1/D^3), D a semiprime
+    # of 167 digits: a6 = 1/D^6 has 1,000 digits, and so does the scale
+    # u = D^6 of the integral model. The search runs on u's powers and
+    # never factors u, so this takes milliseconds.
+    D = next_prime(10 ** 83) * next_prime(4 * 10 ** 83)
+    assert len(str(D ** 6)) == 1000
+    t0 = time.perf_counter()
+    assert main(["torsion", f"[0,0,0,0,1/{D ** 6}]"]) == 0
+    assert time.perf_counter() - t0 < 10
+    assert "torsion: C6" in capsys.readouterr().out
 
 
 def test_torsion_bad_curve():

@@ -11,19 +11,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gl2tors import elliptic, polynomial
-from gl2tors.arith import factorint, next_prime
+from gl2tors.arith import factorint, is_square, next_prime
 from gl2tors.catalog import (EMBEDDED_LEVEL9, TORSION_BY_DEGREE,
                              identify_candidates, named_group)
 from gl2tors.elliptic import (_MAZUR_PRIME_POWERS, CM_J, CurveQ,
                               IdentifyResult, _division_polys,
-                              _torsion_bound, count_points, curve_Et,
+                              _on_given_model, _psi3, _torsion_bound,
+                              _two_division_cubic, count_points, curve_Et,
                               curve_invariants, frobenius_signature,
                               group_class_set, identify_image, is_cm_j,
                               parse_curve, rational_3isogeny_kernel,
-                              torsion_over_Q, two_torsion_cubic,
-                              two_torsion_image)
+                              torsion_over_Q, two_torsion_image)
 from gl2tors.groups import standard_subgroup
-from gl2tors.polynomial import UniPoly, rational_roots
+from gl2tors.polynomial import UniPoly, _int_rational_roots, rational_roots
 
 E37 = parse_curve("[0,0,1,-1,0]")
 E14A4 = parse_curve("[1,0,1,-1,0]")
@@ -154,6 +154,12 @@ def test_count_points_matches_naive_at_large_primes(p):
     assert count_points(E_LARGE, p) == count_points_naive(E_LARGE, p)
 
 
+def cubic_fits(E, N):
+    """_cubic_fits_int64 on E's 2-division cubic."""
+    return elliptic._cubic_fits_int64(
+        _two_division_cubic(curve_invariants(E)), N)
+
+
 def good_primes(E, primes):
     u, _, _, disc = E._model
     return [p for p in primes if u % p and disc % p]
@@ -168,7 +174,7 @@ def test_point_counts_table_matches_naive():
     # Every prime below 200 and every eighth one up to 3000, in one call.
     primes = good_primes(E37, sorted(set(primes_upto(200))
                                      | set(primes_upto(3000)[::8])))
-    assert elliptic._cubic_fits_int64(E37, primes[-1])
+    assert cubic_fits(E37, primes[-1])
     assert elliptic._point_counts(E37, primes) == [
         count_points_naive(E37, p)[0] for p in primes]
 
@@ -176,12 +182,12 @@ def test_point_counts_table_matches_naive():
 def test_point_counts_at_the_int64_bound():
     primes = good_primes(E_EDGE_IN, primes_upto(60) + [1999, EDGE_N])
     assert primes[-1] == EDGE_N
-    assert elliptic._cubic_fits_int64(E_EDGE_IN, EDGE_N)
-    assert not elliptic._cubic_fits_int64(E_EDGE_IN, EDGE_N + 1)
+    assert cubic_fits(E_EDGE_IN, EDGE_N)
+    assert not cubic_fits(E_EDGE_IN, EDGE_N + 1)
     assert elliptic._point_counts(E_EDGE_IN, primes) == [
         count_points_naive(E_EDGE_IN, p)[0] for p in primes]
     primes = good_primes(E_EDGE_OUT, primes_upto(60) + [1999, EDGE_N])
-    assert not elliptic._cubic_fits_int64(E_EDGE_OUT, 2)
+    assert not cubic_fits(E_EDGE_OUT, 2)
     assert elliptic._point_counts(E_EDGE_OUT, primes) == [
         count_points_naive(E_EDGE_OUT, p)[0] for p in primes]
 
@@ -195,7 +201,7 @@ E_NEGATIVE = CurveQ(0, 0, 0, -1, -7)  # G(x) = 4x^3 - 4x - 28 < 0 at x <= 1
 @pytest.mark.parametrize("E", [E14A4, E_NEGATIVE, E_LARGE],
                          ids=["table", "negative-cubic", "large"])
 def test_point_counts_on_both_sides_of_the_mod_switch(E):
-    assert elliptic._cubic_fits_int64(E, 10 ** 4) == (E is not E_LARGE)
+    assert cubic_fits(E, 10 ** 4) == (E is not E_LARGE)
     primes = good_primes(E, SWITCH_PRIMES)
     assert len(primes) == len(SWITCH_PRIMES)
     assert elliptic._point_counts(E, primes) == [
@@ -221,9 +227,10 @@ def test_point_counts_large_path_above_2_to_the_21():
     # form_mod_reference, which reduces every step by %, and sums the
     # quadratic character.
     p = next_prime(2 ** 21 + 2 ** 19)
-    assert not elliptic._cubic_fits_int64(E37, p)
+    assert not cubic_fits(E37, p)
     x = np.arange(p, dtype=np.int64)
-    g = form_mod_reference(elliptic._two_division_cubic(E37), x, 1, p)
+    g = form_mod_reference(_two_division_cubic(curve_invariants(E37)), x,
+                           1, p)
     square = np.zeros(p, dtype=bool)
     square[x * x % p] = True
     chi = np.where(g == 0, 0, np.where(square[g], 1, -1))
@@ -246,7 +253,7 @@ def test_mod_matches_remainder_on_both_sides_of_the_switch():
 
 def test_point_counts_horner_matches_naive():
     primes = good_primes(E_LARGE, primes_upto(400) + [5003])
-    assert not elliptic._cubic_fits_int64(E_LARGE, 2)
+    assert not cubic_fits(E_LARGE, 2)
     assert elliptic._point_counts(E_LARGE, primes) == [
         count_points_naive(E_LARGE, p)[0] for p in primes]
 
@@ -255,12 +262,13 @@ def test_point_counts_horner_matches_table(monkeypatch):
     # The per-prime Horner path, forced on a curve the table covers.
     primes = good_primes(E14A4, primes_upto(3000))
     table = elliptic._point_counts(E14A4, primes)
-    monkeypatch.setattr(elliptic, "_cubic_fits_int64", lambda E, N: False)
+    monkeypatch.setattr(elliptic, "_cubic_fits_int64",
+                        lambda cubic, N: False)
     assert elliptic._point_counts(E14A4, primes) == table
 
 
 def test_cubic_fits_int64_matches_the_bound():
-    """_cubic_fits_int64(E, N) holds exactly when 4N^3 + |b2|N^2 + 2|b4|N
+    """cubic_fits(E, N) holds exactly when 4N^3 + |b2|N^2 + 2|b4|N
     + |b6| < 2^63, on seeded integral curves whose large a1, a2 and a4
     make b2 and b4 nonzero, at N on both sides of where that bound
     crosses 2^63; the table counts points at the last good prime it
@@ -283,7 +291,7 @@ def test_cubic_fits_int64_matches_the_bound():
             lo, hi = (mid, hi) if fits(mid) else (lo, mid)
         assert lo > 2
         for N in (1, lo // 2, lo - 1, lo, lo + 1, lo + 2, 2 * lo):
-            assert elliptic._cubic_fits_int64(E, N) == fits(N) == (N <= lo)
+            assert cubic_fits(E, N) == fits(N) == (N <= lo)
         primes = good_primes(E, primes_upto(lo))[-1:]
         assert elliptic._point_counts(E, primes) == [
             count_points_naive(E, p)[0] for p in primes]
@@ -560,7 +568,14 @@ def test_primes_dividing_u_divide_the_integral_discriminant():
 
 
 def test_two_torsion_image():
-    assert two_torsion_cubic(E37) == UniPoly.from_coeffs([1, -4, 0, 4])
+    assert _two_division_cubic(curve_invariants(E37)) == [1, -4, 0, 4]
+    assert _on_given_model([1, -4, 0, 4], 1) == (1, 1, [1, -4, 0, 4])
+    # 4x^3 - 3/4 x - 1/16 = 1/16 * (64x^3 - 12x - 1); u = 64.
+    E = parse_curve("[0,0,0,-3/16,-1/64]")
+    inv = curve_invariants(E)
+    assert inv.u == 64
+    assert _on_given_model(_two_division_cubic(inv), inv.u) == (
+        1, 16, [-1, -12, 0, 64])
     assert two_torsion_image(parse_curve("[0,0,0,-1,0]")) == "2Cs"
     assert two_torsion_image(E14A4) == "2B"
     assert two_torsion_image(parse_curve("[0,0,0,-3,-1]")) == "2Cn"
@@ -722,17 +737,119 @@ def test_short_model_of_rescaled_curve(curve, structure, lam):
     assert torsion_over_Q(R) == torsion_nagell_lutz(R) == structure
 
 
+def scaled_poly(scaled):
+    """The UniPoly n / d * P of a scaled list (n, d, P), after checking
+    that n / d is reduced and positive and that P is primitive."""
+    n, d, P = scaled
+    assert n > 0 and d > 0 and gcd(n, d) == 1
+    assert gcd(*P) == 1 and P[-1] != 0
+    return Fraction(n, d) * UniPoly.from_coeffs(P)
+
+
 @pytest.mark.parametrize("A, B", [(1, 1), (-1, 0), (0, 1), (-7, 10),
                                   (Fraction(3, 4), Fraction(-5, 8))])
 def test_division_polys_on_short_model(A, B):
     # At a1 = a2 = a3 = 0: b2 = 0, b4 = 2A, b6 = 4B and b8 = -A^2.
     A, B = Fraction(A), Fraction(B)
-    f = _division_polys(CurveQ(0, 0, 0, A, B))
+    f = _division_polys(curve_invariants(CurveQ(0, 0, 0, A, B)))
     x = UniPoly.x()
-    assert f(3) == 3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x - A * A
-    assert f(4) == 2 * (x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3
-                        - 5 * A * A * x ** 2 - 4 * A * B * x - 8 * B * B
-                        - A ** 3)
+    assert scaled_poly(f(3)) == (3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x
+                                 - A * A)
+    assert scaled_poly(f(4)) == 2 * (
+        x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3 - 5 * A * A * x ** 2
+        - 4 * A * B * x - 8 * B * B - A ** 3)
+
+
+# Fraction UniPoly references for the integer lists: the 2-division
+# cubic, psi_3 and the division polynomials of the given model written
+# with its rational b-invariants, and the three operations on them.
+def cubic_reference(E):
+    inv = curve_invariants(E)
+    return UniPoly.from_coeffs([inv.b6, 2 * inv.b4, inv.b2, 4])
+
+
+def psi3_reference(E):
+    inv = curve_invariants(E)
+    return UniPoly.from_coeffs([inv.b8, 3 * inv.b6, 3 * inv.b4, inv.b2, 3])
+
+
+def division_polys_reference(E):
+    inv = curve_invariants(E)
+    b2, b4, b6, b8 = inv.b2, inv.b4, inv.b6, inv.b8
+    g2 = cubic_reference(E) ** 2
+    memo = {1: UniPoly.constant(1), 2: UniPoly.constant(1),
+            3: psi3_reference(E),
+            4: UniPoly.from_coeffs([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6,
+                                    10 * b8, 10 * b6, 5 * b4, b2, 2])}
+
+    def f(n):
+        if n not in memo:
+            m = n // 2
+            if n % 2 == 0:
+                memo[n] = f(m) * (f(m + 2) * f(m - 1) ** 2
+                                  - f(m - 2) * f(m + 1) ** 2)
+            elif m % 2 == 0:
+                memo[n] = g2 * f(m + 2) * f(m) ** 3 - f(m - 1) * f(m + 1) ** 3
+            else:
+                memo[n] = f(m + 2) * f(m) ** 3 - g2 * f(m - 1) * f(m + 1) ** 3
+        return memo[n]
+    return f
+
+
+def two_torsion_image_reference(E):
+    nroots = len(rational_roots(cubic_reference(E)))
+    disc = curve_invariants(E).disc
+    return {3: "2Cs", 1: "2B"}.get(nroots) or (
+        "2Cn" if is_square(disc.numerator) and is_square(disc.denominator)
+        else "GL2(F2)")
+
+
+def torsion_reference(E):
+    """torsion_over_Q's search on the Fraction division polynomials."""
+    N = _torsion_bound(E)
+    if N == 1:
+        return (1,)
+    cubic = cubic_reference(E)
+    two_roots = rational_roots(cubic)
+    f = division_polys_reference(E)
+    n = 1
+    for q, cap in _MAZUR_PRIME_POWERS.items():
+        size, k = 1, q
+        while N % k == 0 and k <= cap:
+            more = 1 + len(two_roots) if k % 2 == 0 else 1
+            if k > 2:
+                for r in rational_roots(f(k)):
+                    y2 = cubic(r)
+                    more += 2 * (is_square(y2.numerator)
+                                 and is_square(y2.denominator))
+            if more == size:
+                break
+            size, k = more, k * q
+        n *= size
+    return (2, n // 2) if len(two_roots) == 3 else (n,)
+
+
+REFERENCE_CURVES = [pytest.param(pin[1], lam, id=f"{pin[0]}@{lam}")
+                    for pin in TORSION_PINS
+                    for lam in (1, Fraction(1, 30), Fraction(1, 396),
+                                Fraction(35, 2))]
+
+
+@pytest.mark.parametrize("curve, lam", REFERENCE_CURVES)
+def test_integer_lists_match_the_fraction_reference(curve, lam):
+    E = _rescaled(parse_curve(curve), Fraction(lam))
+    inv = curve_invariants(E)
+    assert scaled_poly(_on_given_model(_two_division_cubic(inv), inv.u)) \
+        == cubic_reference(E)
+    assert scaled_poly(_on_given_model(_psi3(inv), inv.u)) \
+        == psi3_reference(E)
+    f, ref = _division_polys(inv), division_polys_reference(E)
+    for k in (3, 4, 5, 7, 8, 9):
+        assert scaled_poly(f(k)) == ref(k), k
+        assert _int_rational_roots(f(k)[2]) == rational_roots(ref(k)), k
+    assert two_torsion_image(E) == two_torsion_image_reference(E)
+    assert rational_3isogeny_kernel(E) == rational_roots(psi3_reference(E))
+    assert torsion_over_Q(E) == torsion_reference(E)
 
 
 def test_mazur_prime_powers_match_the_degree_1_table():

@@ -47,14 +47,16 @@ from hypothesis import strategies as st
 
 from gl2tors import elliptic, jmaps, polynomial
 from gl2tors.arith import is_square
-from gl2tors.elliptic import (CurveQ, count_points, curve_invariants,
-                              frobenius_signature, two_torsion_cubic)
+from gl2tors.elliptic import (CurveQ, _on_given_model, _psi3,
+                              _two_division_cubic, count_points,
+                              curve_invariants, frobenius_signature)
 from gl2tors.jmaps import (JMAP_LABELS, POLE, fiber_curve, fiber_points,
                            jmap_eval, named_jmap, search_hyperelliptic,
                            search_plane, zeta3_descent_search)
 from gl2tors.polynomial import (BiPoly, UniPoly, _eval_int_at, _form_mod,
-                                _grid_arrays, _grid_key, _int_resultant,
-                                farey_fractions, rational_roots, resultant)
+                                _grid_arrays, _grid_key, _int_rational_roots,
+                                _int_resultant, farey_fractions,
+                                rational_roots, resultant)
 from test_elliptic import E37, count_points_naive
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -727,10 +729,11 @@ def test_rational_roots_of_division_polynomials_match_reference():
             continue
         curves += 1
         inv = curve_invariants(E)
-        psi3 = UniPoly.from_coeffs([inv.b8, 3 * inv.b6, 3 * inv.b4,
-                                    inv.b2, 3])
-        for P in (two_torsion_cubic(E), psi3):
-            assert rational_roots(P) == rational_roots_reference(P), E
+        for X in (_two_division_cubic(inv), _psi3(inv)):
+            _, _, c = _on_given_model(X, inv.u)
+            P = UniPoly.from_coeffs(c)
+            assert _int_rational_roots(c) == rational_roots(P) \
+                == rational_roots_reference(P), E
 
 
 def sylvester_reference(F, G, axis, x):

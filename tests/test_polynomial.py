@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2tors.polynomial import (BiPoly, PolyParseError, UniPoly,
-                                _product_size, farey_fractions, parse_bipoly,
-                                parse_poly, poly_gcd, rational_roots,
-                                resultant)
+from gl2tors.polynomial import (BiPoly, PolyParseError, UniPoly, _int_mul,
+                                _int_rational_roots, _product_size,
+                                farey_fractions, parse_bipoly, parse_poly,
+                                poly_gcd, rational_roots, resultant)
 
 X = UniPoly.x()
 
@@ -184,6 +184,25 @@ def test_rational_roots_small():
     assert rational_roots(UniPoly.constant(5)) == []
     with pytest.raises(ValueError):
         rational_roots(UniPoly())
+
+
+def test_int_rational_roots_take_any_integer_list():
+    # Neither content nor trailing powers of x need dividing out first.
+    assert _int_rational_roots([0, 0, 12, -10, 2]) == [0, 2, 3]
+    assert _int_rational_roots([-6, 0, 4]) == []
+    assert _int_rational_roots([5]) == []
+    P = 3 * X ** 4 - 24 * X
+    assert _int_rational_roots([0, -24, 0, 0, 3]) == rational_roots(P)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=8),
+       st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=8))
+def test_int_mul_matches_unipoly_product(a, b):
+    got = _int_mul(a, b)
+    assert len(got) == len(a) + len(b) - 1
+    assert UniPoly.from_coeffs(got) == (UniPoly.from_coeffs(a)
+                                        * UniPoly.from_coeffs(b))
 
 
 def test_rational_roots_large_coefficients():
